@@ -35,12 +35,8 @@ class CanonicalModel:
     domain: frozenset[str]
     primitive_ext: Mapping[str, frozenset[str]]
     role_ext: Mapping[str, frozenset[tuple[str, str]]]
-
-    def successors(self, role: str) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {}
-        for source, target in self.role_ext.get(role, frozenset()):
-            out.setdefault(source, set()).add(target)
-        return {s: frozenset(ts) for s, ts in out.items()}
+    # role -> source -> targets: the pairs of ``role_ext``, indexed by source
+    role_succ: Mapping[str, Mapping[str, frozenset[str]]]
 
 
 def _top_conjunct_names(c: ConceptExpr) -> frozenset[str]:
@@ -91,12 +87,16 @@ def build_canonical(kb: KnowledgeBase) -> CanonicalModel:
         for name in kb.signature.concept_names
     }
     role_ext: dict[str, set[tuple[str, str]]] = {}
+    role_succ: dict[str, dict[str, set[str]]] = {}
     for role, source, target in kb.abox.role_assertions:
         role_ext.setdefault(role, set()).add((source, target))
+        role_succ.setdefault(role, {}).setdefault(source, set()).add(target)
     return CanonicalModel(
         domain=kb.abox.individuals,
         primitive_ext=primitive_ext,
         role_ext={r: frozenset(ps) for r, ps in role_ext.items()},
+        role_succ={r: {s: frozenset(ts) for s, ts in table.items()}
+                   for r, table in role_succ.items()},
     )
 
 
@@ -110,15 +110,6 @@ def eval_concept(model: CanonicalModel, tbox: TBox,
     fails.  Value restrictions are vacuously satisfied by individuals
     without successors.
     """
-    succ_cache: dict[str, dict[str, frozenset[str]]] = {}
-
-    def successors(role: str, x: str) -> frozenset[str]:
-        table = succ_cache.get(role)
-        if table is None:
-            table = model.successors(role)
-            succ_cache[role] = table
-        return table.get(x, frozenset())
-
     def ev(c: ConceptExpr) -> frozenset[str]:
         if isinstance(c, Top):
             return model.domain
@@ -144,17 +135,17 @@ def eval_concept(model: CanonicalModel, tbox: TBox,
             return out
         if isinstance(c, Exists):
             filler = ev(c.filler)
-            return frozenset(
-                x for x in model.domain if successors(c.role, x) & filler
-            )
+            succ = model.role_succ.get(c.role, {})
+            return frozenset(x for x, ys in succ.items() if ys & filler)
         if isinstance(c, Forall):
             filler = ev(c.filler)
-            return frozenset(
-                x for x in model.domain if successors(c.role, x) <= filler
-            )
+            succ = model.role_succ.get(c.role, {})
+            return model.domain - {x for x, ys in succ.items()
+                                   if not ys <= filler}
         if isinstance(c, AtLeast):
+            succ = model.role_succ.get(c.role, {})
             return frozenset(
-                x for x in model.domain if len(successors(c.role, x)) >= c.n
+                x for x in model.domain if len(succ.get(x, ())) >= c.n
             )
         raise TypeError(f"unexpected concept node: {c!r}")
 

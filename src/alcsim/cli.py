@@ -196,7 +196,7 @@ def cmd_matrix(cfg: RunConfig, item_texts: list[str]) -> int:
     kb = cfg.load()
     items = [_resolve_item(kb, text) for text in item_texts]
     labels = _item_labels(items)
-    matrix = sim_matrix(kb, items, cfg.msc_depth, cfg.backend, cfg.cache)
+    matrix = sim_matrix(kb, items, cfg.msc_depth, cfg.backend)
     if cfg.output == "json":
         print(json.dumps({
             "labels": labels,
@@ -223,7 +223,7 @@ def cmd_cluster(cfg: RunConfig, item_texts: list[str], linkage: str) -> int:
     kb = cfg.load()
     items = [_resolve_item(kb, text) for text in item_texts]
     labels = _item_labels(items)
-    matrix = sim_matrix(kb, items, cfg.msc_depth, cfg.backend, cfg.cache)
+    matrix = sim_matrix(kb, items, cfg.msc_depth, cfg.backend)
     dendrogram = cluster_matrix(labels, matrix, linkage)
     if cfg.output == "json":
         print(json.dumps({
@@ -275,7 +275,9 @@ def _add_common(parser: argparse.ArgumentParser, *, depth: bool = False) -> None
     parser.add_argument("--format", choices=["text", "json", "csv"],
                         default="text")
     parser.add_argument("--cache", action="store_true",
-                        help="reuse extensions across the three computations")
+                        help="reuse repeated extensions in sim, retrieve and "
+                             "msc; matrix and cluster always compute each "
+                             "extension once")
     if depth:
         parser.add_argument("--depth", type=_depth_arg, default=None,
                             metavar="N|auto",

@@ -239,14 +239,6 @@ class ABox:
         )
         return cls(cas, ras, inds)
 
-    def asserted_concepts(self, individual: str) -> frozenset[str]:
-        return frozenset(c for c, a in self.concept_assertions if a == individual)
-
-    def successors(self, individual: str, role: str) -> frozenset[str]:
-        return frozenset(
-            t for r, s, t in self.role_assertions if r == role and s == individual
-        )
-
 
 EMPTY_ABOX = ABox.from_assertions((), ())
 

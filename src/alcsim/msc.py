@@ -75,7 +75,9 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     """Most-specific-concept approximation of ``individual`` up to ``depth``.
 
     ``depth=None`` uses the ABox depth.  The individual always belongs to
-    the retrieval of the returned concept under the chosen backend.
+    the retrieval of the returned concept under the chosen backend.  An
+    ``engine`` for the same backend with its memo on shares the
+    concept-name retrievals across calls.
     """
     if individual not in kb.abox.individuals:
         raise UnknownIndividual(individual)

@@ -11,10 +11,17 @@ otherwise.  Individuals are compared through their most-specific-concept
 approximations.
 
 Values are exact rationals; any rounding happens at the presentation
-layer only.  Each concept-pair comparison performs exactly three
+layer only.  Each single-pair comparison performs exactly three
 extension computations (for C, D and their conjunction) unless the
 optional cache is enabled, and the reports carry the counters so the
 cost model is observable.
+
+A matrix over n items costs n MSC roll-ups (one per individual item), n
+extension computations and n^2 set intersections: on both backends
+ext(C and D) = ext(C) & ext(D).  Canonical evaluation of a conjunction
+is that intersection; under entailment, KB |= (C and D)(a) exactly when
+KB |= C(a) and KB |= D(a), and an inconsistent KB puts every individual
+on both sides.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Sequence, Union
 
 from .errors import CardinalityViolation
 from .model import And, ConceptExpr, KnowledgeBase
-from .msc import msc_approx
+from .msc import abox_depth, msc_approx
 from .retrieval import Backend, ExtensionEngine
 
 Item = Union[ConceptExpr, str]  # a concept expression or an individual name
@@ -129,6 +136,8 @@ def sim_individuals(kb: KnowledgeBase, a: str, b: str,
                     backend: Backend = Backend.CANONICAL,
                     cache: bool = False) -> SimilarityReport:
     """Similarity of two individuals via their MSC approximations."""
+    if depth is None:
+        depth = abox_depth(kb)
     msc_a = msc_approx(kb, a, depth, backend)
     msc_b = msc_approx(kb, b, depth, backend)
     return _compare(kb, msc_a.concept, msc_b.concept, backend, cache,
@@ -147,33 +156,30 @@ def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
     if x_ind:
         return sim_individual_concept(kb, x, y, depth, backend, cache)
     if y_ind:
-        report = sim_individual_concept(kb, y, x, depth, backend, cache)
-        # restore the caller's argument order in the cardinalities
-        return SimilarityReport(
-            value=report.value,
-            ext_c=report.ext_d,
-            ext_d=report.ext_c,
-            ext_i=report.ext_i,
-            backend=report.backend,
-            extension_computations=report.extension_computations,
-            msc_computations=report.msc_computations,
-            msc_depth=report.msc_depth,
-        )
+        msc_y = msc_approx(kb, y, depth, backend)
+        return _compare(kb, x, msc_y.concept, backend, cache, 1, msc_y.depth)
     return sim_concepts(kb, x, y, backend, cache)
 
 
 def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
                depth: int | None = None,
-               backend: Backend = Backend.CANONICAL,
-               cache: bool = False) -> list[list[Fraction]]:
-    """Symmetric matrix of pairwise similarities."""
+               backend: Backend = Backend.CANONICAL) -> list[list[Fraction]]:
+    """Symmetric matrix of pairwise similarities.
+
+    One engine serves the whole matrix: each individual's MSC is rolled
+    up once (sharing the concept-name retrievals), each item's extension
+    is computed once, and a cell intersects two extensions.
+    """
     if not items:
         raise ValueError("items must be non-empty")
-    n = len(items)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            value = sim_pair(kb, items[i], items[j], depth, backend, cache).value
-            matrix[i][j] = value
-            matrix[j][i] = value
-    return matrix
+    engine = ExtensionEngine(kb, backend, cache_enabled=True)
+    if depth is None and any(isinstance(item, str) for item in items):
+        depth = abox_depth(kb)
+    concepts = [
+        msc_approx(kb, item, depth, backend, engine).concept
+        if isinstance(item, str) else item
+        for item in items
+    ]
+    exts = [engine.extension(c) for c in concepts]
+    return [[sim_formula(len(a), len(b), len(a & b)) for b in exts]
+            for a in exts]

@@ -49,6 +49,14 @@ class TestBuildCanonical:
         assert len(model.role_ext["HasChild"]) == 8
         assert ("Giovanna", "Claudia") in model.role_ext["HasChild"]
 
+    def test_successor_index_matches_role_extension(self):
+        for seed in range(20):
+            model = build_canonical(random_kb(seed))
+            assert set(model.role_succ) == set(model.role_ext)
+            for role, pairs in model.role_ext.items():
+                assert {(s, t) for s, ts in model.role_succ[role].items()
+                        for t in ts} == pairs
+
     def test_female_extension(self, family_kb):
         model = build_canonical(family_kb)
         assert model.primitive_ext["Female"] == {

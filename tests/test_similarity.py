@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from alcsim import msc, retrieval, similarity
 from alcsim.canonical import retrieve_canonical
 from alcsim.errors import CardinalityViolation
 from alcsim.gen import KbShape, random_concept, random_kb
@@ -163,6 +164,109 @@ class TestSimPairAndMatrix:
             for j in range(len(items)):
                 assert matrix[i][j] == matrix[j][i]
             assert matrix[i][i] == 1
+
+
+def pairwise_matrix(kb, items, depth=None, backend=Backend.CANONICAL):
+    """The matrix built cell by cell from single-pair reports."""
+    return [[sim_pair(kb, x, y, depth, backend).value for y in items]
+            for x in items]
+
+
+def mixed_items(kb, rng):
+    """Every individual, interleaved with two concept names and a random concept."""
+    names = sorted(kb.signature.concept_names)
+    concepts = [Atom(names[0]), Atom(names[-1]),
+                random_concept(rng, names, ("r", "s"), 2)]
+    items = sorted(kb.individuals)
+    for k, concept in enumerate(concepts):
+        items.insert(2 * k + 1, concept)
+    return items
+
+
+class TestMatrixOracle:
+    """``sim_matrix`` against the per-pair path, as exact fractions."""
+
+    def test_family_fixture(self, family_kb):
+        items = mixed_items(family_kb, random.Random(1))
+        assert sim_matrix(family_kb, items, 1) == pairwise_matrix(
+            family_kb, items, 1)
+        few = ["Claudia", Atom("Woman"), "Antonio", "Vito",
+               Atom("Grandparent")]
+        assert sim_matrix(family_kb, few) == pairwise_matrix(family_kb, few)
+
+    def test_fathers_fixture(self, fathers_kb):
+        items = mixed_items(fathers_kb, random.Random(2))
+        for depth in (0, 1, None):
+            assert sim_matrix(fathers_kb, items, depth) == pairwise_matrix(
+                fathers_kb, items, depth)
+        assert sim_matrix(fathers_kb, items, 1, Backend.ENTAIL) == (
+            pairwise_matrix(fathers_kb, items, 1, Backend.ENTAIL))
+
+    def test_random_kbs_canonical(self):
+        rng = random.Random(20)
+        for seed in range(20):
+            kb = random_kb(seed)
+            items = mixed_items(kb, rng)
+            for depth in (0, 1, None):
+                assert sim_matrix(kb, items, depth) == pairwise_matrix(
+                    kb, items, depth), (seed, depth)
+
+    def test_random_kbs_entail(self):
+        rng = random.Random(21)
+        shape = KbShape(individuals=4, role_assertions=5, concept_assertions=5)
+        for seed in range(3):
+            kb = random_kb(seed, shape)
+            items = mixed_items(kb, rng)
+            assert sim_matrix(kb, items, 1, Backend.ENTAIL) == pairwise_matrix(
+                kb, items, 1, Backend.ENTAIL), seed
+
+    def test_single_and_repeated_items(self, family_kb):
+        for items in (["Claudia"], [Atom("Father")],
+                      ["Claudia", "Claudia", Atom("Woman"), Atom("Woman")],
+                      ["Vito", Atom("Woman"), "Vito"]):
+            assert sim_matrix(family_kb, items, 2) == pairwise_matrix(
+                family_kb, items, 2)
+
+
+def count_calls(monkeypatch, name, *modules) -> list:
+    """Wrap ``name`` in each of ``modules`` to record its calls in one list."""
+    calls = []
+
+    def wrap(original):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counted
+
+    for module in modules:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    return calls
+
+
+class TestMatrixCost:
+    def test_one_msc_per_individual_and_one_depth(self, family_kb,
+                                                  monkeypatch):
+        msc_calls = count_calls(monkeypatch, "msc_approx", similarity)
+        depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
+        builds = count_calls(monkeypatch, "build_canonical", retrieval)
+        individuals = sorted(family_kb.individuals)
+        sim_matrix(family_kb, individuals)
+        assert len(msc_calls) == len(individuals)
+        assert len(depth_calls) <= 1
+        assert len(builds) == 1
+
+    def test_no_depth_search_without_individuals(self, family_kb,
+                                                 monkeypatch):
+        depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
+        sim_matrix(family_kb, [Atom("Woman"), Atom("Father")])
+        assert depth_calls == []
+
+    def test_individual_pair_searches_depth_once(self, family_kb,
+                                                 monkeypatch):
+        depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
+        report = sim_individuals(family_kb, "Claudia", "Tiziana")
+        assert len(depth_calls) == 1
+        assert report.msc_depth == 10
 
 
 class TestJsonReport:
