@@ -47,7 +47,7 @@ from .model import (
     normalize,
     unfold,
 )
-from .msc import MscResult, abox_depth, msc_approx
+from .msc import MscResult, abox_depth, msc_approx, msc_extension
 from .parser import ErrorKind, ParseError, parse_concept, parse_kb, serialize
 from .retrieval import Backend, ExtensionEngine
 from .similarity import (

@@ -108,18 +108,24 @@ def eval_concept(model: CanonicalModel, tbox: TBox,
     evaluation of its definition body (for full definitions), so asserted
     memberships survive even when the closed-world definition check
     fails.  Value restrictions are vacuously satisfied by individuals
-    without successors.
+    without successors.  Each name is evaluated once per call, however
+    often it occurs.
     """
+    names: dict[str, frozenset[str]] = {}
+
     def ev(c: ConceptExpr) -> frozenset[str]:
         if isinstance(c, Top):
             return model.domain
         if isinstance(c, Bottom):
             return frozenset()
         if isinstance(c, Atom):
-            ext = model.primitive_ext.get(c.name, frozenset())
-            defn = tbox.get(c.name)
-            if defn is not None and defn.kind is DefKind.EQUIV:
-                ext = ext | ev(defn.body)
+            ext = names.get(c.name)
+            if ext is None:
+                ext = model.primitive_ext.get(c.name, frozenset())
+                defn = tbox.get(c.name)
+                if defn is not None and defn.kind is DefKind.EQUIV:
+                    ext = ext | ev(defn.body)
+                names[c.name] = ext
             return ext
         if isinstance(c, Not):
             return model.domain - ev(c.arg)

@@ -57,6 +57,9 @@ class RunConfig:
                 return parse_kb(handle.read())
         except OSError as exc:
             raise CliError(f"cannot read {self.kb_path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(f"cannot read {self.kb_path}: not UTF-8 "
+                           f"(byte {exc.start}: {exc.reason})") from exc
         except ParseError as exc:
             raise CliError(f"{self.kb_path}:{exc}") from exc
 

@@ -10,11 +10,19 @@ mutually inverse role assertions cannot blow the concept up.
 
 The default depth bound is the ABox depth: the length of the longest
 simple path in the role-assertion digraph.
+
+One traversal holds the out-edge order and the cycle cut.  ``msc_approx``
+builds the concept through it; ``msc_extension`` evaluates the same tree
+straight into its canonical extension and builds no concept, which is all
+a canonical similarity matrix needs.  The entail backend has no such
+shortcut (open-world ``exists`` is not compositional), so an entail
+matrix still builds one MSC concept per individual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .errors import UnknownIndividual
 from .model import (
@@ -28,6 +36,8 @@ from .model import (
     normalize,
 )
 from .retrieval import Backend, ExtensionEngine
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,46 @@ def abox_depth(kb: KnowledgeBase) -> int:
     return best
 
 
+def _checked_depth(kb: KnowledgeBase, individual: str,
+                   depth: int | None) -> int:
+    if individual not in kb.abox.individuals:
+        raise UnknownIndividual(individual)
+    if depth is None:
+        depth = abox_depth(kb)
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    return depth
+
+
+def _roll_up(kb: KnowledgeBase, individual: str, depth: int, top: T,
+             exists: Callable[[str, T], T],
+             conjoin: Callable[[str, list[T]], T]) -> T:
+    """Fold the roll-up tree of ``individual`` down to ``depth``.
+
+    A node for individual ``x`` is ``conjoin(x, parts)``, where ``parts``
+    holds one ``exists(role, filler)`` per out-edge of ``x`` in sorted
+    ``(role, target)`` order (none at depth 0).  The filler is the target's
+    node one level down, or ``top`` when the target is already on the
+    current path.
+    """
+    out_edges: dict[str, list[tuple[str, str]]] = {}
+    for role, source, target in sorted(kb.abox.role_assertions):
+        out_edges.setdefault(source, []).append((role, target))
+
+    def visit(x: str, d: int, visited: frozenset[str]) -> T:
+        parts: list[T] = []
+        if d > 0:
+            for role, target in out_edges.get(x, ()):
+                if target in visited:
+                    filler = top
+                else:
+                    filler = visit(target, d - 1, visited | {target})
+                parts.append(exists(role, filler))
+        return conjoin(x, parts)
+
+    return visit(individual, depth, frozenset((individual,)))
+
+
 def msc_approx(kb: KnowledgeBase, individual: str,
                depth: int | None = None,
                backend: Backend = Backend.CANONICAL,
@@ -79,12 +129,7 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     ``engine`` for the same backend with its memo on shares the
     concept-name retrievals across calls.
     """
-    if individual not in kb.abox.individuals:
-        raise UnknownIndividual(individual)
-    if depth is None:
-        depth = abox_depth(kb)
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    depth = _checked_depth(kb, individual, depth)
     if engine is None:
         engine = ExtensionEngine(kb, backend)
 
@@ -92,24 +137,63 @@ def msc_approx(kb: KnowledgeBase, individual: str,
         name: engine.extension(Atom(name))
         for name in sorted(kb.signature.concept_names)
     }
-    out_edges: dict[str, list[tuple[str, str]]] = {}
-    for role, source, target in sorted(kb.abox.role_assertions):
-        out_edges.setdefault(source, []).append((role, target))
 
-    def roll_up(x: str, d: int, visited: frozenset[str]) -> ConceptExpr:
-        conjuncts: list[ConceptExpr] = [
-            Atom(name) for name, ext in name_ext.items() if x in ext
-        ]
-        if d > 0:
-            for role, target in out_edges.get(x, ()):
-                if target in visited:
-                    conjuncts.append(Exists(role, TOP))
-                else:
-                    conjuncts.append(
-                        Exists(role, roll_up(target, d - 1, visited | {target}))
-                    )
-        return make_and(conjuncts)
+    def conjoin(x: str, parts: list[ConceptExpr]) -> ConceptExpr:
+        names = [Atom(name) for name, ext in name_ext.items() if x in ext]
+        return make_and(names + parts)
 
-    concept = normalize(roll_up(individual, depth, frozenset((individual,))))
+    concept = normalize(_roll_up(kb, individual, depth, TOP, Exists, conjoin))
     assert concept_depth(concept) <= depth
     return MscResult(individual, depth, concept, backend)
+
+
+def msc_extension(kb: KnowledgeBase, individual: str,
+                  depth: int | None = None,
+                  engine: ExtensionEngine | None = None) -> frozenset[str]:
+    """Canonical extension of ``msc_approx(kb, individual, depth).concept``.
+
+    Evaluates the roll-up tree in the canonical model as it is traversed,
+    without building the concept: a node is the intersection of the
+    extensions of the names that hold for its individual and of one
+    ``exists R.filler`` extension per out-edge.  Canonical evaluation is
+    compositional and a roll-up has no negation, disjunction or value
+    restriction, so the normalisation that ``msc_approx`` applies cannot
+    change the extension and the two are equal.  ``engine`` must be a
+    canonical engine; with its memo on it shares the concept-name
+    retrievals across calls.
+    """
+    depth = _checked_depth(kb, individual, depth)
+    if engine is None:
+        engine = ExtensionEngine(kb)
+    model = engine.canonical_model()
+    name_exts = [engine.extension(Atom(name))
+                 for name in sorted(kb.signature.concept_names)]
+    # intersection of the extensions of the names that hold for x
+    names_meet: dict[str, frozenset[str]] = {}
+
+    def conjoin(x: str, parts: list[frozenset[str]]) -> frozenset[str]:
+        ext = names_meet.get(x)
+        if ext is None:
+            ext = model.domain
+            for name_ext in name_exts:
+                if x in name_ext:
+                    ext = ext & name_ext
+            names_meet[x] = ext
+        for part in parts:
+            ext = ext & part
+        return ext
+
+    # many subtrees evaluate to the same filler set (every cut edge to the
+    # whole domain), so each (role, filler) term is evaluated once
+    exists_ext: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
+
+    def exists(role: str, filler: frozenset[str]) -> frozenset[str]:
+        ext = exists_ext.get((role, filler))
+        if ext is None:
+            succ = model.role_succ.get(role, {})
+            ext = frozenset(x for x, ys in succ.items()
+                            if not ys.isdisjoint(filler))
+            exists_ext[role, filler] = ext
+        return ext
+
+    return _roll_up(kb, individual, depth, model.domain, exists, conjoin)

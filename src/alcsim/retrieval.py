@@ -46,9 +46,7 @@ class ExtensionEngine:
             return self._cache[c]
         self.computations += 1
         if self.backend is Backend.CANONICAL:
-            if self._model is None:
-                self._model = build_canonical(self.kb)
-            ext = eval_concept(self._model, self.kb.tbox, c)
+            ext = eval_concept(self.canonical_model(), self.kb.tbox, c)
         else:
             if self._reasoner is None:
                 self._reasoner = TableauReasoner(self.kb)
@@ -56,3 +54,11 @@ class ExtensionEngine:
         if self.cache_enabled:
             self._cache[c] = ext
         return ext
+
+    def canonical_model(self) -> CanonicalModel:
+        """The KB's canonical model, built on first use (canonical backend only)."""
+        if self.backend is not Backend.CANONICAL:
+            raise ValueError("only a canonical engine has a canonical model")
+        if self._model is None:
+            self._model = build_canonical(self.kb)
+        return self._model

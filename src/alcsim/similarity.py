@@ -16,12 +16,15 @@ extension computations (for C, D and their conjunction) unless the
 optional cache is enabled, and the reports carry the counters so the
 cost model is observable.
 
-A matrix over n items costs n MSC roll-ups (one per individual item), n
-extension computations and n^2 set intersections: on both backends
-ext(C and D) = ext(C) & ext(D).  Canonical evaluation of a conjunction
-is that intersection; under entailment, KB |= (C and D)(a) exactly when
-KB |= C(a) and KB |= D(a), and an inconsistent KB puts every individual
-on both sides.
+A matrix over n items costs one extension per item and n^2 set
+intersections: on both backends ext(C and D) = ext(C) & ext(D).
+Canonical evaluation of a conjunction is that intersection; under
+entailment, KB |= (C and D)(a) exactly when KB |= C(a) and KB |= D(a),
+and an inconsistent KB puts every individual on both sides.  On the
+canonical backend an individual's extension comes from evaluating its
+MSC roll-up directly (``msc_extension``), so the matrix builds no
+concept; on the entail backend it builds the individual's MSC concept
+and retrieves it, n MSC concepts in all.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Sequence, Union
 
 from .errors import CardinalityViolation
 from .model import And, ConceptExpr, KnowledgeBase
-from .msc import abox_depth, msc_approx
+from .msc import abox_depth, msc_approx, msc_extension
 from .retrieval import Backend, ExtensionEngine
 
 Item = Union[ConceptExpr, str]  # a concept expression or an individual name
@@ -166,20 +169,24 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
                backend: Backend = Backend.CANONICAL) -> list[list[Fraction]]:
     """Symmetric matrix of pairwise similarities.
 
-    One engine serves the whole matrix: each individual's MSC is rolled
-    up once (sharing the concept-name retrievals), each item's extension
-    is computed once, and a cell intersects two extensions.
+    One engine serves the whole matrix, so the concept-name retrievals
+    are shared.  Each item's extension is computed once, an individual's
+    from one MSC roll-up, and a cell intersects two extensions.
     """
     if not items:
         raise ValueError("items must be non-empty")
     engine = ExtensionEngine(kb, backend, cache_enabled=True)
     if depth is None and any(isinstance(item, str) for item in items):
         depth = abox_depth(kb)
-    concepts = [
-        msc_approx(kb, item, depth, backend, engine).concept
-        if isinstance(item, str) else item
-        for item in items
-    ]
-    exts = [engine.extension(c) for c in concepts]
+
+    def extension(item: Item) -> frozenset[str]:
+        if not isinstance(item, str):
+            return engine.extension(item)
+        if backend is Backend.CANONICAL:
+            return msc_extension(kb, item, depth, engine)
+        return engine.extension(msc_approx(kb, item, depth, backend,
+                                           engine).concept)
+
+    exts = [extension(item) for item in items]
     return [[sim_formula(len(a), len(b), len(a & b)) for b in exts]
             for a in exts]

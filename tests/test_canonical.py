@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from alcsim.canonical import (
@@ -15,6 +16,7 @@ from alcsim.model import (
     Forall,
     Not,
     Top,
+    make_and,
     normalize,
 )
 from alcsim.parser import parse_kb
@@ -110,6 +112,29 @@ class TestEvalConcept:
         # q is told to be N but the closed-world definition check fails
         kb = parse_kb("N := A and exists R.A\nN(q)\n")
         assert retrieve_canonical(kb, Atom("N")) == {"q"}
+
+
+class CountingDict(dict):
+    """A dict that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+class TestDefinedNameMemo:
+    def test_body_evaluated_once_per_call(self):
+        kb = parse_kb("D := exists r.A\nA(b)\nr(a, b)\n")
+        model = build_canonical(kb)
+        counting = CountingDict(model.role_succ)
+        counted = dataclasses.replace(model, role_succ=counting)
+        for k in (1, 2, 5):
+            counting.gets = 0
+            concept = make_and((Atom("D"),) * k)
+            assert eval_concept(counted, kb.tbox, concept) == {"a"}
+            assert counting.gets == 1
 
 
 class TestProperties:

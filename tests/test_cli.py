@@ -112,6 +112,15 @@ class TestRetrieve:
         assert code == 0
         assert out.split() == ["Leonardo"]
 
+    def test_non_utf8_file_is_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dlkb"
+        bad.write_bytes(b"Woman(a)\n\xff\n")
+        code, out, err = run(capsys, "retrieve", str(bad), "Woman")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "not UTF-8" in err
+
 
 class TestMsc:
     def test_claudia_depth_zero(self, capsys, family_path):

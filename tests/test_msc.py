@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alcsim.canonical import retrieve_canonical
 from alcsim.errors import UnknownIndividual
 from alcsim.gen import KbShape, random_kb
 from alcsim.model import Atom, Exists, Top, concept_depth, concept_names_in
-from alcsim.msc import abox_depth, msc_approx
+from alcsim.msc import abox_depth, msc_approx, msc_extension
 from alcsim.parser import parse_kb
-from alcsim.retrieval import Backend
+from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import TableauReasoner
 
 
@@ -140,6 +142,67 @@ class TestMscApprox:
         from alcsim.errors import UnsupportedNegation
         with pytest.raises(UnsupportedNegation):
             msc_approx(family_kb, "Claudia", 0, Backend.ENTAIL)
+
+
+def concept_path_extension(kb, individual, depth):
+    """Canonical extension of the built and normalised MSC concept."""
+    concept = msc_approx(kb, individual, depth).concept
+    return ExtensionEngine(kb).extension(concept)
+
+
+def assert_matches_concept_path(kb, depths=(0, 1, 2, None)):
+    for individual in sorted(kb.individuals):
+        for depth in depths:
+            assert msc_extension(kb, individual, depth) == (
+                concept_path_extension(kb, individual, depth)
+            ), (individual, depth)
+
+
+class TestMscExtension:
+    """``msc_extension`` against the concept path as the oracle."""
+
+    def test_family_fixture(self, family_kb):
+        assert_matches_concept_path(family_kb)
+
+    def test_fathers_fixture(self, fathers_kb):
+        assert_matches_concept_path(fathers_kb)
+
+    def test_random_kbs(self):
+        for seed in range(20):
+            assert_matches_concept_path(random_kb(seed))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(0, 3))
+    def test_random_kbs_property(self, seed, depth):
+        assert_matches_concept_path(random_kb(seed), (depth,))
+
+    def test_cycle_cut(self):
+        kb = parse_kb("R(a, b)\nR(b, a)\nR(g, h)\nR(h, i)\nR(i, j)\n")
+        # a -> b -> a is cut to exists R.(exists R.Top), which the chain's
+        # g and h also satisfy; no cut would give exists R^4.Top
+        assert msc_extension(kb, "a", 4) == {"a", "b", "g", "h"}
+        assert_matches_concept_path(kb, (0, 1, 2, 3, 4))
+
+    def test_shared_engine(self, family_kb):
+        engine = ExtensionEngine(family_kb, cache_enabled=True)
+        for individual in sorted(family_kb.individuals):
+            assert msc_extension(family_kb, individual, 2, engine) == (
+                concept_path_extension(family_kb, individual, 2))
+
+    def test_unknown_individual(self, family_kb):
+        for roll_up in (msc_approx, msc_extension):
+            with pytest.raises(UnknownIndividual):
+                roll_up(family_kb, "Nobody", 0)
+
+    def test_negative_depth(self, family_kb):
+        for roll_up in (msc_approx, msc_extension):
+            with pytest.raises(ValueError):
+                roll_up(family_kb, "Claudia", -1)
+
+    def test_entail_engine_rejected(self, fathers_kb):
+        engine = ExtensionEngine(fathers_kb, Backend.ENTAIL)
+        with pytest.raises(ValueError):
+            msc_extension(fathers_kb, "Leonardo", 1, engine)
 
 
 def walk_exists(c):

@@ -246,14 +246,31 @@ def count_calls(monkeypatch, name, *modules) -> list:
 class TestMatrixCost:
     def test_one_msc_per_individual_and_one_depth(self, family_kb,
                                                   monkeypatch):
+        # canonical: one roll-up evaluated straight into its extension per
+        # individual, and no MSC concept built or normalised
+        rollups = count_calls(monkeypatch, "msc_extension", similarity)
         msc_calls = count_calls(monkeypatch, "msc_approx", similarity)
+        normalized = count_calls(monkeypatch, "normalize", msc)
         depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
         builds = count_calls(monkeypatch, "build_canonical", retrieval)
         individuals = sorted(family_kb.individuals)
         sim_matrix(family_kb, individuals)
-        assert len(msc_calls) == len(individuals)
+        assert len(rollups) == len(individuals)
+        assert msc_calls == []
+        assert normalized == []
         assert len(depth_calls) <= 1
         assert len(builds) == 1
+
+    def test_entail_builds_one_msc_per_individual(self, fathers_kb,
+                                                  monkeypatch):
+        rollups = count_calls(monkeypatch, "msc_extension", similarity)
+        msc_calls = count_calls(monkeypatch, "msc_approx", similarity)
+        depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
+        individuals = sorted(fathers_kb.individuals)
+        sim_matrix(fathers_kb, individuals, backend=Backend.ENTAIL)
+        assert len(msc_calls) == len(individuals)
+        assert rollups == []
+        assert len(depth_calls) == 1
 
     def test_no_depth_search_without_individuals(self, family_kb,
                                                  monkeypatch):
