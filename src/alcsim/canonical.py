@@ -34,9 +34,13 @@ from .model import (
 class CanonicalModel:
     domain: frozenset[str]
     primitive_ext: Mapping[str, frozenset[str]]
-    role_ext: Mapping[str, frozenset[tuple[str, str]]]
-    # role -> source -> targets: the pairs of ``role_ext``, indexed by source
+    # role -> source -> targets: the asserted role pairs, indexed by source
     role_succ: Mapping[str, Mapping[str, frozenset[str]]]
+
+    def exists_ext(self, role: str, filler: frozenset[str]) -> frozenset[str]:
+        """Individuals with a ``role`` successor in ``filler``."""
+        return frozenset(x for x, ys in self.role_succ.get(role, {}).items()
+                         if not ys.isdisjoint(filler))
 
 
 def _top_conjunct_names(c: ConceptExpr) -> frozenset[str]:
@@ -86,15 +90,12 @@ def build_canonical(kb: KnowledgeBase) -> CanonicalModel:
         name: frozenset(a for a, names in told.items() if name in names)
         for name in kb.signature.concept_names
     }
-    role_ext: dict[str, set[tuple[str, str]]] = {}
     role_succ: dict[str, dict[str, set[str]]] = {}
     for role, source, target in kb.abox.role_assertions:
-        role_ext.setdefault(role, set()).add((source, target))
         role_succ.setdefault(role, {}).setdefault(source, set()).add(target)
     return CanonicalModel(
         domain=kb.abox.individuals,
         primitive_ext=primitive_ext,
-        role_ext={r: frozenset(ps) for r, ps in role_ext.items()},
         role_succ={r: {s: frozenset(ts) for s, ts in table.items()}
                    for r, table in role_succ.items()},
     )
@@ -140,9 +141,7 @@ def eval_concept(model: CanonicalModel, tbox: TBox,
                 out = out | ev(a)
             return out
         if isinstance(c, Exists):
-            filler = ev(c.filler)
-            succ = model.role_succ.get(c.role, {})
-            return frozenset(x for x, ys in succ.items() if ys & filler)
+            return model.exists_ext(c.role, ev(c.filler))
         if isinstance(c, Forall):
             filler = ev(c.filler)
             succ = model.role_succ.get(c.role, {})

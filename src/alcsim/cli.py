@@ -39,7 +39,6 @@ class RunConfig:
     backend: Backend = Backend.CANONICAL
     msc_depth: int | None = None        # None = ABox depth
     output: str = "text"                # text | json | csv
-    cache: bool = False
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -48,7 +47,6 @@ class RunConfig:
             backend=Backend(args.backend),
             msc_depth=getattr(args, "depth", None),
             output=args.format,
-            cache=args.cache,
         )
 
     def load(self) -> KnowledgeBase:
@@ -136,7 +134,7 @@ def cmd_subsumes(cfg: RunConfig, sub_text: str, super_text: str) -> int:
 def cmd_retrieve(cfg: RunConfig, concept_text: str) -> int:
     kb = cfg.load()
     concept = _parse_concept_arg(concept_text)
-    engine = ExtensionEngine(kb, cfg.backend, cache_enabled=cfg.cache)
+    engine = ExtensionEngine(kb, cfg.backend)
     members = sorted(engine.extension(concept))
     if cfg.output == "json":
         print(json.dumps({
@@ -154,7 +152,7 @@ def cmd_msc(cfg: RunConfig, individual: str) -> int:
     kb = cfg.load()
     if individual not in kb.individuals:
         raise CliError(f"unknown individual {individual!r}")
-    engine = ExtensionEngine(kb, cfg.backend, cache_enabled=cfg.cache)
+    engine = ExtensionEngine(kb, cfg.backend)
     result = msc_approx(kb, individual, cfg.msc_depth, cfg.backend, engine)
     members = sorted(engine.extension(result.concept))
     if cfg.output == "json":
@@ -177,7 +175,7 @@ def cmd_sim(cfg: RunConfig, x_text: str, y_text: str) -> int:
     kb = cfg.load()
     x = _resolve_item(kb, x_text)
     y = _resolve_item(kb, y_text)
-    report = sim_pair(kb, x, y, cfg.msc_depth, cfg.backend, cfg.cache)
+    report = sim_pair(kb, x, y, cfg.msc_depth, cfg.backend)
     if cfg.output == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -277,10 +275,6 @@ def _add_common(parser: argparse.ArgumentParser, *, depth: bool = False) -> None
                         default="canonical")
     parser.add_argument("--format", choices=["text", "json", "csv"],
                         default="text")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse repeated extensions in sim, retrieve and "
-                             "msc; matrix and cluster always compute each "
-                             "extension once")
     if depth:
         parser.add_argument("--depth", type=_depth_arg, default=None,
                             metavar="N|auto",
@@ -368,6 +362,12 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_cluster(cfg, args.items, args.linkage)
     except (CliError, AlcsimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # anything else is a failure of alcsim itself, never a "no" answer
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -201,6 +201,20 @@ class TBox:
     def get(self, name: str) -> Definition | None:
         return self.definitions.get(name)
 
+    def unfolding(self, name: str) -> ConceptExpr | None:
+        """What a defined name unfolds to one step deep; ``None`` if primitive.
+
+        A full definition unfolds to its body; a partial definition
+        ``N <= D`` to ``N* and D``, where ``N*`` is the primitive marker
+        for ``N``.
+        """
+        defn = self.definitions.get(name)
+        if defn is None:
+            return None
+        if defn.kind is DefKind.EQUIV:
+            return defn.body
+        return And((Atom(marker_name(name)), defn.body))
+
     def check_acyclic(self) -> None:
         """Raise :class:`CyclicTBox` if any definition reaches itself."""
         # Colors: 0 unvisited, 1 on the current expansion path, 2 done.
@@ -288,7 +302,9 @@ def nnf(c: ConceptExpr) -> ConceptExpr:
     :class:`UnsupportedNegation` is raised.
     """
     if isinstance(c, Not):
-        return _nnf_neg(c.arg)
+        if isinstance(c.arg, Atom):
+            return c
+        return make_and(nnf(a) for a in _negate_once(c.arg))
     if isinstance(c, And):
         return And(tuple(nnf(a) for a in c.args))
     if isinstance(c, Or):
@@ -300,27 +316,30 @@ def nnf(c: ConceptExpr) -> ConceptExpr:
     return c
 
 
-def _nnf_neg(c: ConceptExpr) -> ConceptExpr:
+def _negate_once(c: ConceptExpr) -> tuple[ConceptExpr, ...]:
+    """Conjuncts equivalent to ``not c``, negation pushed one constructor in.
+
+    ``c`` must not be an ``Atom``: a negated name is a literal for
+    :func:`nnf` and a definition lookup for the tableau.
+    """
     if isinstance(c, Top):
-        return BOTTOM
+        return (BOTTOM,)
     if isinstance(c, Bottom):
-        return TOP
-    if isinstance(c, Atom):
-        return Not(c)
+        return (TOP,)
     if isinstance(c, Not):
-        return nnf(c.arg)
+        return (c.arg,)
     if isinstance(c, And):
-        return Or(tuple(_nnf_neg(a) for a in c.args))
+        return (Or(tuple(Not(a) for a in c.args)),)
     if isinstance(c, Or):
-        return And(tuple(_nnf_neg(a) for a in c.args))
+        return tuple(Not(a) for a in c.args)
     if isinstance(c, Exists):
-        return Forall(c.role, _nnf_neg(c.filler))
+        return (Forall(c.role, Not(c.filler)),)
     if isinstance(c, Forall):
-        return Exists(c.role, _nnf_neg(c.filler))
+        return (Exists(c.role, Not(c.filler)),)
     if isinstance(c, AtLeast):
         if c.n == 1:
             # no R-successor at all: forall R.Bottom
-            return Forall(c.role, BOTTOM)
+            return (Forall(c.role, BOTTOM),)
         raise UnsupportedNegation(
             f"cannot negate 'atleast {c.n} {c.role}': "
             "no at-most restriction in the constructor set"
@@ -353,16 +372,13 @@ def unfold(c: ConceptExpr, tbox: TBox) -> ConceptExpr:
 
 def _unfold(c: ConceptExpr, tbox: TBox, path: tuple[str, ...]) -> ConceptExpr:
     if isinstance(c, Atom):
-        defn = tbox.get(c.name)
-        if defn is None:
+        body = tbox.unfolding(c.name)
+        if body is None:
             return c
         if c.name in path:
             start = path.index(c.name)
             raise CyclicTBox(path[start:] + (c.name,))
-        body = _unfold(defn.body, tbox, path + (c.name,))
-        if defn.kind is DefKind.EQUIV:
-            return body
-        return And((Atom(marker_name(c.name)), body))
+        return _unfold(body, tbox, path + (c.name,))
     if isinstance(c, Not):
         return Not(_unfold(c.arg, tbox, path))
     if isinstance(c, And):

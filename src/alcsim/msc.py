@@ -185,15 +185,12 @@ def msc_extension(kb: KnowledgeBase, individual: str,
 
     # many subtrees evaluate to the same filler set (every cut edge to the
     # whole domain), so each (role, filler) term is evaluated once
-    exists_ext: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
+    exists_memo: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
 
     def exists(role: str, filler: frozenset[str]) -> frozenset[str]:
-        ext = exists_ext.get((role, filler))
+        ext = exists_memo.get((role, filler))
         if ext is None:
-            succ = model.role_succ.get(role, {})
-            ext = frozenset(x for x, ys in succ.items()
-                            if not ys.isdisjoint(filler))
-            exists_ext[role, filler] = ext
+            ext = exists_memo[role, filler] = model.exists_ext(role, filler)
         return ext
 
     return _roll_up(kb, individual, depth, model.domain, exists, conjoin)

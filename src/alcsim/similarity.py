@@ -12,9 +12,8 @@ approximations.
 
 Values are exact rationals; any rounding happens at the presentation
 layer only.  Each single-pair comparison performs exactly three
-extension computations (for C, D and their conjunction) unless the
-optional cache is enabled, and the reports carry the counters so the
-cost model is observable.
+extension computations (for C, D and their conjunction), and the
+reports carry the counters so the cost model is observable.
 
 A matrix over n items costs one extension per item and n^2 set
 intersections: on both backends ext(C and D) = ext(C) & ext(D).
@@ -100,9 +99,9 @@ def sim_formula(n_c: int, n_d: int, n_i: int) -> Fraction:
 
 
 def _compare(kb: KnowledgeBase, c: ConceptExpr, d: ConceptExpr,
-             backend: Backend, cache: bool,
-             msc_computations: int, msc_depth: int | None) -> SimilarityReport:
-    engine = ExtensionEngine(kb, backend, cache_enabled=cache)
+             backend: Backend, msc_computations: int,
+             msc_depth: int | None) -> SimilarityReport:
+    engine = ExtensionEngine(kb, backend)
     ext_c = engine.extension(c)
     ext_d = engine.extension(d)
     ext_i = engine.extension(And((c, d)))
@@ -119,49 +118,45 @@ def _compare(kb: KnowledgeBase, c: ConceptExpr, d: ConceptExpr,
 
 
 def sim_concepts(kb: KnowledgeBase, c: ConceptExpr, d: ConceptExpr,
-                 backend: Backend = Backend.CANONICAL,
-                 cache: bool = False) -> SimilarityReport:
+                 backend: Backend = Backend.CANONICAL) -> SimilarityReport:
     """Similarity of two concept descriptions over the knowledge base."""
-    return _compare(kb, c, d, backend, cache, 0, None)
+    return _compare(kb, c, d, backend, 0, None)
 
 
 def sim_individual_concept(kb: KnowledgeBase, individual: str, c: ConceptExpr,
                            depth: int | None = None,
-                           backend: Backend = Backend.CANONICAL,
-                           cache: bool = False) -> SimilarityReport:
+                           backend: Backend = Backend.CANONICAL
+                           ) -> SimilarityReport:
     """Similarity of an individual (via its MSC approximation) and a concept."""
     msc = msc_approx(kb, individual, depth, backend)
-    return _compare(kb, msc.concept, c, backend, cache, 1, msc.depth)
+    return _compare(kb, msc.concept, c, backend, 1, msc.depth)
 
 
 def sim_individuals(kb: KnowledgeBase, a: str, b: str,
                     depth: int | None = None,
-                    backend: Backend = Backend.CANONICAL,
-                    cache: bool = False) -> SimilarityReport:
+                    backend: Backend = Backend.CANONICAL) -> SimilarityReport:
     """Similarity of two individuals via their MSC approximations."""
     if depth is None:
         depth = abox_depth(kb)
     msc_a = msc_approx(kb, a, depth, backend)
     msc_b = msc_approx(kb, b, depth, backend)
-    return _compare(kb, msc_a.concept, msc_b.concept, backend, cache,
-                    2, msc_a.depth)
+    return _compare(kb, msc_a.concept, msc_b.concept, backend, 2, msc_a.depth)
 
 
 def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
              depth: int | None = None,
-             backend: Backend = Backend.CANONICAL,
-             cache: bool = False) -> SimilarityReport:
+             backend: Backend = Backend.CANONICAL) -> SimilarityReport:
     """Dispatch on the argument kinds (concept or individual name)."""
     x_ind = isinstance(x, str)
     y_ind = isinstance(y, str)
     if x_ind and y_ind:
-        return sim_individuals(kb, x, y, depth, backend, cache)
+        return sim_individuals(kb, x, y, depth, backend)
     if x_ind:
-        return sim_individual_concept(kb, x, y, depth, backend, cache)
+        return sim_individual_concept(kb, x, y, depth, backend)
     if y_ind:
         msc_y = msc_approx(kb, y, depth, backend)
-        return _compare(kb, x, msc_y.concept, backend, cache, 1, msc_y.depth)
-    return sim_concepts(kb, x, y, backend, cache)
+        return _compare(kb, x, msc_y.concept, backend, 1, msc_y.depth)
+    return sim_concepts(kb, x, y, backend)
 
 
 def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],

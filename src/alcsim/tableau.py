@@ -26,15 +26,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import UnknownIndividual, UnsupportedNegation
+from .errors import UnknownIndividual
 from .model import (
     And,
     AtLeast,
     Atom,
     Bottom,
-    BOTTOM,
     ConceptExpr,
-    DefKind,
     EMPTY_ABOX,
     Exists,
     Forall,
@@ -43,7 +41,7 @@ from .model import (
     Or,
     TBox,
     TOP,
-    marker_name,
+    _negate_once,
 )
 
 
@@ -242,6 +240,7 @@ class TableauReasoner:
 
     @staticmethod
     def _dead(label: dict, a: ConceptExpr) -> bool:
+        """The clash test: would adding ``a`` to ``label`` close the branch?"""
         if isinstance(a, Bottom):
             return True
         if isinstance(a, Not) and a.arg in label:
@@ -253,11 +252,7 @@ class TableauReasoner:
         node = state.nodes[nid]
         if c in node.label:
             return
-        if isinstance(c, Bottom):
-            raise _Clash
-        if isinstance(c, Not) and c.arg in node.label:
-            raise _Clash
-        if Not(c) in node.label:
+        if self._dead(node.label, c):
             raise _Clash
         node.label[c] = None
         queue.append((nid, c))
@@ -290,47 +285,19 @@ class TableauReasoner:
                 self._add(state, succ, TOP, queue)
                 self._propagate_into(state, nid, c.role, succ, queue)
         elif isinstance(c, Atom):
-            body = self._definition_body(c.name)
+            body = self.kb.tbox.unfolding(c.name)
             if body is not None:
                 self._add(state, nid, body, queue)
         elif isinstance(c, Not):
-            self._push_negation(state, nid, c.arg, queue)
-
-    def _push_negation(self, state: _State, nid: int, c: ConceptExpr,
-                       queue: _Queue) -> None:
-        """Rewrite a negation one constructor deep.
-
-        Raising on a negated at-least only here, rather than when the
-        goal is built, means branches that close on a name or atom clash
-        never trip over an unsupported negation buried in a definition.
-        """
-        if isinstance(c, Atom):
-            body = self._definition_body(c.name)
-            if body is not None:
-                self._add(state, nid, Not(body), queue)
-        elif isinstance(c, Not):
-            self._add(state, nid, c.arg, queue)
-        elif isinstance(c, And):
-            self._add(state, nid, Or(tuple(Not(a) for a in c.args)), queue)
-        elif isinstance(c, Or):
-            for a in c.args:
-                self._add(state, nid, Not(a), queue)
-        elif isinstance(c, Exists):
-            self._add(state, nid, Forall(c.role, Not(c.filler)), queue)
-        elif isinstance(c, Forall):
-            self._add(state, nid, Exists(c.role, Not(c.filler)), queue)
-        elif isinstance(c, AtLeast):
-            if c.n == 1:
-                self._add(state, nid, Forall(c.role, BOTTOM), queue)
+            # Negation goes inward one constructor per rule application, so
+            # a negated at-least raises only on a branch that reaches it.
+            if isinstance(c.arg, Atom):
+                body = self.kb.tbox.unfolding(c.arg.name)
+                if body is not None:
+                    self._add(state, nid, Not(body), queue)
             else:
-                raise UnsupportedNegation(
-                    f"cannot negate 'atleast {c.n} {c.role}': "
-                    "no at-most restriction in the constructor set"
-                )
-        elif isinstance(c, Bottom):
-            self._add(state, nid, TOP, queue)
-        else:  # Not(Top)
-            raise _Clash
+                for d in _negate_once(c.arg):
+                    self._add(state, nid, d, queue)
 
     def _propagate_into(self, state: _State, nid: int, role: str,
                         succ: int, queue: _Queue) -> None:
@@ -338,15 +305,6 @@ class TableauReasoner:
         for d in list(state.nodes[nid].label):
             if isinstance(d, Forall) and d.role == role:
                 self._add(state, succ, d.filler, queue)
-
-    def _definition_body(self, name: str) -> ConceptExpr | None:
-        """Unfolding of a defined name; partial definitions are absorbed."""
-        defn = self.kb.tbox.get(name)
-        if defn is None:
-            return None
-        if defn.kind is DefKind.EQUIV:
-            return defn.body
-        return And((Atom(marker_name(name)), defn.body))
 
 
 # ---------------------------------------------------------------------------

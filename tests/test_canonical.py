@@ -48,16 +48,17 @@ class TestBuildCanonical:
 
     def test_role_extension_as_asserted(self, family_kb):
         model = build_canonical(family_kb)
-        assert len(model.role_ext["HasChild"]) == 8
-        assert ("Giovanna", "Claudia") in model.role_ext["HasChild"]
+        has_child = model.role_succ["HasChild"]
+        assert sum(len(targets) for targets in has_child.values()) == 8
+        assert "Claudia" in has_child["Giovanna"]
 
     def test_successor_index_matches_role_extension(self):
         for seed in range(20):
-            model = build_canonical(random_kb(seed))
-            assert set(model.role_succ) == set(model.role_ext)
-            for role, pairs in model.role_ext.items():
-                assert {(s, t) for s, ts in model.role_succ[role].items()
-                        for t in ts} == pairs
+            kb = random_kb(seed)
+            model = build_canonical(kb)
+            assert {(r, s, t) for r, table in model.role_succ.items()
+                    for s, ts in table.items()
+                    for t in ts} == kb.abox.role_assertions
 
     def test_female_extension(self, family_kb):
         model = build_canonical(family_kb)
@@ -69,7 +70,7 @@ class TestBuildCanonical:
         kb = parse_kb("A := B and C\n")
         model = build_canonical(kb)
         assert model.domain == frozenset()
-        assert not model.role_ext
+        assert not model.role_succ
 
 
 class TestEvalConcept:

@@ -121,6 +121,24 @@ class TestRetrieve:
         assert err.count("\n") == 1
         assert "not UTF-8" in err
 
+    def test_deep_nesting_is_exit_2_without_traceback(self, capsys,
+                                                      family_path):
+        # the parser recurses per parenthesis; whatever escapes a command
+        # must not read as exit 1, the "no" answer
+        concept = "(" * 3000 + "Woman" + ")" * 3000
+        code, out, err = run(capsys, "retrieve", family_path, concept)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("internal error: RecursionError")
+        assert "Traceback" not in err
+
+    def test_cache_flag_is_gone(self, capsys, family_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["retrieve", family_path, "Woman", "--cache"])
+        assert exc.value.code == 2
+        assert "--cache" in capsys.readouterr().err
+
 
 class TestMsc:
     def test_claudia_depth_zero(self, capsys, family_path):

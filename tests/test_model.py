@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alcsim.canonical import retrieve_canonical
 from alcsim.errors import CyclicTBox, UnsupportedNegation
-from alcsim.gen import random_concept
+from alcsim.gen import random_concept, random_kb
 from alcsim.model import (
     ABox,
     And,
@@ -40,6 +43,16 @@ def rand_concepts(count, *, depth=3, seed=0, el_only=False):
     ]
 
 
+def assert_not_only_above_atoms(c):
+    if isinstance(c, Not):
+        assert isinstance(c.arg, Atom)
+        return
+    for child in getattr(c, "args", ()):
+        assert_not_only_above_atoms(child)
+    if isinstance(c, (Exists, Forall)):
+        assert_not_only_above_atoms(c.filler)
+
+
 class TestNnf:
     def test_de_morgan(self):
         assert nnf(Not(And((A, B)))) == Or((Not(A), Not(B)))
@@ -67,22 +80,24 @@ class TestNnf:
             nnf(Not(Exists(R, AtLeast(3, S))))
 
     def test_not_only_above_atoms(self):
-        def check(c):
-            if isinstance(c, Not):
-                assert isinstance(c.arg, Atom)
-                return
-            for child in getattr(c, "args", ()):
-                check(child)
-            if isinstance(c, (Exists, Forall)):
-                check(c.filler)
-
         for c in rand_concepts(200, seed=11):
-            check(nnf(c))
+            assert_not_only_above_atoms(nnf(c))
 
     def test_idempotent(self):
         for c in rand_concepts(200, seed=12):
             once = nnf(c)
             assert nnf(once) == once
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), depth=st.integers(0, 3))
+    def test_keeps_canonical_extension(self, seed, depth):
+        kb = random_kb(seed)
+        c = random_concept(random.Random(seed),
+                           sorted(kb.signature.concept_names),
+                           sorted(kb.signature.role_names), depth)
+        normal = nnf(c)
+        assert_not_only_above_atoms(normal)
+        assert retrieve_canonical(kb, normal) == retrieve_canonical(kb, c)
 
 
 class TestUnfold:

@@ -100,11 +100,6 @@ class TestSimConcepts:
         assert (report.ext_c, report.ext_d, report.ext_i) == (1, 1, 1)
         assert report.value == 1
 
-    def test_cache_reduces_computations(self, family_kb):
-        report = sim_concepts(family_kb, Atom("Woman"), Atom("Woman"), cache=True)
-        assert report.value == 1
-        assert report.extension_computations < 3
-
 
 class TestSimIndividuals:
     def test_claudia_tiziana_half(self, family_kb):

@@ -14,6 +14,7 @@ from alcsim.model import (
     Or,
     TBox,
     Top,
+    nnf,
 )
 from alcsim.tableau import (
     TableauReasoner,
@@ -56,6 +57,14 @@ class TestSatisfiability:
     def test_unsupported_negation_propagates(self):
         with pytest.raises(UnsupportedNegation):
             is_satisfiable(Not(AtLeast(2, "R")), EMPTY)
+
+    def test_unsupported_negation_message_matches_nnf(self):
+        c = Not(AtLeast(2, "R"))
+        with pytest.raises(UnsupportedNegation) as lazy:
+            is_satisfiable(c, EMPTY)
+        with pytest.raises(UnsupportedNegation) as eager:
+            nnf(c)
+        assert str(lazy.value) == str(eager.value)
 
     def test_refutation_duality(self):
         for seed in range(40):
@@ -173,6 +182,21 @@ class TestDeterminismAndStats:
                               reasoner.stats.satisfiability_calls,
                               reasoner.stats.branches_explored))
         assert snapshots == sorted(snapshots)
+
+    @pytest.mark.parametrize("irrelevant, branches", [(4, 62), (8, 1022)])
+    def test_thrashing_case_search(self, irrelevant, branches):
+        # binary disjunctions that play no part in the clash, then
+        # exists r.((X and Z) or (Y and Z)) and forall r.not Z; these counts
+        # pin today's chronological backtracking, which retries every
+        # combination of the irrelevant choices
+        X, Y, Z = Atom("X"), Atom("Y"), Atom("Z")
+        noise = [Or((Atom(f"A{i}"), Atom(f"B{i}"))) for i in range(irrelevant)]
+        core = [Exists("r", Or((And((X, Z)), And((Y, Z))))),
+                Forall("r", Not(Z))]
+        reasoner = TableauReasoner.for_tbox(EMPTY)
+        assert not reasoner.is_satisfiable(And(tuple(noise + core)))
+        assert reasoner.stats.satisfiability_calls == 1
+        assert reasoner.stats.branches_explored == branches
 
 
 class TestCanonicalCoherence:
