@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -281,7 +282,13 @@ def _add_common(parser: argparse.ArgumentParser, *, depth: bool = False) -> None
                             help="MSC depth bound (default: ABox depth)")
 
 
+@functools.cache
 def build_argparser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and shared afterwards.
+
+    Each ``parse_args`` fills a fresh ``Namespace``, so requests served in
+    one process share nothing through it; callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="alcsim",
         description="Reasoning and semantic similarity over .dlkb knowledge bases.",

@@ -16,7 +16,11 @@ Concept grammar (precedence: not > exists/forall/atleast > and > or)::
     unary   := "not" unary | "exists" NAME "." unary | "forall" NAME "." unary
              | "atleast" INT NAME | "(" concept ")" | "Top" | "Bottom" | NAME
 
-Names match ``[A-Za-z][A-Za-z0-9_]*``; the keywords above are reserved.
+Names match ``[A-Za-z][A-Za-z0-9_]*`` (ASCII only; any other character
+that starts no token is a lexical error); the keywords above are reserved.
+A concept nests at most :data:`MAX_NESTING` levels of ``(``, ``not``,
+``exists`` and ``forall``; a deeper one is a :class:`ParseError` at the
+token that crosses the limit.
 ``serialize`` emits the canonical form of this syntax (single spaces,
 no trailing whitespace, one statement per line) and round-trips.
 """
@@ -24,8 +28,8 @@ no trailing whitespace, one statement per line) and round-trips.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import AlcsimError, CyclicTBox
 from .model import (
@@ -50,6 +54,12 @@ from .model import (
 
 KEYWORDS = {"not", "and", "or", "exists", "forall", "atleast", "Top", "Bottom"}
 
+# Nesting levels of ``(``, ``not``, ``exists`` and ``forall`` in one concept.
+# At this depth the parser and every later recursive traversal (``nnf``,
+# ``normalize``, ``str``, ``eval_concept``, the tableau) stay well inside
+# Python's default recursion limit.
+MAX_NESTING = 100
+
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
 
@@ -72,8 +82,7 @@ class ParseError(AlcsimError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str       # NAME, INT, (, ), ,, ., :=, <=, EOF
     text: str
     line: int
@@ -91,11 +100,11 @@ def _tokenize_line(text: str, line_no: int) -> list[_Token]:
         if ch == "#":
             break
         col = i + 1
-        if ch.isalpha():
+        if ch.isascii() and ch.isalpha():
             m = _NAME_RE.match(text, i)
             tokens.append(_Token("NAME", m.group(), line_no, col))
             i = m.end()
-        elif ch.isdigit():
+        elif ch.isascii() and ch.isdigit():
             m = _INT_RE.match(text, i)
             tokens.append(_Token("INT", m.group(), line_no, col))
             i = m.end()
@@ -121,6 +130,7 @@ class _ConceptParser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0      # nesting levels open, see MAX_NESTING
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -158,11 +168,21 @@ class _ConceptParser:
             parts.append(self.parse_unary())
         return make_and(parts)
 
+    def nested(self, tok: _Token, parse) -> ConceptExpr:
+        """``parse()`` one nesting level below ``tok``, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(tok.line, tok.column,
+                             f"concept nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
+
     def parse_unary(self) -> ConceptExpr:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            inner = self.parse_disj()
+            inner = self.nested(tok, self.parse_disj)
             self.expect(")")
             return inner
         if tok.kind != "NAME":
@@ -170,18 +190,22 @@ class _ConceptParser:
                              f"expected a concept, found {tok.text or 'end of line'!r}")
         if tok.text == "not":
             self.advance()
-            return Not(self.parse_unary())
+            return Not(self.nested(tok, self.parse_unary))
         if tok.text in ("exists", "forall"):
             self.advance()
             role = self.expect_plain_name("role name")
             self.expect(".")
-            filler = self.parse_unary()
+            filler = self.nested(tok, self.parse_unary)
             cls = Exists if tok.text == "exists" else Forall
             return cls(role.text, filler)
         if tok.text == "atleast":
             self.advance()
             count = self.expect("INT")
-            n = int(count.text)
+            try:
+                n = int(count.text)
+            except ValueError:  # past int()'s limit on digits
+                raise ParseError(count.line, count.column,
+                                 "atleast count is too long") from None
             if n < 1:
                 raise ParseError(count.line, count.column,
                                  "atleast requires a count of at least 1")

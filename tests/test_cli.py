@@ -1,10 +1,15 @@
+import argparse
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import alcsim
 from alcsim import fixture_text
-from alcsim.cli import main
+from alcsim.cli import build_argparser, main
 from alcsim.similarity import SimilarityReport
 
 
@@ -123,21 +128,84 @@ class TestRetrieve:
 
     def test_deep_nesting_is_exit_2_without_traceback(self, capsys,
                                                       family_path):
-        # the parser recurses per parenthesis; whatever escapes a command
-        # must not read as exit 1, the "no" answer
+        # past the parser's nesting limit: a ParseError with its position
         concept = "(" * 3000 + "Woman" + ")" * 3000
         code, out, err = run(capsys, "retrieve", family_path, concept)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith("internal error: RecursionError")
-        assert "Traceback" not in err
+        assert err.startswith("error: bad concept '((((")
+        assert err.endswith("': 1:101: concept nested deeper than 100 levels\n")
+
+    def test_non_ascii_name_is_exit_2(self, capsys, family_path, tmp_path):
+        code, out, err = run(capsys, "retrieve", family_path, "Ωmega")
+        assert (code, out) == (2, "")
+        assert err == ("error: bad concept 'Ωmega': "
+                       "1:1: unexpected character 'Ω'\n")
+        kb = tmp_path / "omega.dlkb"
+        kb.write_text("Woman(ann)\nΩmega(ann)\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(kb))
+        assert (code, out) == (2, "")
+        assert err == f"error: {kb}:2:1: unexpected character 'Ω'\n"
 
     def test_cache_flag_is_gone(self, capsys, family_path):
         with pytest.raises(SystemExit) as exc:
             main(["retrieve", family_path, "Woman", "--cache"])
         assert exc.value.code == 2
         assert "--cache" in capsys.readouterr().err
+
+
+class TestArgparserReuse:
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_argparser.cache_clear()
+        return built
+
+    def test_built_once_per_process(self, capsys, family_path, parsers_built):
+        for _ in range(20):
+            code, out, _ = run(capsys, "retrieve", family_path, "Father")
+            assert (code, out.split()) == (0, ["Antonio", "AntonioB", "Leonardo"])
+        assert len(parsers_built) == 9  # the root and its 8 subcommands
+
+    def test_import_builds_no_parser(self):
+        program = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(parser, *args, **kwargs):\n"
+            "    built.append(parser)\n"
+            "    init(parser, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import alcsim.cli\n"
+            "print(len(built))\n")
+        src = Path(alcsim.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", program], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+    def test_requests_do_not_leak_into_each_other(self, capsys, family_path):
+        code, first, _ = run(capsys, "sim", family_path, "Claudia", "Tiziana",
+                             "--depth", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(first)["msc_depth"] == 2
+        code, out, _ = run(capsys, "sim", family_path, "Claudia", "Tiziana")
+        assert code == 0
+        assert "msc_depth: 10" in out.splitlines()  # auto, not the last 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", family_path, "Claudia", "Tiziana", "--depth", "-1"])
+        assert exc.value.code == 2
+        assert "depth must be non-negative" in capsys.readouterr().err
+        again = run(capsys, "sim", family_path, "Claudia", "Tiziana",
+                    "--depth", "2", "--format", "json")
+        assert again == (0, first, "")
 
 
 class TestMsc:

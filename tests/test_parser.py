@@ -1,10 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alcsim.canonical import build_canonical, eval_concept
 from alcsim.gen import KbShape, random_concept, random_kb
-from alcsim.model import And, AtLeast, Atom, DefKind, Exists, Not, Or, Top
+from alcsim.model import (
+    And,
+    AtLeast,
+    Atom,
+    DefKind,
+    Exists,
+    Not,
+    Or,
+    Top,
+    nnf,
+    normalize,
+)
 from alcsim.parser import (
+    MAX_NESTING,
     ErrorKind,
     ParseError,
     parse_concept,
@@ -13,6 +28,30 @@ from alcsim.parser import (
     serialize_concept,
     serialize_kb,
 )
+from alcsim.tableau import TableauReasoner
+
+
+def nested_concept(form: str, depth: int) -> str:
+    """A concept whose ``(``/``not``/``exists``/``forall`` nest ``depth`` deep."""
+    if form == "parens":
+        return "(" * depth + "Woman" + ")" * depth
+    if form == "not":
+        return "not " * depth + "Woman"
+    if form == "mixed":  # four levels per repetition
+        reps = depth // 4
+        return ("not " * (depth % 4) + "not (exists HasChild.(Woman or " * reps
+                + "Man" + "))" * reps)
+    return f"{form} HasChild." * depth + "Woman"
+
+
+NESTING_FORMS = ("parens", "not", "exists", "forall", "mixed")
+
+# Pieces of the concrete syntax, plus letters and digits outside ASCII.
+SYNTAX_PIECES = st.sampled_from([
+    "A", "Bx_1", "r", "a", "7", "0", " ", "\t", "\n", "\r", "(", ")", ",",
+    ".", ":=", "<=", ":", "<", "=", "#", "not ", " and ", " or ", "exists ",
+    "forall ", "atleast ", "Top", "Bottom", "Ω", "é", "ß", "٣", "²", "Ⅻ",
+])
 
 
 class TestParseConcept:
@@ -59,6 +98,48 @@ class TestParseConcept:
         assert err.value.line == 1
         assert err.value.column == 7
         assert err.value.kind is ErrorKind.LEX
+
+    @pytest.mark.parametrize("text, column", [
+        ("Ωmega", 1), ("Womanß", 6), ("atleast ٣ HasChild", 9),
+        ("exists HasChild.²", 17),
+    ])
+    def test_non_ascii_letter_or_digit_is_a_lex_error(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_concept(text)
+        assert err.value.kind is ErrorKind.LEX
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.message == f"unexpected character {text[column - 1]!r}"
+
+    def test_overlong_atleast_count(self):
+        with pytest.raises(ParseError) as err:
+            parse_concept("atleast " + "9" * 5000 + " R")
+        assert err.value.column == 9
+
+    @pytest.mark.parametrize("form", NESTING_FORMS)
+    def test_nesting_at_the_limit(self, form, family_kb):
+        c = parse_concept(nested_concept(form, MAX_NESTING))
+        assert parse_concept(str(c)) == c
+        model = build_canonical(family_kb)
+        ext = eval_concept(model, family_kb.tbox, c)
+        assert eval_concept(model, family_kb.tbox, nnf(c)) == ext
+        assert eval_concept(model, family_kb.tbox, normalize(c)) == ext
+        assert TableauReasoner(family_kb).is_satisfiable(c)
+
+    @pytest.mark.parametrize("form", NESTING_FORMS)
+    def test_nesting_past_the_limit(self, form):
+        text = nested_concept(form, MAX_NESTING + 1)
+        with pytest.raises(ParseError) as err:
+            parse_concept(text)
+        assert err.value.message == "concept nested deeper than 100 levels"
+        # the error points at the token that opens level MAX_NESTING + 1
+        before = text[:err.value.column - 1]
+        assert sum(before.count(opener) for opener in
+                   ("(", "not ", "exists ", "forall ")) == MAX_NESTING
+
+    def test_thousands_of_levels_are_a_parse_error(self):
+        for text in ("not " * 3000 + "A", "(" * 3000 + "A" + ")" * 3000):
+            with pytest.raises(ParseError):
+                parse_concept(text)
 
 
 class TestParseKb:
@@ -130,6 +211,34 @@ class TestParseKb:
         kb = parse_kb("")
         assert not kb.tbox.definitions
         assert not kb.individuals
+
+    def test_non_ascii_name_in_a_kb_line(self):
+        with pytest.raises(ParseError) as err:
+            parse_kb("Woman(ann)\nΩmega(ann)\n")
+        assert err.value.kind is ErrorKind.LEX
+        assert (err.value.line, err.value.column) == (2, 1)
+
+    def test_nesting_limit_in_a_definition_body(self):
+        body = nested_concept("not", MAX_NESTING)
+        kb = parse_kb(f"A := {body}\n")
+        assert kb.tbox.definitions["A"].body == parse_concept(body)
+        with pytest.raises(ParseError) as err:
+            parse_kb(f"B(a)\nA := not {body}\n")
+        # "A := " then MAX_NESTING four-character "not "s before the last one
+        assert (err.value.line, err.value.column) == (2, 6 + 4 * MAX_NESTING)
+
+
+class TestFrontDoor:
+    """Any text either parses or raises ParseError, never another exception."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=st.one_of(st.text(), st.lists(SYNTAX_PIECES).map("".join)))
+    def test_parse_returns_or_raises_parse_error(self, text):
+        for parse in (parse_concept, parse_kb):
+            try:
+                parse(text)
+            except ParseError:
+                pass
 
 
 class TestSerialize:
