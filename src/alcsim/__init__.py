@@ -20,6 +20,7 @@ from .errors import (
     AlcsimError,
     CardinalityViolation,
     CyclicTBox,
+    DefinitionTooDeep,
     UnknownIndividual,
     UnsupportedNegation,
 )

@@ -22,6 +22,20 @@ class CyclicTBox(AlcsimError):
         super().__init__("cyclic definitions: " + " -> ".join(cycle))
 
 
+class DefinitionTooDeep(AlcsimError):
+    """Unfolding a defined name nests deeper than the supported limit.
+
+    The limit is ``model.MAX_UNFOLDED_DEPTH``; it keeps the recursive
+    traversals of unfolded concepts inside Python's recursion limit.
+    """
+
+    def __init__(self, name: str, depth: int, limit: int):
+        self.name = name
+        self.depth = depth
+        super().__init__(f"definition of {name} unfolds {depth} levels deep, "
+                         f"past the limit of {limit}")
+
+
 class UnknownIndividual(AlcsimError):
     """An individual name does not occur in the knowledge base."""
 

@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import CyclicTBox, UnsupportedNegation
+from .errors import CyclicTBox, DefinitionTooDeep, UnsupportedNegation
+
+# Deepest nesting a defined name may reach when fully unfolded: one level
+# per constructor and one per definition step.  ``eval_concept`` and
+# ``unfold`` recurse once or twice per level, so at this depth they stay
+# inside Python's default recursion limit.
+MAX_UNFOLDED_DEPTH = 400
 
 
 # ---------------------------------------------------------------------------
@@ -216,26 +222,73 @@ class TBox:
         return And((Atom(marker_name(name)), defn.body))
 
     def check_acyclic(self) -> None:
-        """Raise :class:`CyclicTBox` if any definition reaches itself."""
-        # Colors: 0 unvisited, 1 on the current expansion path, 2 done.
-        color: dict[str, int] = {}
+        """Check that every defined name unfolds to a finite, shallow concept.
 
-        def visit(name: str, path: tuple[str, ...]) -> None:
-            if color.get(name) == 2:
-                return
-            if color.get(name) == 1:
-                start = path.index(name)
-                raise CyclicTBox(path[start:] + (name,))
-            defn = self.definitions.get(name)
-            if defn is None:
-                return
-            color[name] = 1
-            for ref in sorted(concept_names_in(defn.body)):
-                visit(ref, path + (name,))
-            color[name] = 2
+        Raises :class:`CyclicTBox` if a definition reaches itself, and
+        :class:`DefinitionTooDeep` if a name's unfolded depth (see
+        :data:`MAX_UNFOLDED_DEPTH`) passes the limit.  One depth-first walk
+        over the names does both, with its own stack, so it does not
+        recurse however long a chain of definitions is.
+        """
+        def frame(name: str):
+            height, levels = _name_levels(self.definitions[name].body)
+            return name, height, levels, iter(sorted(levels))
 
-        for name in self.definitions:
-            visit(name, ())
+        depth: dict[str, int] = {}     # unfolded depth of each finished name
+        for root in self.definitions:
+            if root in depth:
+                continue
+            path = [root]              # the names being expanded
+            on_path = {root: 0}        # name -> its index in path
+            frames = [frame(root)]
+            while frames:
+                name, height, levels, refs = frames[-1]
+                for ref in refs:
+                    if ref in depth or ref not in self.definitions:
+                        continue
+                    if ref in on_path:
+                        raise CyclicTBox(tuple(path[on_path[ref]:]) + (ref,))
+                    on_path[ref] = len(path)
+                    path.append(ref)
+                    frames.append(frame(ref))
+                    break
+                else:
+                    frames.pop()
+                    del on_path[path.pop()]
+                    # a name at level L of the body stands for its own
+                    # unfolding, whose top takes that level
+                    d = height
+                    for ref, level in levels.items():
+                        if ref in depth and level - 1 + depth[ref] > d:
+                            d = level - 1 + depth[ref]
+                    d += 1
+                    if d > MAX_UNFOLDED_DEPTH:
+                        raise DefinitionTooDeep(name, d, MAX_UNFOLDED_DEPTH)
+                    depth[name] = d
+
+
+def _name_levels(c: ConceptExpr) -> tuple[int, dict[str, int]]:
+    """The nesting height of ``c`` (a leaf is 1), and for each concept name
+    in it the deepest level at which it occurs; walked with a stack."""
+    height = 0
+    levels: dict[str, int] = {}
+    stack = [(c, 1)]
+    while stack:
+        c, level = stack.pop()
+        if level > height:
+            height = level
+        if isinstance(c, Atom):
+            if levels.get(c.name, 0) < level:
+                levels[c.name] = level
+        elif isinstance(c, (And, Or)):
+            level += 1
+            for a in c.args:
+                stack.append((a, level))
+        elif isinstance(c, (Exists, Forall)):
+            stack.append((c.filler, level + 1))
+        elif isinstance(c, Not):
+            stack.append((c.arg, level + 1))
+    return height, levels
 
 
 @dataclass(frozen=True)

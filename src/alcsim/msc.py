@@ -16,7 +16,8 @@ builds the concept through it; ``msc_extension`` evaluates the same tree
 straight into its canonical extension and builds no concept, which is all
 a canonical similarity matrix needs.  The entail backend has no such
 shortcut (open-world ``exists`` is not compositional), so an entail
-matrix still builds one MSC concept per individual.
+matrix builds one MSC concept per individual, which the engine then
+evaluates conjunct by conjunct.
 """
 
 from __future__ import annotations

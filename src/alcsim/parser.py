@@ -31,7 +31,7 @@ import re
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import AlcsimError, CyclicTBox
+from .errors import AlcsimError, CyclicTBox, DefinitionTooDeep
 from .model import (
     ABox,
     And,
@@ -69,6 +69,7 @@ class ErrorKind(Enum):
     SYNTAX = "syntax"
     DUPLICATE_DEFINITION = "duplicate_definition"
     CYCLE = "cycle"
+    TOO_DEEP = "too_deep"
     UNKNOWN = "unknown"
 
 
@@ -290,7 +291,8 @@ def parse_kb(text: str) -> KnowledgeBase:
     """Parse knowledge-base text into a :class:`KnowledgeBase`.
 
     Raises :class:`ParseError` on malformed input, duplicate definitions
-    of the same name, concept/role arity clashes, and cyclic TBoxes.
+    of the same name, concept/role arity clashes, cyclic TBoxes, and
+    definitions that unfold deeper than ``model.MAX_UNFOLDED_DEPTH``.
     """
     definitions: dict[str, Definition] = {}
     def_tokens: dict[str, _Token] = {}
@@ -345,6 +347,10 @@ def parse_kb(text: str) -> KnowledgeBase:
         name = exc.cycle[0]
         tok = def_tokens.get(name, _Token("NAME", name, 1, 1))
         raise ParseError(tok.line, tok.column, str(exc), ErrorKind.CYCLE) from exc
+    except DefinitionTooDeep as exc:
+        tok = def_tokens[exc.name]
+        raise ParseError(tok.line, tok.column, str(exc),
+                         ErrorKind.TOO_DEEP) from exc
 
 
 # ---------------------------------------------------------------------------

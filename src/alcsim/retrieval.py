@@ -6,15 +6,36 @@ entailment checking via the tableau.  :class:`ExtensionEngine` hides the
 choice behind one call and counts how many extensions were actually
 computed, which makes the cost accounting of the similarity measure
 observable.
+
+An entail extension is taken conjunct by conjunct, and a tableau
+instance check is made only where no cheaper rule decides membership:
+
+* every individual is an instance of ``Top``;
+* KB |= (C and D)(a) exactly when KB |= C(a) and KB |= D(a), so a
+  conjunction filters the candidates through its conjuncts, names
+  first, and later conjuncts are checked only on the survivors;
+* KB |= F(b) and an asserted r(a, b) imply KB |= (exists r.F)(a), so a
+  candidate with an asserted ``r``-successor in the extension of ``F``
+  needs no check (that extension is taken over those successors only).
+
+Every other membership is one instance check, remembered per
+(concept, individual) for the engine's lifetime.
+:meth:`TableauReasoner.retrieve`, one check per individual, is the
+reference this path is tested against.  A conjunct checked on its own
+can need a negated at-least that refuting the whole concept never
+reaches, so when this path raises, ``retrieve`` decides the extension:
+the engine raises only where ``retrieve`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .canonical import CanonicalModel, build_canonical, eval_concept
-from .model import ConceptExpr, KnowledgeBase
+from .errors import AlcsimError
+from .model import And, Atom, ConceptExpr, Exists, KnowledgeBase, Top
 from .tableau import TableauReasoner
 
 
@@ -40,6 +61,9 @@ class ExtensionEngine:
                                                       repr=False)
     _model: CanonicalModel | None = field(default=None, repr=False)
     _reasoner: TableauReasoner | None = field(default=None, repr=False)
+    # entail backend: concept -> individual -> entailed?
+    _checks: dict[ConceptExpr, dict[str, bool]] = field(default_factory=dict,
+                                                         repr=False)
 
     def extension(self, c: ConceptExpr) -> frozenset[str]:
         if self.cache_enabled and c in self._cache:
@@ -48,9 +72,10 @@ class ExtensionEngine:
         if self.backend is Backend.CANONICAL:
             ext = eval_concept(self.canonical_model(), self.kb.tbox, c)
         else:
-            if self._reasoner is None:
-                self._reasoner = TableauReasoner(self.kb)
-            ext = self._reasoner.retrieve(c)
+            try:
+                ext = self._entailed(c, self.kb.abox.individuals)
+            except AlcsimError:   # raised by a check, so there is a reasoner
+                ext = self._reasoner.retrieve(c)
         if self.cache_enabled:
             self._cache[c] = ext
         return ext
@@ -62,3 +87,41 @@ class ExtensionEngine:
         if self._model is None:
             self._model = build_canonical(self.kb)
         return self._model
+
+    def _entailed(self, c: ConceptExpr,
+                  candidates: frozenset[str]) -> frozenset[str]:
+        """The individuals among ``candidates`` that the KB entails in ``c``."""
+        if not candidates or isinstance(c, Top):
+            return candidates
+        if isinstance(c, And):
+            # names first: their checks are shared across concepts
+            for conjunct in sorted(c.args, key=lambda a: not isinstance(a, Atom)):
+                candidates = self._entailed(conjunct, candidates)
+            return candidates
+        if isinstance(c, Exists):
+            succ = {a: self._successors.get((c.role, a), ()) for a in candidates}
+            filler = self._entailed(
+                c.filler, frozenset(b for bs in succ.values() for b in bs))
+            told = frozenset(a for a, bs in succ.items()
+                             if not filler.isdisjoint(bs))
+            return told | self._checked(c, candidates - told)
+        return self._checked(c, candidates)
+
+    @cached_property
+    def _successors(self) -> dict[tuple[str, str], list[str]]:
+        """Asserted role successors, keyed by (role, source)."""
+        successors: dict[tuple[str, str], list[str]] = {}
+        for role, source, target in self.kb.abox.role_assertions:
+            successors.setdefault((role, source), []).append(target)
+        return successors
+
+    def _checked(self, c: ConceptExpr,
+                 candidates: frozenset[str]) -> frozenset[str]:
+        """Members of ``candidates`` in ``c`` by instance check, memoised."""
+        if self._reasoner is None:
+            self._reasoner = TableauReasoner(self.kb)
+        known = self._checks.setdefault(c, {})
+        for a in sorted(candidates):
+            if a not in known:
+                known[a] = self._reasoner.instance_check(a, c)
+        return frozenset(a for a in candidates if known[a])

@@ -22,8 +22,9 @@ entailment, KB |= (C and D)(a) exactly when KB |= C(a) and KB |= D(a),
 and an inconsistent KB puts every individual on both sides.  On the
 canonical backend an individual's extension comes from evaluating its
 MSC roll-up directly (``msc_extension``), so the matrix builds no
-concept; on the entail backend it builds the individual's MSC concept
-and retrieves it, n MSC concepts in all.
+concept; on the entail backend it builds the individual's MSC concept,
+n in all, and the engine evaluates each conjunct by conjunct, checking
+only the memberships no cheaper rule decides (see ``retrieval``).
 """
 
 from __future__ import annotations

@@ -19,14 +19,29 @@ Named nodes (ABox individuals) are pairwise distinct and never merged
 (unique names assumption).  An at-least restriction simply creates the
 required number of fresh successors; with no at-most constructor there
 is nothing to merge.
+
+Branches share nodes copy-on-write: a branch starts with its parent's
+nodes and copies one the first time it writes to it (a label insert or
+a new edge); the nodes it creates are its own.  A branch so costs the
+nodes it touches, not the whole graph, and the search is unchanged.
+
+ABox checks start from the precompleted ABox: its deterministic rules
+saturated once per reasoner.  An instance check whose negated goal
+already clashes with the individual's precompleted label returns without
+copying anything.  If the ABox's own saturation clashes or raises, every
+check rebuilds the ABox from scratch instead, exactly as without
+precompletion.  A check that raises from the precompleted ABox is redone
+from scratch too: rules fire in another order there, and a negated
+at-least raises only on the branches that reach it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import UnknownIndividual
+from .errors import AlcsimError, UnknownIndividual
 from .model import (
     And,
     AtLeast,
@@ -47,11 +62,16 @@ from .model import (
 
 @dataclass
 class ReasonerStats:
-    """Monotone counters for one reasoner session."""
+    """Monotone counters for one reasoner session.
+
+    ``node_copies`` counts tableau nodes copied on a state's first write
+    to a node it shares with another state.
+    """
 
     instance_checks: int = 0
     satisfiability_calls: int = 0
     branches_explored: int = 0
+    node_copies: int = 0
 
 
 @dataclass
@@ -76,16 +96,22 @@ class _Clash(Exception):
 
 @dataclass
 class _State:
+    """A completion graph under construction.
+
+    Nodes are shared copy-on-write: ``owned`` holds the ids of the nodes
+    only this state can see, and every other node is copied before this
+    state writes to it.  ``copy`` shares all nodes, so afterwards neither
+    state owns any.
+    """
+
     nodes: dict[int, TableauNode]
     next_id: int
     pending_or: list[tuple[int, Or]] = field(default_factory=list)
+    owned: set[int] = field(default_factory=set)
 
     def copy(self) -> "_State":
-        return _State(
-            {nid: node.copy() for nid, node in self.nodes.items()},
-            self.next_id,
-            list(self.pending_or),
-        )
+        self.owned = set()
+        return _State(dict(self.nodes), self.next_id, list(self.pending_or))
 
 
 _Queue = deque  # of (node id, concept) pairs awaiting rule application
@@ -128,8 +154,10 @@ class TableauReasoner:
 
     def abox_consistent(self) -> bool:
         self.stats.satisfiability_calls += 1
-        state, _, queue = self._abox_state()
-        return self._run(state, queue)
+        if self._precompleted is None:
+            state, _, queue = self._abox_state()
+            return self._run(state, queue)
+        return self._run(self._precompleted[0].copy(), deque())
 
     def instance_check(self, individual: str, c: ConceptExpr) -> bool:
         """Decide whether the KB entails membership of the individual in ``c``."""
@@ -137,12 +165,17 @@ class TableauReasoner:
             raise UnknownIndividual(individual)
         self.stats.instance_checks += 1
         self.stats.satisfiability_calls += 1
+        if self._precompleted is not None:
+            completed, node_of = self._precompleted
+            nid = node_of[individual]
+            if self._dead(completed.nodes[nid].label, Not(c)):
+                return True
+            try:
+                return self._refuted(completed.copy(), deque(), nid, c)
+            except AlcsimError:
+                pass    # the rebuilt ABox decides (see the module docstring)
         state, node_of, queue = self._abox_state()
-        try:
-            self._add(state, node_of[individual], Not(c), queue)
-        except _Clash:
-            return True
-        return not self._run(state, queue)
+        return self._refuted(state, queue, node_of[individual], c)
 
     def retrieve(self, c: ConceptExpr) -> frozenset[str]:
         """All individuals whose membership in ``c`` is entailed."""
@@ -151,7 +184,31 @@ class TableauReasoner:
             if self.instance_check(a, c)
         )
 
+    def _refuted(self, state: _State, queue: _Queue, nid: int,
+                 c: ConceptExpr) -> bool:
+        """True iff adding ``not c`` to node ``nid`` leaves no open branch."""
+        try:
+            self._add(state, nid, Not(c), queue)
+        except _Clash:
+            return True
+        return not self._run(state, queue)
+
     # -- state construction -------------------------------------------------
+
+    @cached_property
+    def _precompleted(self) -> tuple[_State, dict[str, int]] | None:
+        """The ABox with its deterministic rules saturated, built once.
+
+        Every ABox check starts from a copy of this state.  ``None`` when
+        the saturation clashes or raises: checks then rebuild the ABox
+        from scratch, so they fail exactly where they would without it.
+        """
+        state, node_of, queue = self._abox_state()
+        try:
+            self._saturate(state, queue)
+        except (_Clash, AlcsimError):
+            return None
+        return state, node_of
 
     def _abox_state(self) -> tuple[_State, dict[str, int], _Queue]:
         state = _State(nodes={}, next_id=0)
@@ -172,7 +229,17 @@ class TableauReasoner:
         nid = state.next_id
         state.next_id += 1
         state.nodes[nid] = TableauNode(nid, {}, {})
+        state.owned.add(nid)
         return nid
+
+    def _writable(self, state: _State, nid: int) -> TableauNode:
+        """The node ``nid`` of ``state``, copied first if other states share it."""
+        if nid in state.owned:
+            return state.nodes[nid]
+        self.stats.node_copies += 1
+        state.owned.add(nid)
+        node = state.nodes[nid] = state.nodes[nid].copy()
+        return node
 
     # -- search -------------------------------------------------------------
 
@@ -254,7 +321,7 @@ class TableauReasoner:
             return
         if self._dead(node.label, c):
             raise _Clash
-        node.label[c] = None
+        self._writable(state, nid).label[c] = None
         queue.append((nid, c))
 
     def _saturate(self, state: _State, queue: _Queue) -> None:
@@ -272,7 +339,7 @@ class TableauReasoner:
                 state.pending_or.append((nid, c))
         elif isinstance(c, Exists):
             succ = self._fresh_node(state)
-            node.edges.setdefault(c.role, []).append(succ)
+            self._writable(state, nid).edges.setdefault(c.role, []).append(succ)
             self._add(state, succ, c.filler, queue)
             self._propagate_into(state, nid, c.role, succ, queue)
         elif isinstance(c, Forall):
@@ -281,7 +348,7 @@ class TableauReasoner:
         elif isinstance(c, AtLeast):
             for _ in range(c.n):
                 succ = self._fresh_node(state)
-                node.edges.setdefault(c.role, []).append(succ)
+                self._writable(state, nid).edges.setdefault(c.role, []).append(succ)
                 self._add(state, succ, TOP, queue)
                 self._propagate_into(state, nid, c.role, succ, queue)
         elif isinstance(c, Atom):

@@ -72,6 +72,47 @@ class TestCheck:
                         "assertions": 40, "individuals": 11}
 
 
+def definition_chain(n: int) -> str:
+    """``Ai := A(i+1) and B`` for i < n: name A0 unfolds 2n + 1 levels deep."""
+    lines = [f"A{i} := A{i + 1} and B\n" for i in range(n)]
+    return "".join(lines) + f"B(x)\nA{n}(x)\nr(x, y)\n"
+
+
+class TestDefinitionChains:
+    # chains of definitions nest deeper than any one concept; past
+    # model.MAX_UNFOLDED_DEPTH they are a parse error, never a RecursionError
+
+    @pytest.mark.parametrize("n, argv", [
+        (1500, ["check"]),
+        (600, ["retrieve", "A0"]),
+        (600, ["retrieve", "A0", "--backend", "entail"]),
+        (600, ["sim", "ind:x", "ind:y"]),
+        (600, ["sim", "ind:x", "ind:y", "--backend", "entail"]),
+    ])
+    def test_too_deep_is_one_error_line(self, capsys, tmp_path, n, argv):
+        kb = tmp_path / "chain.dlkb"
+        kb.write_text(definition_chain(n))
+        code, out, err = run(capsys, argv[0], str(kb), *argv[1:])
+        assert (code, out) == (2, "")
+        # A(n-200) is the first name past the limit on the way up the chain
+        assert err == (f"error: {kb}:{n - 199}:1: definition of A{n - 200} "
+                       "unfolds 401 levels deep, past the limit of 400\n")
+
+    @pytest.mark.parametrize("argv, answer", [
+        (["retrieve", "A0"], "x\n"),
+        (["retrieve", "A0", "--backend", "entail"], "x\n"),
+        (["sim", "ind:x", "A0"], "value: 1.0000\next: (1, 1, 1)\n"
+         "backend: canonical\nextension_computations: 3\n"
+         "msc_computations: 1\nmsc_depth: 1\n"),
+    ])
+    def test_chain_under_the_limit_answers(self, capsys, tmp_path, argv,
+                                           answer):
+        kb = tmp_path / "chain.dlkb"
+        kb.write_text(definition_chain(199))
+        code, out, _ = run(capsys, argv[0], str(kb), *argv[1:])
+        assert (code, out) == (0, answer)
+
+
 class TestSubsumes:
     def test_holds(self, capsys, fathers_path):
         code, out, _ = run(capsys, "subsumes", fathers_path, "Father", "Parent")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcsim.canonical import retrieve_canonical
-from alcsim.errors import CyclicTBox, UnsupportedNegation
+from alcsim.errors import CyclicTBox, DefinitionTooDeep, UnsupportedNegation
 from alcsim.gen import random_concept, random_kb
 from alcsim.model import (
     ABox,
@@ -19,6 +19,7 @@ from alcsim.model import (
     Exists,
     Forall,
     KnowledgeBase,
+    MAX_UNFOLDED_DEPTH,
     Not,
     Or,
     TBox,
@@ -154,6 +155,44 @@ class TestAcyclicity:
 
     def test_accepts_family_tbox(self, family_kb):
         family_kb.tbox.check_acyclic()
+
+
+class TestUnfoldedDepth:
+    @staticmethod
+    def nested_and(levels):
+        # the deepest shape per level: unfold recurses twice per And
+        body = B
+        for _ in range(levels):
+            body = And((body, C))
+        return body
+
+    def test_deepest_allowed_definition_unfolds_and_evaluates(self):
+        # D is one level, its body's Ands and their leaves the rest
+        body = self.nested_and(MAX_UNFOLDED_DEPTH - 2)
+        tbox = TBox({"D": Definition(DefKind.EQUIV, body)})
+        abox = ABox.from_assertions({("B", "x"), ("C", "x")}, ())
+        kb = KnowledgeBase.assemble(tbox, abox)
+        # (dataclass equality recurses deeper still, so compare the top only)
+        assert unfold(Atom("D"), tbox).args[1] == C
+        assert retrieve_canonical(kb, Atom("D")) == {"x"}
+
+    def test_one_level_more_is_a_typed_error(self):
+        body = self.nested_and(MAX_UNFOLDED_DEPTH - 1)
+        tbox = TBox({"D": Definition(DefKind.EQUIV, body)})
+        with pytest.raises(DefinitionTooDeep) as exc:
+            KnowledgeBase.assemble(tbox, EMPTY_ABOX)
+        assert (exc.value.name, exc.value.depth) == ("D", MAX_UNFOLDED_DEPTH + 1)
+
+    def test_depth_adds_up_along_definitions(self):
+        # each Ai := exists R.A(i+1) adds two levels; primitive A(n) one
+        n = 5000
+        tbox = TBox({f"A{i}": Definition(DefKind.EQUIV, Exists(R, Atom(f"A{i + 1}")))
+                     for i in range(n)})
+        with pytest.raises(DefinitionTooDeep) as exc:
+            tbox.check_acyclic()
+        # A(n-k) unfolds 2k + 1 levels deep
+        k = MAX_UNFOLDED_DEPTH // 2
+        assert (exc.value.name, exc.value.depth) == (f"A{n - k}", 2 * k + 1)
 
 
 class TestNormalize:

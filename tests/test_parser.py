@@ -191,6 +191,16 @@ class TestParseKb:
             parse_kb("A := exists R.B\nB := A and C\n")
         assert err.value.kind is ErrorKind.CYCLE
 
+    def test_definition_chain_too_deep(self):
+        # each line adds two levels; A0 is the deepest, but the walk meets
+        # the first name past the limit on its way up the chain
+        text = "".join(f"A{i} := exists R.A{i + 1}\n" for i in range(300))
+        with pytest.raises(ParseError) as err:
+            parse_kb(text)
+        assert err.value.kind is ErrorKind.TOO_DEEP
+        assert (err.value.line, err.value.column) == (101, 1)
+        assert err.value.message.startswith("definition of A100 unfolds 401")
+
     def test_concept_role_arity_conflict(self):
         with pytest.raises(ParseError):
             parse_kb("C(a)\nC(a, b)\n")

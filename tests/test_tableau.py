@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from alcsim.canonical import retrieve_canonical
@@ -159,6 +161,16 @@ class TestAboxReasoning:
         assert "Giovanna" in counted
         assert "Maria" not in counted
 
+    def test_check_that_raises_from_the_precompleted_abox_is_redone(self):
+        # from the precompleted ABox the search branches on C's disjunction
+        # first and reaches the negated at-least; rebuilt, the ABox derives
+        # that disjunction after the check's own, whose both sides clash
+        from alcsim.parser import parse_kb
+        kb = parse_kb("C := not atleast 2 r or B\nA := C\nA(x)\n")
+        reasoner = TableauReasoner(kb)
+        assert reasoner.instance_check("x", And((Top(), Top())))
+        assert reasoner.stats.branches_explored == 1 + 2
+
     def test_negating_defined_name_with_atleast_body_raises(self, family_kb):
         # Sibling unfolds to a body containing 'atleast 2 HasChild'; the
         # refutation needs its negation, which is unsupported by design
@@ -197,6 +209,51 @@ class TestDeterminismAndStats:
         assert not reasoner.is_satisfiable(And(tuple(noise + core)))
         assert reasoner.stats.satisfiability_calls == 1
         assert reasoner.stats.branches_explored == branches
+
+
+def label_and_edges(state):
+    return {nid: (list(node.label), {r: list(ids) for r, ids in node.edges.items()})
+            for nid, node in state.nodes.items()}
+
+
+class TestCopyOnWrite:
+    def test_branches_copy_only_the_nodes_they_write(self):
+        # the W5 case at k = 8 plus 20 successors no branch touches: every
+        # state holds 22 nodes, a full copy per branch would copy 22,484,
+        # and each branch writes only to the one node it decides on
+        X, Y, Z = Atom("X"), Atom("Y"), Atom("Z")
+        noise = [Or((Atom(f"A{i}"), Atom(f"B{i}"))) for i in range(8)]
+        idle = [Exists("s", Atom(f"E{i}")) for i in range(20)]
+        core = [Exists("r", Or((And((X, Z)), And((Y, Z))))),
+                Forall("r", Not(Z))]
+        reasoner = TableauReasoner.for_tbox(EMPTY)
+        assert not reasoner.is_satisfiable(And(tuple(noise + idle + core)))
+        assert reasoner.stats.branches_explored == 1022
+        assert reasoner.stats.node_copies == 1022
+
+    def test_writes_leave_shared_states_unchanged(self, fathers_kb):
+        reasoner = TableauReasoner(fathers_kb)
+        completed, node_of = reasoner._precompleted
+        precompleted = label_and_edges(completed)
+        vito, leonardo = node_of["Vito"], node_of["Leonardo"]
+        parent = completed.copy()
+        queue = deque()
+        reasoner._add(parent, vito, Exists("hasChild", Atom("Male")), queue)
+        reasoner._saturate(parent, queue)
+        before = label_and_edges(parent)
+        branch = parent.copy()
+        queue = deque()
+        # a label insert on a shared node and a new edge on a shared node
+        reasoner._add(branch, leonardo, Atom("Parent"), queue)
+        reasoner._add(branch, vito, Exists("hasChild", Atom("Person")), queue)
+        reasoner._saturate(branch, queue)
+        assert label_and_edges(branch) != before
+        assert label_and_edges(parent) == before
+        assert label_and_edges(completed) == precompleted
+        # instance checks copy the precompleted state and leave it as it was
+        for name in ("Father", "Parent", "FatherWithoutSons"):
+            reasoner.retrieve(Atom(name))
+        assert label_and_edges(completed) == precompleted
 
 
 class TestCanonicalCoherence:
