@@ -21,6 +21,7 @@ from .errors import (
     CardinalityViolation,
     CyclicTBox,
     DefinitionTooDeep,
+    InvalidShape,
     UnknownIndividual,
     UnsupportedNegation,
 )

@@ -36,6 +36,12 @@ class DefinitionTooDeep(AlcsimError):
                          f"past the limit of {limit}")
 
 
+class InvalidShape(AlcsimError):
+    """A ``gen.KbShape`` asks for names or counts that ``random_kb`` cannot
+    draw: a negative count, more names than a pool holds, or assertions
+    with no name to draw from."""
+
+
 class UnknownIndividual(AlcsimError):
     """An individual name does not occur in the knowledge base."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import InvalidShape
 from .model import (
     ABox,
     And,
@@ -47,6 +48,27 @@ class KbShape:
     el_only: bool = False            # restrict bodies to Atom/And/Exists/Top
     assert_primitive_only: bool = False
     subsumed_fraction: float = 0.25
+
+    def __post_init__(self):
+        pools = {"individuals": _INDIVIDUALS, "primitives": _PRIMITIVES,
+                 "defined": _DEFINED, "roles": _ROLES}
+        for attr, pool in pools.items():
+            count = getattr(self, attr)
+            if not 0 <= count <= len(pool):
+                raise InvalidShape(f"{attr} must be between 0 and "
+                                   f"{len(pool)}, got {count}")
+        for attr in ("body_depth", "concept_assertions", "role_assertions"):
+            if getattr(self, attr) < 0:
+                raise InvalidShape(f"{attr.replace('_', ' ')} must not be "
+                                   f"negative, got {getattr(self, attr)}")
+        concepts = self.primitives + (
+            0 if self.assert_primitive_only else self.defined)
+        if self.concept_assertions and not (self.individuals and concepts):
+            raise InvalidShape("concept assertions need an individual and a "
+                               "concept name to draw from")
+        if self.role_assertions and not (self.individuals and self.roles):
+            raise InvalidShape("role assertions need an individual and a "
+                               "role to draw from")
 
 
 def random_concept(rng: random.Random, concept_names, role_names,

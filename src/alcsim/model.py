@@ -168,21 +168,6 @@ def concept_names_in(c: ConceptExpr) -> frozenset[str]:
     return frozenset()
 
 
-def role_names_in(c: ConceptExpr) -> frozenset[str]:
-    if isinstance(c, Not):
-        return role_names_in(c.arg)
-    if isinstance(c, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for a in c.args:
-            out |= role_names_in(a)
-        return out
-    if isinstance(c, (Exists, Forall)):
-        return frozenset((c.role,)) | role_names_in(c.filler)
-    if isinstance(c, AtLeast):
-        return frozenset((c.role,))
-    return frozenset()
-
-
 # ---------------------------------------------------------------------------
 # TBox / ABox / KnowledgeBase
 # ---------------------------------------------------------------------------
@@ -221,17 +206,23 @@ class TBox:
             return defn.body
         return And((Atom(marker_name(name)), defn.body))
 
-    def check_acyclic(self) -> None:
+    def check_acyclic(self) -> tuple[set[str], set[str]]:
         """Check that every defined name unfolds to a finite, shallow concept.
 
         Raises :class:`CyclicTBox` if a definition reaches itself, and
         :class:`DefinitionTooDeep` if a name's unfolded depth (see
         :data:`MAX_UNFOLDED_DEPTH`) passes the limit.  One depth-first walk
         over the names does both, with its own stack, so it does not
-        recurse however long a chain of definitions is.
+        recurse however long a chain of definitions is.  It walks each body
+        once and returns the concept names and the role names the bodies
+        mention.
         """
+        concepts: set[str] = set()
+        roles: set[str] = set()
+
         def frame(name: str):
-            height, levels = _name_levels(self.definitions[name].body)
+            height, levels = _name_levels(self.definitions[name].body, roles)
+            concepts.update(levels)
             return name, height, levels, iter(sorted(levels))
 
         depth: dict[str, int] = {}     # unfolded depth of each finished name
@@ -265,11 +256,13 @@ class TBox:
                     if d > MAX_UNFOLDED_DEPTH:
                         raise DefinitionTooDeep(name, d, MAX_UNFOLDED_DEPTH)
                     depth[name] = d
+        return concepts, roles
 
 
-def _name_levels(c: ConceptExpr) -> tuple[int, dict[str, int]]:
+def _name_levels(c: ConceptExpr, roles: set[str]) -> tuple[int, dict[str, int]]:
     """The nesting height of ``c`` (a leaf is 1), and for each concept name
-    in it the deepest level at which it occurs; walked with a stack."""
+    in it the deepest level at which it occurs; walked with a stack that
+    also adds the role names in ``c`` to ``roles``."""
     height = 0
     levels: dict[str, int] = {}
     stack = [(c, 1)]
@@ -285,9 +278,12 @@ def _name_levels(c: ConceptExpr) -> tuple[int, dict[str, int]]:
             for a in c.args:
                 stack.append((a, level))
         elif isinstance(c, (Exists, Forall)):
+            roles.add(c.role)
             stack.append((c.filler, level + 1))
         elif isinstance(c, Not):
             stack.append((c.arg, level + 1))
+        elif isinstance(c, AtLeast):
+            roles.add(c.role)
     return height, levels
 
 
@@ -326,14 +322,10 @@ class KnowledgeBase:
     @classmethod
     def assemble(cls, tbox: TBox, abox: ABox) -> "KnowledgeBase":
         """Build a KB, derive its signature, and verify TBox acyclicity."""
-        tbox.check_acyclic()
-        concepts = set(tbox.definitions)
-        roles: set[str] = set()
-        for defn in tbox.definitions.values():
-            concepts |= concept_names_in(defn.body)
-            roles |= role_names_in(defn.body)
-        concepts |= {c for c, _ in abox.concept_assertions}
-        roles |= {r for r, _, _ in abox.role_assertions}
+        concepts, roles = tbox.check_acyclic()
+        concepts.update(tbox.definitions)
+        concepts.update(c for c, _ in abox.concept_assertions)
+        roles.update(r for r, _, _ in abox.role_assertions)
         sig = Signature(frozenset(concepts), frozenset(roles), abox.individuals)
         return cls(tbox, abox, sig)
 

@@ -18,6 +18,11 @@ Concept grammar (precedence: not > exists/forall/atleast > and > or)::
 
 Names match ``[A-Za-z][A-Za-z0-9_]*`` (ASCII only; any other character
 that starts no token is a lexical error); the keywords above are reserved.
+One regular expression lexes a line: the longest prefix made of blanks
+and tokens must reach the end of the line or a ``#``, or the character
+where it stops is a ``LEX`` error.  Tokens are plain strings, and the
+first character gives a token's kind.  No column is stored: an error
+lexes its line again to find the column of the token it points at.
 A concept nests at most :data:`MAX_NESTING` levels of ``(``, ``not``,
 ``exists`` and ``forall``; a deeper one is a :class:`ParseError` at the
 token that crosses the limit.
@@ -28,8 +33,9 @@ no trailing whitespace, one statement per line) and round-trips.
 from __future__ import annotations
 
 import re
+import string
 from enum import Enum
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import AlcsimError, CyclicTBox, DefinitionTooDeep
 from .model import (
@@ -60,8 +66,14 @@ KEYWORDS = {"not", "and", "or", "exists", "forall", "atleast", "Top", "Bottom"}
 # Python's default recursion limit.
 MAX_NESTING = 100
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
+_TOKEN = r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|:=|<=|[(),.]"
+_TOKENS = re.compile(_TOKEN)
+# The longest prefix of a line made of blanks and tokens.
+_LEXABLE = re.compile(rf"(?:[ \t\r]|{_TOKEN})*")
+# A token's kind by its first character: NAME or INT, and otherwise the
+# token itself, a punctuation mark or "" for the end of the line.
+_KIND = (dict.fromkeys(string.ascii_letters, "NAME")
+         | dict.fromkeys(string.digits, "INT"))
 
 
 class ErrorKind(Enum):
@@ -83,208 +95,140 @@ class ParseError(AlcsimError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-class _Token(NamedTuple):
-    kind: str       # NAME, INT, (, ), ,, ., :=, <=, EOF
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        col = i + 1
-        if ch.isascii() and ch.isalpha():
-            m = _NAME_RE.match(text, i)
-            tokens.append(_Token("NAME", m.group(), line_no, col))
-            i = m.end()
-        elif ch.isascii() and ch.isdigit():
-            m = _INT_RE.match(text, i)
-            tokens.append(_Token("INT", m.group(), line_no, col))
-            i = m.end()
-        elif text.startswith(":=", i):
-            tokens.append(_Token(":=", ":=", line_no, col))
-            i += 2
-        elif text.startswith("<=", i):
-            tokens.append(_Token("<=", "<=", line_no, col))
-            i += 2
-        elif ch in "(),.":
-            tokens.append(_Token(ch, ch, line_no, col))
-            i += 1
-        else:
-            raise ParseError(line_no, col, f"unexpected character {ch!r}",
-                             ErrorKind.LEX)
-    tokens.append(_Token("EOF", "", line_no, len(text) + 1))
-    return tokens
-
-
 class _ConceptParser:
-    """Recursive-descent parser over one token stream."""
+    """Recursive-descent parser over the tokens of one line.
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    ``uses`` collects ``(name, "concept" or "role")`` for every name the
+    parsed concepts mention, in the order they occur.
+    """
+
+    def __init__(self, text: str, line_no: int):
+        end = _LEXABLE.match(text).end()
+        if end < len(text) and text[end] != "#":
+            raise ParseError(line_no, end + 1,
+                             f"unexpected character {text[end]!r}",
+                             ErrorKind.LEX)
+        self.tokens = _TOKENS.findall(text, 0, end)
+        self.tokens.append("")    # the end of the line
+        self.text = text
+        self.line_no = line_no
         self.pos = 0
         self.depth = 0      # nesting levels open, see MAX_NESTING
+        self.uses: list[tuple[str, str]] = []
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, at: int | None = None,
+              kind: ErrorKind = ErrorKind.SYNTAX) -> ParseError:
+        """An error at token ``at`` (by default the next one); its column
+        comes from lexing the line again."""
+        if at is None:
+            at = self.pos
+        if at == len(self.tokens) - 1:
+            column = len(self.text) + 1
+        else:
+            match = next(islice(_TOKENS.finditer(self.text), at, None))
+            column = match.start() + 1
+        return ParseError(self.line_no, column, message, kind)
 
-    def advance(self) -> _Token:
+    def expect(self, kind: str) -> str:
         tok = self.tokens[self.pos]
+        if _KIND.get(tok[:1], tok) != kind:
+            raise self.error(
+                f"expected {kind!r}, found {tok or 'end of line'!r}")
         self.pos += 1
         return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.line, tok.column,
-                             f"expected {kind!r}, found {tok.text or 'end of line'!r}")
-        return self.advance()
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "NAME" and tok.text == word
 
     def parse_concept(self) -> ConceptExpr:
         return self.parse_disj()
 
     def parse_disj(self) -> ConceptExpr:
         parts = [self.parse_conj()]
-        while self.at_keyword("or"):
-            self.advance()
+        while self.tokens[self.pos] == "or":
+            self.pos += 1
             parts.append(self.parse_conj())
         return make_or(parts)
 
     def parse_conj(self) -> ConceptExpr:
         parts = [self.parse_unary()]
-        while self.at_keyword("and"):
-            self.advance()
+        while self.tokens[self.pos] == "and":
+            self.pos += 1
             parts.append(self.parse_unary())
         return make_and(parts)
 
-    def nested(self, tok: _Token, parse) -> ConceptExpr:
-        """``parse()`` one nesting level below ``tok``, within MAX_NESTING."""
+    def nested(self, at: int, parse) -> ConceptExpr:
+        """``parse()`` one nesting level below token ``at``, within
+        MAX_NESTING."""
         if self.depth == MAX_NESTING:
-            raise ParseError(tok.line, tok.column,
-                             f"concept nested deeper than {MAX_NESTING} levels")
+            raise self.error(
+                f"concept nested deeper than {MAX_NESTING} levels", at)
         self.depth += 1
         inner = parse()
         self.depth -= 1
         return inner
 
     def parse_unary(self) -> ConceptExpr:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            inner = self.nested(tok, self.parse_disj)
+        at = self.pos
+        tok = self.tokens[at]
+        if tok == "(":
+            self.pos += 1
+            inner = self.nested(at, self.parse_disj)
             self.expect(")")
             return inner
-        if tok.kind != "NAME":
-            raise ParseError(tok.line, tok.column,
-                             f"expected a concept, found {tok.text or 'end of line'!r}")
-        if tok.text == "not":
-            self.advance()
-            return Not(self.nested(tok, self.parse_unary))
-        if tok.text in ("exists", "forall"):
-            self.advance()
-            role = self.expect_plain_name("role name")
-            self.expect(".")
-            filler = self.nested(tok, self.parse_unary)
-            cls = Exists if tok.text == "exists" else Forall
-            return cls(role.text, filler)
-        if tok.text == "atleast":
-            self.advance()
-            count = self.expect("INT")
-            try:
-                n = int(count.text)
-            except ValueError:  # past int()'s limit on digits
-                raise ParseError(count.line, count.column,
-                                 "atleast count is too long") from None
-            if n < 1:
-                raise ParseError(count.line, count.column,
-                                 "atleast requires a count of at least 1")
-            role = self.expect_plain_name("role name")
-            return AtLeast(n, role.text)
-        if tok.text == "Top":
-            self.advance()
-            return Top()
-        if tok.text == "Bottom":
-            self.advance()
-            return Bottom()
-        if tok.text in KEYWORDS:
-            raise ParseError(tok.line, tok.column,
-                             f"keyword {tok.text!r} cannot be used as a name")
-        self.advance()
-        return Atom(tok.text)
+        if _KIND.get(tok[:1]) != "NAME":
+            raise self.error(
+                f"expected a concept, found {tok or 'end of line'!r}")
+        if tok in KEYWORDS:
+            self.pos += 1
+            if tok == "not":
+                return Not(self.nested(at, self.parse_unary))
+            if tok == "exists" or tok == "forall":
+                role = self.expect_role()
+                self.expect(".")
+                filler = self.nested(at, self.parse_unary)
+                return (Exists if tok == "exists" else Forall)(role, filler)
+            if tok == "atleast":
+                count = self.expect("INT")
+                try:
+                    n = int(count)
+                except ValueError:  # past int()'s limit on digits
+                    raise self.error("atleast count is too long",
+                                     self.pos - 1) from None
+                if n < 1:
+                    raise self.error(
+                        "atleast requires a count of at least 1", self.pos - 1)
+                return AtLeast(n, self.expect_role())
+            if tok == "Top":
+                return Top()
+            if tok == "Bottom":
+                return Bottom()
+            raise self.error(f"keyword {tok!r} cannot be used as a name", at)
+        self.pos += 1
+        self.uses.append((tok, "concept"))
+        return Atom(tok)
 
-    def expect_plain_name(self, what: str) -> _Token:
+    def expect_plain_name(self, what: str) -> str:
         tok = self.expect("NAME")
-        if tok.text in KEYWORDS:
-            raise ParseError(tok.line, tok.column,
-                             f"keyword {tok.text!r} cannot be used as a {what}")
+        if tok in KEYWORDS:
+            raise self.error(f"keyword {tok!r} cannot be used as a {what}",
+                             self.pos - 1)
         return tok
 
+    def expect_role(self) -> str:
+        role = self.expect_plain_name("role name")
+        self.uses.append((role, "role"))
+        return role
+
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(tok.line, tok.column,
-                             f"unexpected trailing input {tok.text!r}")
+        tok = self.tokens[self.pos]
+        if tok:
+            raise self.error(f"unexpected trailing input {tok!r}")
 
 
 def parse_concept(text: str) -> ConceptExpr:
     """Parse a single concept expression."""
-    tokens = _tokenize_line(text.replace("\n", " "), 1)
-    parser = _ConceptParser(tokens)
+    parser = _ConceptParser(text.replace("\n", " "), 1)
     concept = parser.parse_concept()
     parser.expect_eof()
     return concept
-
-
-class _ArityTable:
-    """Tracks how each name is used so concept/role clashes are reported."""
-
-    def __init__(self):
-        self.concept_uses: dict[str, _Token] = {}
-        self.role_uses: dict[str, _Token] = {}
-
-    def use_concept(self, name: str, tok: _Token) -> None:
-        if name in self.role_uses and name not in self.concept_uses:
-            prev = self.role_uses[name]
-            raise ParseError(
-                tok.line, tok.column,
-                f"{name!r} used as a concept here but as a role at "
-                f"line {prev.line}")
-        self.concept_uses.setdefault(name, tok)
-
-    def use_role(self, name: str, tok: _Token) -> None:
-        if name in self.concept_uses and name not in self.role_uses:
-            prev = self.concept_uses[name]
-            raise ParseError(
-                tok.line, tok.column,
-                f"{name!r} used as a role here but as a concept at "
-                f"line {prev.line}")
-        self.role_uses.setdefault(name, tok)
-
-    def scan_concept(self, c: ConceptExpr, tok: _Token) -> None:
-        if isinstance(c, Atom):
-            self.use_concept(c.name, tok)
-        elif isinstance(c, Not):
-            self.scan_concept(c.arg, tok)
-        elif isinstance(c, (And, Or)):
-            for a in c.args:
-                self.scan_concept(a, tok)
-        elif isinstance(c, (Exists, Forall)):
-            self.use_role(c.role, tok)
-            self.scan_concept(c.filler, tok)
-        elif isinstance(c, AtLeast):
-            self.use_role(c.role, tok)
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -294,63 +238,67 @@ def parse_kb(text: str) -> KnowledgeBase:
     of the same name, concept/role arity clashes, cyclic TBoxes, and
     definitions that unfold deeper than ``model.MAX_UNFOLDED_DEPTH``.
     """
+    lines = text.splitlines()
     definitions: dict[str, Definition] = {}
-    def_tokens: dict[str, _Token] = {}
+    def_lines: dict[str, int] = {}
     concept_assertions: list[tuple[str, str]] = []
     role_assertions: list[tuple[str, str, str]] = []
-    arity = _ArityTable()
+    # each name's first use, as ("concept" or "role", line): a name used
+    # both ways is an arity clash
+    first_use: dict[str, tuple[str, int]] = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no)
-        if tokens[0].kind == "EOF":
+    for line_no, raw in enumerate(lines, start=1):
+        parser = _ConceptParser(raw, line_no)
+        if not parser.tokens[0]:
             continue
-        parser = _ConceptParser(tokens)
         head = parser.expect_plain_name("statement head")
-        sep = parser.peek()
-        if sep.kind in (":=", "<="):
-            parser.advance()
+        sep = parser.tokens[1]
+        if sep == ":=" or sep == "<=":
+            parser.pos = 2
             body = parser.parse_concept()
             parser.expect_eof()
-            if head.text in definitions:
-                raise ParseError(head.line, head.column,
-                                 f"{head.text!r} is defined twice",
-                                 ErrorKind.DUPLICATE_DEFINITION)
-            kind = DefKind.EQUIV if sep.kind == ":=" else DefKind.SUBSUMED
-            definitions[head.text] = Definition(kind, body)
-            def_tokens[head.text] = head
-            arity.use_concept(head.text, head)
-            arity.scan_concept(body, head)
-        elif sep.kind == "(":
-            parser.advance()
+            if head in definitions:
+                raise parser.error(f"{head!r} is defined twice", 0,
+                                   ErrorKind.DUPLICATE_DEFINITION)
+            kind = DefKind.EQUIV if sep == ":=" else DefKind.SUBSUMED
+            definitions[head] = Definition(kind, body)
+            def_lines[head] = line_no
+            uses = [(head, "concept"), *parser.uses]
+        elif sep == "(":
+            parser.pos = 2
             first = parser.expect_plain_name("individual name")
-            if parser.peek().kind == ",":
-                parser.advance()
+            if parser.tokens[parser.pos] == ",":
+                parser.pos += 1
                 second = parser.expect_plain_name("individual name")
                 parser.expect(")")
                 parser.expect_eof()
-                arity.use_role(head.text, head)
-                role_assertions.append((head.text, first.text, second.text))
+                uses = [(head, "role")]
+                role_assertions.append((head, first, second))
             else:
                 parser.expect(")")
                 parser.expect_eof()
-                arity.use_concept(head.text, head)
-                concept_assertions.append((head.text, first.text))
+                uses = [(head, "concept")]
+                concept_assertions.append((head, first))
         else:
-            raise ParseError(sep.line, sep.column,
-                             "expected ':=', '<=' or '(' after name")
+            raise parser.error("expected ':=', '<=' or '(' after name")
+        for name, what in uses:
+            was, at_line = first_use.setdefault(name, (what, line_no))
+            if was != what:
+                raise parser.error(f"{name!r} used as a {what} here but as "
+                                   f"a {was} at line {at_line}", 0)
 
     tbox = TBox(definitions)
     try:
         abox = ABox.from_assertions(concept_assertions, role_assertions)
         return KnowledgeBase.assemble(tbox, abox)
-    except CyclicTBox as exc:
-        name = exc.cycle[0]
-        tok = def_tokens.get(name, _Token("NAME", name, 1, 1))
-        raise ParseError(tok.line, tok.column, str(exc), ErrorKind.CYCLE) from exc
-    except DefinitionTooDeep as exc:
-        tok = def_tokens[exc.name]
-        raise ParseError(tok.line, tok.column, str(exc),
-                         ErrorKind.TOO_DEEP) from exc
+    except (CyclicTBox, DefinitionTooDeep) as exc:
+        if isinstance(exc, CyclicTBox):
+            name, kind = exc.cycle[0], ErrorKind.CYCLE
+        else:
+            name, kind = exc.name, ErrorKind.TOO_DEEP
+        line_no = def_lines[name]
+        head = _ConceptParser(lines[line_no - 1], line_no)
+        raise head.error(str(exc), 0, kind) from exc
 
 
 # ---------------------------------------------------------------------------

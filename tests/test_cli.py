@@ -1,11 +1,15 @@
 import argparse
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alcsim
 from alcsim import fixture_text
@@ -379,3 +383,71 @@ class TestGen:
         _, out, _ = run(capsys, "gen", "--seed", "9", "--individuals", "4")
         kb = parse_kb(out)
         assert len(kb.individuals) <= 4
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--individuals", "0"], "concept assertions need an individual"),
+        (["--roles", "0"], "role assertions need an individual and a role"),
+        (["--primitives", "0", "--defined", "0"],
+         "concept assertions need an individual and a concept name"),
+        (["--individuals", "-3"], "individuals must be between 0 and 8, got -3"),
+        (["--individuals", "20"], "individuals must be between 0 and 8, got 20"),
+        (["--role-assertions", "-1"], "role assertions must not be negative"),
+    ])
+    def test_shape_it_cannot_draw_is_one_error_line(self, capsys, flags,
+                                                    message):
+        code, out, err = run(capsys, "gen", "--seed", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
+
+    def test_empty_pools_without_assertions(self, capsys):
+        code, out, _ = run(capsys, "gen", "--seed", "1", "--individuals", "0",
+                           "--roles", "0", "--concept-assertions", "0",
+                           "--role-assertions", "0")
+        assert code == 0
+        kb = alcsim.parse_kb(out)
+        assert not kb.individuals
+        assert not kb.signature.role_names
+
+
+# Pieces of KB files: statements, syntax, and bytes that are not UTF-8.
+KB_PIECES = st.sampled_from([
+    b"A", b"B", b"r", b"a", b"b", b"2", b"0", b" ", b"\n", b"\r\n", b"(", b")",
+    b",", b".", b":=", b"<=", b"#", b"not ", b" and ", b" or ", b"exists ",
+    b"forall ", b"atleast ", b"Top", b"Bottom", b"A(a)\n", b"r(a, b)\n",
+    b"A := exists r.B\n", b"B <= not A\n", b"\xff", b"\xc3", b"\x00",
+    b"\xef\xbb\xbf", "Ω".encode(),
+])
+# Statements of small, acyclic KBs, some of them inconsistent.
+KB_STATEMENTS = st.sampled_from([
+    b"A(a)\n", b"B(a)\n", b"C(b)\n", b"F(a)\n", b"r(a, b)\n", b"r(b, a)\n",
+    b"A := exists r.B\n", b"B <= not F\n", b"C := A or forall r.B\n",
+    b"D := atleast 2 r\n", b"E := not D\n",
+])
+
+
+class TestFrontDoor:
+    """Whatever bytes a KB file holds, a request ends in an answer or one
+    error line, never a crash."""
+
+    @pytest.fixture(scope="class")
+    def kb_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("front_door") / "any.dlkb"
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.one_of(st.binary(max_size=80),
+                          st.lists(KB_PIECES, max_size=30).map(b"".join),
+                          st.lists(KB_STATEMENTS, unique=True).map(b"".join)))
+    def test_any_bytes_exit_0_1_or_2(self, kb_file, data):
+        kb_file.write_bytes(data)
+        for argv in (["check"], ["retrieve", "A"], ["sim", "A", "a"]):
+            argv.insert(1, str(kb_file))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            assert "internal error" not in err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            # an error is one line; an answer writes nothing to stderr
+            assert err.getvalue().count("\n") == (code == 2)

@@ -1,3 +1,6 @@
+import pytest
+
+from alcsim.errors import InvalidShape
 from alcsim.gen import KbShape, random_kb
 from alcsim.parser import parse_kb, serialize_kb
 
@@ -48,3 +51,32 @@ def test_no_atleast_anywhere():
     for seed in range(10):
         kb = random_kb(seed)
         assert "atleast" not in serialize_kb(kb)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(individuals=-3), dict(individuals=9), dict(primitives=9),
+    dict(defined=7), dict(roles=4), dict(roles=-1), dict(body_depth=-1),
+    dict(concept_assertions=-1), dict(role_assertions=-2),
+    # assertions with no name to draw from
+    dict(individuals=0), dict(individuals=0, concept_assertions=0),
+    dict(roles=0), dict(primitives=0, defined=0),
+    dict(primitives=0, assert_primitive_only=True),
+])
+def test_shape_it_cannot_draw_is_rejected(fields):
+    with pytest.raises(InvalidShape):
+        KbShape(**fields)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(individuals=0, concept_assertions=0, role_assertions=0),
+    dict(roles=0, role_assertions=0),
+    dict(primitives=0, defined=0, concept_assertions=0),
+    dict(primitives=0, defined=2),
+    dict(individuals=8, primitives=8, defined=6, roles=3),
+])
+def test_shape_at_the_edge_of_its_pools_generates(fields):
+    shape = KbShape(**fields)
+    for seed in range(5):
+        kb = random_kb(seed, shape)
+        assert len(kb.individuals) <= shape.individuals
+        assert parse_kb(serialize_kb(kb)) == kb

@@ -269,3 +269,14 @@ class TestContainers:
         assert "HasGrandParent" in sig.role_names
         assert "Nicola" in sig.individuals
         assert len(sig.individuals) == 11
+
+    def test_signature_names_under_every_constructor(self):
+        tbox = TBox({
+            "D": Definition(DefKind.EQUIV, And((
+                Not(A), Exists(R, B), Forall(S, Or((C, Top())))))),
+            "E": Definition(DefKind.SUBSUMED, AtLeast(2, "T")),
+        })
+        abox = ABox.from_assertions([("F", "a")], [("U", "a", "b")])
+        sig = KnowledgeBase.assemble(tbox, abox).signature
+        assert sig.concept_names == {"A", "B", "C", "D", "E", "F"}
+        assert sig.role_names == {"R", "S", "T", "U"}

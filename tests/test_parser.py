@@ -238,6 +238,82 @@ class TestParseKb:
         assert (err.value.line, err.value.column) == (2, 6 + 4 * MAX_NESTING)
 
 
+CHAIN_301 = "".join(f"A{i} := exists R.A{i + 1}\n" for i in range(300))
+
+# (parser, text, line, column, message, kind) of malformed inputs, as the
+# character-by-character lexer reported them.
+PINNED_ERRORS = [
+    (parse_concept, "A and ?", 1, 7, "unexpected character '?'", "LEX"),
+    (parse_kb, "Woman(ann)\nMan := Human and $x\n",
+     2, 18, "unexpected character '$'", "LEX"),
+    (parse_kb, "Woman(ann)  \n  Man := Human and Male ; B\n",
+     2, 25, "unexpected character ';'", "LEX"),
+    (parse_kb, "A :- B\n", 1, 3, "unexpected character ':'", "LEX"),
+    # a comment ends the tokens, but end of line is past the comment
+    (parse_concept, "A and # B",
+     1, 10, "expected a concept, found 'end of line'", "SYNTAX"),
+    (parse_kb, "A := B # C\nD := # E\n",
+     2, 9, "expected a concept, found 'end of line'", "SYNTAX"),
+    (parse_concept, "atleast 0 r",
+     1, 9, "atleast requires a count of at least 1", "SYNTAX"),
+    (parse_concept, "atleast " + "9" * 5000 + " r",
+     1, 9, "atleast count is too long", "SYNTAX"),
+    (parse_concept, "atleast two r", 1, 9, "expected 'INT', found 'two'", "SYNTAX"),
+    (parse_concept, "exists and.A",
+     1, 8, "keyword 'and' cannot be used as a role name", "SYNTAX"),
+    (parse_concept, "atleast 2 forall",
+     1, 11, "keyword 'forall' cannot be used as a role name", "SYNTAX"),
+    (parse_concept, "A and or B",
+     1, 7, "keyword 'or' cannot be used as a name", "SYNTAX"),
+    (parse_concept, "A B", 1, 3, "unexpected trailing input 'B'", "SYNTAX"),
+    (parse_kb, "and := A\n",
+     1, 1, "keyword 'and' cannot be used as a statement head", "SYNTAX"),
+    (parse_kb, "  := A\n", 1, 3, "expected 'NAME', found ':='", "SYNTAX"),
+    (parse_kb, "A B C\n",
+     1, 3, "expected ':=', '<=' or '(' after name", "SYNTAX"),
+    (parse_kb, "C(a)\nA\n",
+     2, 2, "expected ':=', '<=' or '(' after name", "SYNTAX"),
+    (parse_kb, "A(a, b, c)\n", 1, 7, "expected ')', found ','", "SYNTAX"),
+    (parse_kb, "A(a) B\n", 1, 6, "unexpected trailing input 'B'", "SYNTAX"),
+    (parse_kb, "A(Top)\n",
+     1, 3, "keyword 'Top' cannot be used as a individual name", "SYNTAX"),
+    (parse_concept, "(A and (B or C)",
+     1, 16, "expected ')', found 'end of line'", "SYNTAX"),
+    (parse_kb, "A := exists R.(B and C\n",
+     1, 23, "expected ')', found 'end of line'", "SYNTAX"),
+    (parse_kb, "C(a)\nC(a, b)\n",
+     2, 1, "'C' used as a role here but as a concept at line 1", "SYNTAX"),
+    (parse_kb, "A := exists R.B\n\n  R(a)\n",
+     3, 3, "'R' used as a concept here but as a role at line 1", "SYNTAX"),
+    (parse_kb, "A := B and exists B.C\n",
+     1, 1, "'B' used as a role here but as a concept at line 1", "SYNTAX"),
+    # the head is used before its body
+    (parse_kb, "A := exists A.B\n",
+     1, 1, "'A' used as a role here but as a concept at line 1", "SYNTAX"),
+    (parse_kb, "B(a)\nA := not C and atleast 2 B\n",
+     2, 1, "'B' used as a role here but as a concept at line 1", "SYNTAX"),
+    (parse_kb, "A := B\nA := C\n",
+     2, 1, "'A' is defined twice", "DUPLICATE_DEFINITION"),
+    (parse_kb, "X(a)\nA := exists R.B\nB := C and A\n",
+     2, 1, "cyclic definitions: A -> B -> A", "CYCLE"),
+    (parse_kb, CHAIN_301, 101, 1,
+     "definition of A100 unfolds 401 levels deep, past the limit of 400",
+     "TOO_DEEP"),
+    (parse_kb, "B(a)\nA := " + "not " * 101 + "C\n",
+     2, 406, "concept nested deeper than 100 levels", "SYNTAX"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line, column, message, kind",
+                         PINNED_ERRORS, ids=range(len(PINNED_ERRORS)))
+def test_parse_error_is_pinned(parse, text, line, column, message, kind):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    got = err.value
+    assert (got.line, got.column, got.message, got.kind) == (
+        line, column, message, ErrorKind[kind])
+
+
 class TestFrontDoor:
     """Any text either parses or raises ParseError, never another exception."""
 
@@ -249,6 +325,22 @@ class TestFrontDoor:
                 parse(text)
             except ParseError:
                 pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=st.lists(SYNTAX_PIECES).map("".join))
+    def test_error_position_lies_on_its_line(self, text):
+        for parse in (parse_concept, parse_kb):
+            try:
+                parse(text)
+            except ParseError as err:
+                if parse is parse_concept:
+                    line = text.replace("\n", " ")
+                else:
+                    line = text.splitlines()[err.line - 1]
+                assert 1 <= err.column <= len(line) + 1
+                if err.kind is ErrorKind.LEX:
+                    assert err.message == (
+                        f"unexpected character {line[err.column - 1]!r}")
 
 
 class TestSerialize:
