@@ -82,7 +82,6 @@ class ErrorKind(Enum):
     DUPLICATE_DEFINITION = "duplicate_definition"
     CYCLE = "cycle"
     TOO_DEEP = "too_deep"
-    UNKNOWN = "unknown"
 
 
 class ParseError(AlcsimError):
@@ -208,8 +207,10 @@ class _ConceptParser:
     def expect_plain_name(self, what: str) -> str:
         tok = self.expect("NAME")
         if tok in KEYWORDS:
-            raise self.error(f"keyword {tok!r} cannot be used as a {what}",
-                             self.pos - 1)
+            article = "an" if what[0] in "aeiou" else "a"
+            raise self.error(
+                f"keyword {tok!r} cannot be used as {article} {what}",
+                self.pos - 1)
         return tok
 
     def expect_role(self) -> str:

@@ -15,6 +15,16 @@ negation of an at-least restriction is only an error on branches that
 actually have to process it.  No blocking is required: acyclic
 definitions bound the expansion depth.
 
+Each reasoner interns every concept it meets once, in its
+:class:`ConceptTable`, as a dense integer id; labels, the rule queue and
+the open disjunctions hold ids.  The table keeps each id's kind and its
+parts as ids, and fills in on first use its clash keys (the ids of its
+negation and, for a negation, of its argument) and what its ``Atom`` or
+``Not`` rule adds, taken from ``TBox.unfolding`` and
+``model._negate_once``.  The clash test so builds and hashes no
+concept, and interning walks a concept with its own stack, so no step
+of the search recurses on concept depth.
+
 Named nodes (ABox individuals) are pairwise distinct and never merged
 (unique names assumption).  An at-least restriction simply creates the
 required number of fresh successors; with no at-most constructor there
@@ -46,6 +56,7 @@ from .model import (
     And,
     AtLeast,
     Atom,
+    BOTTOM,
     Bottom,
     ConceptExpr,
     EMPTY_ABOX,
@@ -56,6 +67,7 @@ from .model import (
     Or,
     TBox,
     TOP,
+    Top,
     _negate_once,
 )
 
@@ -74,10 +86,117 @@ class ReasonerStats:
     node_copies: int = 0
 
 
+# Concept kinds in a ConceptTable.
+_TOP, _BOTTOM, _ATOM, _NOT, _AND, _OR, _EXISTS, _FORALL, _ATLEAST = range(9)
+_KIND = {Top: _TOP, Bottom: _BOTTOM, Atom: _ATOM, Not: _NOT, And: _AND,
+         Or: _OR, Exists: _EXISTS, Forall: _FORALL, AtLeast: _ATLEAST}
+# Every table interns Top and Bottom first.
+_TOP_ID, _BOTTOM_ID = 0, 1
+
+
+class ConceptTable:
+    """The concepts one reasoner has met, each interned once as an id.
+
+    ``kind[i]``, ``parts[i]`` and ``expr[i]`` describe id ``i``.  Its
+    parts are the arg ids of ``And``/``Or``, ``(role, filler id)`` of
+    ``Exists``/``Forall``, the arg id of ``Not``, ``(n, role)`` of
+    ``AtLeast``, the name of an ``Atom``, and ``()`` for ``Top`` and
+    ``Bottom``.  Equal concepts get one id, so ids compare as concepts do.
+    """
+
+    def __init__(self, tbox: TBox):
+        self.tbox = tbox
+        self.kind: list[int] = []
+        self.parts: list = []
+        self.expr: list[ConceptExpr] = []
+        self._clash: list[tuple[int, ...] | None] = []
+        self._adds: list[tuple[int, ...] | None] = []
+        self._ids: dict[tuple, int] = {}
+        self.id(TOP)
+        self.id(BOTTOM)
+
+    def id(self, c: ConceptExpr) -> int:
+        """The id of ``c``, interning it and its subconcepts if new."""
+        done: list[int] = []                 # ids of finished subconcepts
+        stack = [(c, False)]
+        while stack:
+            c, ready = stack.pop()
+            kind = _KIND[type(c)]
+            if kind == _AND or kind == _OR:
+                if not ready:
+                    stack.append((c, True))
+                    stack.extend((a, False) for a in reversed(c.args))
+                    continue
+                parts = tuple(done[-len(c.args):])
+                del done[-len(c.args):]
+            elif kind == _NOT or kind == _EXISTS or kind == _FORALL:
+                if not ready:
+                    stack.append((c, True))
+                    stack.append((c.arg if kind == _NOT else c.filler, False))
+                    continue
+                parts = done.pop() if kind == _NOT else (c.role, done.pop())
+            elif kind == _ATOM:
+                parts = c.name
+            elif kind == _ATLEAST:
+                parts = (c.n, c.role)
+            else:
+                parts = ()
+            done.append(self._intern(kind, parts, c))
+        return done[0]
+
+    def _intern(self, kind: int, parts, c: ConceptExpr) -> int:
+        key = (kind, parts)
+        cid = self._ids.get(key)
+        if cid is None:
+            cid = self._ids[key] = len(self.expr)
+            self.kind.append(kind)
+            self.parts.append(parts)
+            self.expr.append(c)
+            self._clash.append(None)
+            self._adds.append(None)
+        return cid
+
+    def negation(self, cid: int) -> int:
+        """The id of ``not c`` for the concept ``c`` with id ``cid``."""
+        return self._intern(_NOT, cid, Not(self.expr[cid]))
+
+    def clash_keys(self, cid: int) -> tuple[int, ...]:
+        """The ids whose presence in a label clashes with ``cid``."""
+        keys = self._clash[cid]
+        if keys is None:
+            keys = (self.negation(cid),)
+            if self.kind[cid] == _NOT:
+                keys += (self.parts[cid],)
+            self._clash[cid] = keys
+        return keys
+
+    def adds(self, cid: int) -> tuple[int, ...]:
+        """What the rule for an ``Atom`` or ``Not`` adds to its label.
+
+        A name adds its unfolding, a negated name the negation of its
+        unfolding, and any other negation its conjuncts pushed one
+        constructor in.  A negation that cannot be pushed raises on every
+        call, so only the branches that reach it fail.
+        """
+        adds = self._adds[cid]
+        if adds is None:
+            parts = self.parts[cid]
+            if self.kind[cid] == _ATOM:
+                body = self.tbox.unfolding(parts)
+                adds = () if body is None else (self.id(body),)
+            elif self.kind[parts] == _ATOM:
+                body = self.tbox.unfolding(self.parts[parts])
+                adds = () if body is None else (self.negation(self.id(body)),)
+            else:
+                adds = tuple(self.id(d) for d in _negate_once(self.expr[parts]))
+            self._adds[cid] = adds
+        return adds
+
+
 @dataclass
 class TableauNode:
     id: int
-    label: dict[ConceptExpr, None]        # insertion-ordered set
+    label: dict[int, None]                # insertion-ordered set of concept ids
     edges: dict[str, list[int]]
     is_named: bool = False
 
@@ -106,7 +225,7 @@ class _State:
 
     nodes: dict[int, TableauNode]
     next_id: int
-    pending_or: list[tuple[int, Or]] = field(default_factory=list)
+    pending_or: list[tuple[int, int]] = field(default_factory=list)
     owned: set[int] = field(default_factory=set)
 
     def copy(self) -> "_State":
@@ -114,19 +233,20 @@ class _State:
         return _State(dict(self.nodes), self.next_id, list(self.pending_or))
 
 
-_Queue = deque  # of (node id, concept) pairs awaiting rule application
+_Queue = deque  # of (node id, concept id) pairs awaiting rule application
 
 
 class TableauReasoner:
     """A reasoning session over one immutable knowledge base.
 
-    Sessions own their mutable search state and statistics; run separate
-    sessions for concurrent use.
+    Sessions own their mutable search state, concept table and
+    statistics; run separate sessions for concurrent use.
     """
 
     def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.stats = ReasonerStats()
+        self.table = ConceptTable(kb.tbox)
 
     @classmethod
     def for_tbox(cls, tbox: TBox) -> "TableauReasoner":
@@ -140,7 +260,7 @@ class TableauReasoner:
         queue: _Queue = deque()
         nid = self._fresh_node(state)
         try:
-            self._add(state, nid, c, queue)
+            self._add(state, nid, self.table.id(c), queue)
         except _Clash:
             return False
         return self._run(state, queue)
@@ -165,17 +285,18 @@ class TableauReasoner:
             raise UnknownIndividual(individual)
         self.stats.instance_checks += 1
         self.stats.satisfiability_calls += 1
+        goal = self.table.id(Not(c))
         if self._precompleted is not None:
             completed, node_of = self._precompleted
             nid = node_of[individual]
-            if self._dead(completed.nodes[nid].label, Not(c)):
+            if self._dead(completed.nodes[nid].label, goal):
                 return True
             try:
-                return self._refuted(completed.copy(), deque(), nid, c)
+                return self._refuted(completed.copy(), deque(), nid, goal)
             except AlcsimError:
                 pass    # the rebuilt ABox decides (see the module docstring)
         state, node_of, queue = self._abox_state()
-        return self._refuted(state, queue, node_of[individual], c)
+        return self._refuted(state, queue, node_of[individual], goal)
 
     def retrieve(self, c: ConceptExpr) -> frozenset[str]:
         """All individuals whose membership in ``c`` is entailed."""
@@ -184,11 +305,11 @@ class TableauReasoner:
             if self.instance_check(a, c)
         )
 
-    def _refuted(self, state: _State, queue: _Queue, nid: int,
-                 c: ConceptExpr) -> bool:
-        """True iff adding ``not c`` to node ``nid`` leaves no open branch."""
+    def _refuted(self, state: _State, queue: _Queue, nid: int, goal: int) -> bool:
+        """True iff adding the concept id ``goal`` (``not c`` for a check
+        of ``c``) to node ``nid`` leaves no open branch."""
         try:
-            self._add(state, nid, Not(c), queue)
+            self._add(state, nid, goal, queue)
         except _Clash:
             return True
         return not self._run(state, queue)
@@ -222,7 +343,8 @@ class TableauReasoner:
             edges = state.nodes[node_of[source]].edges
             edges.setdefault(role, []).append(node_of[target])
         for concept, individual in sorted(self.kb.abox.concept_assertions):
-            self._add(state, node_of[individual], Atom(concept), queue)
+            self._add(state, node_of[individual], self.table.id(Atom(concept)),
+                      queue)
         return state, node_of, queue
 
     def _fresh_node(self, state: _State) -> int:
@@ -271,7 +393,7 @@ class TableauReasoner:
                 return True
         return False
 
-    def _select_disjunction(self, state: _State) -> tuple[int, list[ConceptExpr]] | None:
+    def _select_disjunction(self, state: _State) -> tuple[int, list[int]] | None:
         """Most-constrained open disjunction, with its viable alternatives.
 
         Alternatives whose complement is already in the label are pruned;
@@ -279,17 +401,18 @@ class TableauReasoner:
         Picking the fewest-alternative disjunction first keeps refutations
         of large conjunctions from branching on irrelevant copies.
         """
+        parts = self.table.parts
         pending = state.pending_or
-        keep: list[tuple[int, Or]] = []
+        keep: list[tuple[int, int]] = []
         best = None
         best_pos = None
         scanned = 0
         for nid, disj in pending:
             scanned += 1
             label = state.nodes[nid].label
-            if any(a in label for a in disj.args):
+            if not label.keys().isdisjoint(parts[disj]):
                 continue
-            viable = [a for a in disj.args if not self._dead(label, a)]
+            viable = [a for a in parts[disj] if not self._dead(label, a)]
             if not viable:
                 raise _Clash
             keep.append((nid, disj))
@@ -305,21 +428,17 @@ class TableauReasoner:
         state.pending_or = keep + pending[scanned:]
         return best
 
-    @staticmethod
-    def _dead(label: dict, a: ConceptExpr) -> bool:
+    def _dead(self, label: dict[int, None], a: int) -> bool:
         """The clash test: would adding ``a`` to ``label`` close the branch?"""
-        if isinstance(a, Bottom):
-            return True
-        if isinstance(a, Not) and a.arg in label:
-            return True
-        return Not(a) in label
+        return (a == _BOTTOM_ID
+                or not label.keys().isdisjoint(self.table.clash_keys(a)))
 
-    def _add(self, state: _State, nid: int, c: ConceptExpr, queue: _Queue) -> None:
-        """Insert a concept into a node label, checking for a clash."""
-        node = state.nodes[nid]
-        if c in node.label:
+    def _add(self, state: _State, nid: int, c: int, queue: _Queue) -> None:
+        """Insert a concept id into a node label, checking for a clash."""
+        label = state.nodes[nid].label
+        if c in label:
             return
-        if self._dead(node.label, c):
+        if self._dead(label, c):
             raise _Clash
         self._writable(state, nid).label[c] = None
         queue.append((nid, c))
@@ -329,49 +448,41 @@ class TableauReasoner:
             nid, c = queue.popleft()
             self._apply(state, nid, c, queue)
 
-    def _apply(self, state: _State, nid: int, c: ConceptExpr, queue: _Queue) -> None:
-        node = state.nodes[nid]
-        if isinstance(c, And):
-            for a in c.args:
+    def _apply(self, state: _State, nid: int, c: int, queue: _Queue) -> None:
+        kind, parts = self.table.kind[c], self.table.parts[c]
+        if kind == _AND:
+            for a in parts:
                 self._add(state, nid, a, queue)
-        elif isinstance(c, Or):
-            if not any(a in node.label for a in c.args):
+        elif kind == _OR:
+            if state.nodes[nid].label.keys().isdisjoint(parts):
                 state.pending_or.append((nid, c))
-        elif isinstance(c, Exists):
-            succ = self._fresh_node(state)
-            self._writable(state, nid).edges.setdefault(c.role, []).append(succ)
-            self._add(state, succ, c.filler, queue)
-            self._propagate_into(state, nid, c.role, succ, queue)
-        elif isinstance(c, Forall):
-            for succ in list(node.edges.get(c.role, ())):
-                self._add(state, succ, c.filler, queue)
-        elif isinstance(c, AtLeast):
-            for _ in range(c.n):
-                succ = self._fresh_node(state)
-                self._writable(state, nid).edges.setdefault(c.role, []).append(succ)
-                self._add(state, succ, TOP, queue)
-                self._propagate_into(state, nid, c.role, succ, queue)
-        elif isinstance(c, Atom):
-            body = self.kb.tbox.unfolding(c.name)
-            if body is not None:
-                self._add(state, nid, body, queue)
-        elif isinstance(c, Not):
+        elif kind == _EXISTS:
+            self._successor(state, nid, *parts, queue)
+        elif kind == _FORALL:
+            role, filler = parts
+            for succ in list(state.nodes[nid].edges.get(role, ())):
+                self._add(state, succ, filler, queue)
+        elif kind == _ATLEAST:
+            n, role = parts
+            for _ in range(n):
+                self._successor(state, nid, role, _TOP_ID, queue)
+        elif kind == _ATOM or kind == _NOT:
             # Negation goes inward one constructor per rule application, so
             # a negated at-least raises only on a branch that reaches it.
-            if isinstance(c.arg, Atom):
-                body = self.kb.tbox.unfolding(c.arg.name)
-                if body is not None:
-                    self._add(state, nid, Not(body), queue)
-            else:
-                for d in _negate_once(c.arg):
-                    self._add(state, nid, d, queue)
+            for d in self.table.adds(c):
+                self._add(state, nid, d, queue)
 
-    def _propagate_into(self, state: _State, nid: int, role: str,
-                        succ: int, queue: _Queue) -> None:
+    def _successor(self, state: _State, nid: int, role: str, filler: int,
+                   queue: _Queue) -> None:
+        """Give node ``nid`` a fresh ``role``-successor labelled ``filler``."""
+        succ = self._fresh_node(state)
+        self._writable(state, nid).edges.setdefault(role, []).append(succ)
+        self._add(state, succ, filler, queue)
         # value restrictions already present must reach the new successor
+        kind, parts = self.table.kind, self.table.parts
         for d in list(state.nodes[nid].label):
-            if isinstance(d, Forall) and d.role == role:
-                self._add(state, succ, d.filler, queue)
+            if kind[d] == _FORALL and parts[d][0] == role:
+                self._add(state, succ, parts[d][1], queue)
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,11 @@ class TestMscApprox:
                 if previous is not None:
                     assert reasoner.subsumes(previous, concept)
                 previous = concept
-        # the search itself (ROADMAP W2): copy-on-write states must not
-        # change it
+        # the search itself (ROADMAP W2): copy-on-write states and
+        # interned concepts must not change it
         assert reasoner.stats.satisfiability_calls == 33
         assert reasoner.stats.branches_explored == 18_568
+        assert reasoner.stats.node_copies == 58_253
 
     def test_cycle_cut_yields_top_restriction(self):
         kb = parse_kb("C(a)\nR(a, b)\nR(b, a)\n")

@@ -276,7 +276,7 @@ PINNED_ERRORS = [
     (parse_kb, "A(a, b, c)\n", 1, 7, "expected ')', found ','", "SYNTAX"),
     (parse_kb, "A(a) B\n", 1, 6, "unexpected trailing input 'B'", "SYNTAX"),
     (parse_kb, "A(Top)\n",
-     1, 3, "keyword 'Top' cannot be used as a individual name", "SYNTAX"),
+     1, 3, "keyword 'Top' cannot be used as an individual name", "SYNTAX"),
     (parse_concept, "(A and (B or C)",
      1, 16, "expected ')', found 'end of line'", "SYNTAX"),
     (parse_kb, "A := exists R.(B and C\n",

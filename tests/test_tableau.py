@@ -1,23 +1,37 @@
+import random
 from collections import deque
 
 import pytest
 
 from alcsim.canonical import retrieve_canonical
-from alcsim.errors import UnknownIndividual, UnsupportedNegation
+from alcsim.errors import (
+    DefinitionTooDeep,
+    UnknownIndividual,
+    UnsupportedNegation,
+)
 from alcsim.gen import KbShape, random_concept, random_kb
 from alcsim.model import (
+    MAX_UNFOLDED_DEPTH,
+    ABox,
     And,
     AtLeast,
     Atom,
     Bottom,
+    Definition,
+    DefKind,
     Exists,
     Forall,
+    KnowledgeBase,
     Not,
     Or,
     TBox,
     Top,
+    _negate_once,
     nnf,
 )
+from alcsim.msc import msc_approx
+from alcsim.parser import parse_concept, parse_kb
+from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import (
     TableauReasoner,
     abox_consistent,
@@ -210,6 +224,27 @@ class TestDeterminismAndStats:
         assert reasoner.stats.satisfiability_calls == 1
         assert reasoner.stats.branches_explored == branches
 
+    def test_entail_matrix_search(self):
+        # ROADMAP W3: the entail MSC at depth 1 of every individual of
+        # random_kb seeds 0-5, through one memoising engine per KB as
+        # sim_matrix uses it; the counts are those of the search before
+        # the reasoner interned its concepts, and must not move with it
+        shape = KbShape(individuals=6, role_assertions=8, concept_assertions=8)
+        totals = [0, 0, 0, 0]
+        for seed in range(6):
+            kb = random_kb(seed, shape)
+            engine = ExtensionEngine(kb, Backend.ENTAIL, cache_enabled=True)
+            for individual in sorted(kb.individuals):
+                engine.extension(
+                    msc_approx(kb, individual, 1, Backend.ENTAIL, engine).concept)
+            stats = engine._reasoner.stats
+            for i, count in enumerate((stats.instance_checks,
+                                       stats.satisfiability_calls,
+                                       stats.branches_explored,
+                                       stats.node_copies)):
+                totals[i] += count
+        assert totals == [255, 255, 546, 782]
+
 
 def label_and_edges(state):
     return {nid: (list(node.label), {r: list(ids) for r, ids in node.edges.items()})
@@ -233,19 +268,22 @@ class TestCopyOnWrite:
 
     def test_writes_leave_shared_states_unchanged(self, fathers_kb):
         reasoner = TableauReasoner(fathers_kb)
+        concept = reasoner.table.id     # labels hold interned concept ids
         completed, node_of = reasoner._precompleted
         precompleted = label_and_edges(completed)
         vito, leonardo = node_of["Vito"], node_of["Leonardo"]
         parent = completed.copy()
         queue = deque()
-        reasoner._add(parent, vito, Exists("hasChild", Atom("Male")), queue)
+        reasoner._add(parent, vito, concept(Exists("hasChild", Atom("Male"))),
+                      queue)
         reasoner._saturate(parent, queue)
         before = label_and_edges(parent)
         branch = parent.copy()
         queue = deque()
         # a label insert on a shared node and a new edge on a shared node
-        reasoner._add(branch, leonardo, Atom("Parent"), queue)
-        reasoner._add(branch, vito, Exists("hasChild", Atom("Person")), queue)
+        reasoner._add(branch, leonardo, concept(Atom("Parent")), queue)
+        reasoner._add(branch, vito, concept(Exists("hasChild", Atom("Person"))),
+                      queue)
         reasoner._saturate(branch, queue)
         assert label_and_edges(branch) != before
         assert label_and_edges(parent) == before
@@ -254,6 +292,85 @@ class TestCopyOnWrite:
         for name in ("Father", "Parent", "FatherWithoutSons"):
             reasoner.retrieve(Atom(name))
         assert label_and_edges(completed) == precompleted
+
+
+def chain_at_the_limit(levels):
+    """``levels`` nested ``B and exists r.(...)`` around ``B``."""
+    body = Atom("B")
+    for _ in range(levels):
+        body = And((Atom("B"), Exists("r", body)))
+    return body
+
+
+class TestConceptTable:
+    def test_interning_invariants(self):
+        kb = random_kb(3, KbShape())
+        table = TableauReasoner(kb).table
+        rng = random.Random(5)
+        names = sorted(kb.signature.concept_names)
+        roles = sorted(kb.signature.role_names)
+        concepts = [random_concept(rng, names, roles, 2) for _ in range(200)]
+        concepts += [Bottom(), AtLeast(2, roles[0]), Not(AtLeast(1, roles[0]))]
+        ids = [table.id(c) for c in concepts]
+        for c, cid in zip(concepts, ids):
+            assert table.expr[cid] == c
+            # an equal concept built apart gets the same id
+            assert table.id(parse_concept(str(c))) == cid
+            keys = {table.id(Not(c))}
+            if isinstance(c, Not):
+                keys.add(table.id(c.arg))
+            assert set(table.clash_keys(cid)) == keys
+        for c, cid in zip(concepts, ids):
+            for d, did in zip(concepts, ids):
+                assert (cid == did) == (c == d)
+
+    def test_rule_additions_come_from_the_model(self):
+        # the Atom and Not rules add what TBox.unfolding and _negate_once say
+        kb = parse_kb("Male <= Person\nP := A and exists r.Male\nQ := A or not B\n"
+                      "R := forall r.(Q and Top)\nS := not P\nT := Bottom\n"
+                      "U := atleast 1 r\nV := atleast 2 r\nW <= atleast 3 r\n")
+        table = TableauReasoner(kb).table
+        tbox = kb.tbox
+        for name in sorted(kb.signature.concept_names):
+            body = tbox.unfolding(name)
+            unfolded = () if body is None else (table.id(body),)
+            assert table.adds(table.id(Atom(name))) == unfolded
+            negated = () if body is None else (table.id(Not(body)),)
+            assert table.adds(table.id(Not(Atom(name)))) == negated
+            if body is None:
+                continue
+            try:
+                pushed = tuple(table.id(d) for d in _negate_once(body))
+            except UnsupportedNegation:
+                # raised on every call, so each branch that reaches it fails
+                for _ in range(2):
+                    with pytest.raises(UnsupportedNegation):
+                        table.adds(table.id(Not(body)))
+                continue
+            assert table.adds(table.id(Not(body))) == pushed
+
+    def test_definition_at_the_unfolding_limit(self):
+        # D unfolds MAX_UNFOLDED_DEPTH levels deep; equal copies of its
+        # body, compared structurally, used to raise RecursionError
+        levels = (MAX_UNFOLDED_DEPTH - 2) // 2
+        abox = ABox.from_assertions([("D", "a")], [("r", "a", "b")])
+
+        def kb_of(body):
+            tbox = TBox({"D": Definition(DefKind.EQUIV, body)})
+            return KnowledgeBase.assemble(tbox, abox)
+
+        with pytest.raises(DefinitionTooDeep):
+            kb_of(Exists("r", chain_at_the_limit(levels)))
+        reasoner = TableauReasoner(kb_of(chain_at_the_limit(levels)))
+        D = Atom("D")
+        assert reasoner.is_satisfiable(D)
+        assert reasoner.is_satisfiable(Not(D))
+        assert reasoner.instance_check("a", D)
+        assert not reasoner.instance_check("b", D)
+        copy = chain_at_the_limit(levels)
+        assert reasoner.instance_check("a", copy)
+        assert reasoner.subsumes(copy, D) and reasoner.subsumes(D, copy)
+        assert not reasoner.is_satisfiable(And((D, Not(copy))))
 
 
 class TestCanonicalCoherence:
