@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cluster import LINKAGES, cluster_matrix, render_dendrogram
 from .errors import AlcsimError
@@ -190,15 +191,17 @@ def cmd_sim(cfg: RunConfig, x_text: str, y_text: str) -> int:
     return EXIT_OK
 
 
-def _item_labels(items: list[Item]) -> list[str]:
-    return [item if isinstance(item, str) else str(item) for item in items]
+def _labelled_matrix(cfg: RunConfig, item_texts: list[str]
+                     ) -> tuple[list[str], list[list[Fraction]]]:
+    """Load the KB, resolve the items and return their labels and matrix."""
+    kb = cfg.load()
+    items = [_resolve_item(kb, text) for text in item_texts]
+    labels = [item if isinstance(item, str) else str(item) for item in items]
+    return labels, sim_matrix(kb, items, cfg.msc_depth, cfg.backend)
 
 
 def cmd_matrix(cfg: RunConfig, item_texts: list[str]) -> int:
-    kb = cfg.load()
-    items = [_resolve_item(kb, text) for text in item_texts]
-    labels = _item_labels(items)
-    matrix = sim_matrix(kb, items, cfg.msc_depth, cfg.backend)
+    labels, matrix = _labelled_matrix(cfg, item_texts)
     if cfg.output == "json":
         print(json.dumps({
             "labels": labels,
@@ -222,10 +225,7 @@ def cmd_matrix(cfg: RunConfig, item_texts: list[str]) -> int:
 
 
 def cmd_cluster(cfg: RunConfig, item_texts: list[str], linkage: str) -> int:
-    kb = cfg.load()
-    items = [_resolve_item(kb, text) for text in item_texts]
-    labels = _item_labels(items)
-    matrix = sim_matrix(kb, items, cfg.msc_depth, cfg.backend)
+    labels, matrix = _labelled_matrix(cfg, item_texts)
     dendrogram = cluster_matrix(labels, matrix, linkage)
     if cfg.output == "json":
         print(json.dumps({

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import CyclicTBox, DefinitionTooDeep, UnsupportedNegation
 
@@ -302,6 +303,15 @@ class ABox:
         )
         return cls(cas, ras, inds)
 
+    @cached_property
+    def successors(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """Asserted successors, source -> role -> targets, in sorted order."""
+        index: dict[str, dict[str, list[str]]] = {}
+        for role, source, target in sorted(self.role_assertions):
+            index.setdefault(source, {}).setdefault(role, []).append(target)
+        return {source: {role: tuple(targets) for role, targets in out.items()}
+                for source, out in index.items()}
+
 
 EMPTY_ABOX = ABox.from_assertions((), ())
 
@@ -310,7 +320,6 @@ EMPTY_ABOX = ABox.from_assertions((), ())
 class Signature:
     concept_names: frozenset[str]
     role_names: frozenset[str]
-    individuals: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -326,7 +335,7 @@ class KnowledgeBase:
         concepts.update(tbox.definitions)
         concepts.update(c for c, _ in abox.concept_assertions)
         roles.update(r for r, _, _ in abox.role_assertions)
-        sig = Signature(frozenset(concepts), frozenset(roles), abox.individuals)
+        sig = Signature(frozenset(concepts), frozenset(roles))
         return cls(tbox, abox, sig)
 
     @property

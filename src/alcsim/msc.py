@@ -56,11 +56,10 @@ def abox_depth(kb: KnowledgeBase) -> int:
     edge.  Computed by exhaustive depth-first search with a per-path
     visited set; fine for the KB sizes this toolkit targets.
     """
-    edges: dict[str, set[str]] = {}
-    for _, source, target in kb.abox.role_assertions:
-        if source != target:
-            edges.setdefault(source, set()).add(target)
-    adjacency = {s: sorted(ts) for s, ts in edges.items()}
+    adjacency = {
+        source: sorted({t for ts in out.values() for t in ts} - {source})
+        for source, out in kb.abox.successors.items()
+    }
 
     best = 0
 
@@ -101,19 +100,18 @@ def _roll_up(kb: KnowledgeBase, individual: str, depth: int, top: T,
     node one level down, or ``top`` when the target is already on the
     current path.
     """
-    out_edges: dict[str, list[tuple[str, str]]] = {}
-    for role, source, target in sorted(kb.abox.role_assertions):
-        out_edges.setdefault(source, []).append((role, target))
+    successors = kb.abox.successors
 
     def visit(x: str, d: int, visited: frozenset[str]) -> T:
         parts: list[T] = []
         if d > 0:
-            for role, target in out_edges.get(x, ()):
-                if target in visited:
-                    filler = top
-                else:
-                    filler = visit(target, d - 1, visited | {target})
-                parts.append(exists(role, filler))
+            for role, targets in successors.get(x, {}).items():
+                for target in targets:
+                    if target in visited:
+                        filler = top
+                    else:
+                        filler = visit(target, d - 1, visited | {target})
+                    parts.append(exists(role, filler))
         return conjoin(x, parts)
 
     return visit(individual, depth, frozenset((individual,)))
@@ -127,20 +125,19 @@ def msc_approx(kb: KnowledgeBase, individual: str,
 
     ``depth=None`` uses the ABox depth.  The individual always belongs to
     the retrieval of the returned concept under the chosen backend.  An
-    ``engine`` for the same backend with its memo on shares the
-    concept-name retrievals across calls.
+    ``engine``, which must be for that backend, shares its concept-name
+    extensions across calls.
     """
     depth = _checked_depth(kb, individual, depth)
     if engine is None:
         engine = ExtensionEngine(kb, backend)
-
-    name_ext = {
-        name: engine.extension(Atom(name))
-        for name in sorted(kb.signature.concept_names)
-    }
+    elif engine.backend is not backend:
+        raise ValueError(f"a {engine.backend.value} engine cannot compute "
+                         f"a {backend.value} MSC")
+    name_exts = engine.name_extensions
 
     def conjoin(x: str, parts: list[ConceptExpr]) -> ConceptExpr:
-        names = [Atom(name) for name, ext in name_ext.items() if x in ext]
+        names = [Atom(name) for name, ext in name_exts.items() if x in ext]
         return make_and(names + parts)
 
     concept = normalize(_roll_up(kb, individual, depth, TOP, Exists, conjoin))
@@ -160,15 +157,13 @@ def msc_extension(kb: KnowledgeBase, individual: str,
     compositional and a roll-up has no negation, disjunction or value
     restriction, so the normalisation that ``msc_approx`` applies cannot
     change the extension and the two are equal.  ``engine`` must be a
-    canonical engine; with its memo on it shares the concept-name
-    retrievals across calls.
+    canonical engine; it shares its concept-name extensions across calls.
     """
     depth = _checked_depth(kb, individual, depth)
     if engine is None:
         engine = ExtensionEngine(kb)
     model = engine.canonical_model()
-    name_exts = [engine.extension(Atom(name))
-                 for name in sorted(kb.signature.concept_names)]
+    name_exts = engine.name_extensions.values()
     # intersection of the extensions of the names that hold for x
     names_meet: dict[str, frozenset[str]] = {}
 

@@ -3,9 +3,10 @@
 Concept extensions can be computed two ways: closed-world evaluation
 over the canonical interpretation (the default) or open-world
 entailment checking via the tableau.  :class:`ExtensionEngine` hides the
-choice behind one call and counts how many extensions were actually
-computed, which makes the cost accounting of the similarity measure
-observable.
+choice behind one call and counts every extension it computes, which
+makes the cost accounting of the similarity measure observable.  The
+concept-name extensions that every MSC roll-up reads are computed once
+per engine, and there is no other extension cache.
 
 An entail extension is taken conjunct by conjunct, and a tableau
 instance check is made only where no cheaper rule decides membership:
@@ -48,17 +49,14 @@ class Backend(Enum):
 class ExtensionEngine:
     """Computes concept extensions for one KB under one backend.
 
-    ``computations`` counts actual extension computations; with the
-    optional cache enabled, repeated queries for a syntactically equal
-    concept are served from memory and not counted.
+    ``computations`` counts every call of :meth:`extension`: no
+    extension is served from memory.  :attr:`name_extensions` makes
+    one call per concept name, once per engine.
     """
 
     kb: KnowledgeBase
     backend: Backend = Backend.CANONICAL
-    cache_enabled: bool = False
     computations: int = 0
-    _cache: dict[ConceptExpr, frozenset[str]] = field(default_factory=dict,
-                                                      repr=False)
     _model: CanonicalModel | None = field(default=None, repr=False)
     _reasoner: TableauReasoner | None = field(default=None, repr=False)
     # entail backend: concept -> individual -> entailed?
@@ -66,19 +64,19 @@ class ExtensionEngine:
                                                          repr=False)
 
     def extension(self, c: ConceptExpr) -> frozenset[str]:
-        if self.cache_enabled and c in self._cache:
-            return self._cache[c]
         self.computations += 1
         if self.backend is Backend.CANONICAL:
-            ext = eval_concept(self.canonical_model(), self.kb.tbox, c)
-        else:
-            try:
-                ext = self._entailed(c, self.kb.abox.individuals)
-            except AlcsimError:   # raised by a check, so there is a reasoner
-                ext = self._reasoner.retrieve(c)
-        if self.cache_enabled:
-            self._cache[c] = ext
-        return ext
+            return eval_concept(self.canonical_model(), self.kb.tbox, c)
+        try:
+            return self._entailed(c, self.kb.abox.individuals)
+        except AlcsimError:   # raised by a check, so there is a reasoner
+            return self._reasoner.retrieve(c)
+
+    @cached_property
+    def name_extensions(self) -> dict[str, frozenset[str]]:
+        """The extension of each concept name, names in sorted order."""
+        return {name: self.extension(Atom(name))
+                for name in sorted(self.kb.signature.concept_names)}
 
     def canonical_model(self) -> CanonicalModel:
         """The KB's canonical model, built on first use (canonical backend only)."""
@@ -99,21 +97,14 @@ class ExtensionEngine:
                 candidates = self._entailed(conjunct, candidates)
             return candidates
         if isinstance(c, Exists):
-            succ = {a: self._successors.get((c.role, a), ()) for a in candidates}
+            out = self.kb.abox.successors
+            succ = {a: out.get(a, {}).get(c.role, ()) for a in candidates}
             filler = self._entailed(
                 c.filler, frozenset(b for bs in succ.values() for b in bs))
             told = frozenset(a for a, bs in succ.items()
                              if not filler.isdisjoint(bs))
             return told | self._checked(c, candidates - told)
         return self._checked(c, candidates)
-
-    @cached_property
-    def _successors(self) -> dict[tuple[str, str], list[str]]:
-        """Asserted role successors, keyed by (role, source)."""
-        successors: dict[tuple[str, str], list[str]] = {}
-        for role, source, target in self.kb.abox.role_assertions:
-            successors.setdefault((role, source), []).append(target)
-        return successors
 
     def _checked(self, c: ConceptExpr,
                  candidates: frozenset[str]) -> frozenset[str]:

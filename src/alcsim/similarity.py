@@ -165,13 +165,14 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
                backend: Backend = Backend.CANONICAL) -> list[list[Fraction]]:
     """Symmetric matrix of pairwise similarities.
 
-    One engine serves the whole matrix, so the concept-name retrievals
-    are shared.  Each item's extension is computed once, an individual's
-    from one MSC roll-up, and a cell intersects two extensions.
+    One engine serves the whole matrix, so each concept name's extension
+    is computed once for all roll-ups.  Each item's extension is computed
+    once, an individual's from one MSC roll-up, and a cell intersects two
+    extensions.
     """
     if not items:
         raise ValueError("items must be non-empty")
-    engine = ExtensionEngine(kb, backend, cache_enabled=True)
+    engine = ExtensionEngine(kb, backend)
     if depth is None and any(isinstance(item, str) for item in items):
         depth = abox_depth(kb)
 

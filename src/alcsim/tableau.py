@@ -339,9 +339,10 @@ class TableauReasoner:
             nid = self._fresh_node(state)
             state.nodes[nid].is_named = True
             node_of[name] = nid
-        for role, source, target in sorted(self.kb.abox.role_assertions):
-            edges = state.nodes[node_of[source]].edges
-            edges.setdefault(role, []).append(node_of[target])
+        for source, out in self.kb.abox.successors.items():
+            state.nodes[node_of[source]].edges.update(
+                (role, [node_of[t] for t in targets])
+                for role, targets in out.items())
         for concept, individual in sorted(self.kb.abox.concept_assertions):
             self._add(state, node_of[individual], self.table.id(Atom(concept)),
                       queue)

@@ -44,6 +44,19 @@ def rand_concepts(count, *, depth=3, seed=0, el_only=False):
     ]
 
 
+def assert_successors_oracle(abox):
+    """``ABox.successors`` flattened is ``role_assertions``, tuples sorted."""
+    flat = [(role, source, target)
+            for source, out in abox.successors.items()
+            for role, targets in out.items() for target in targets]
+    assert len(flat) == len(abox.role_assertions)
+    assert set(flat) == abox.role_assertions
+    for out in abox.successors.values():
+        assert list(out) == sorted(out)
+        for targets in out.values():
+            assert isinstance(targets, tuple) and list(targets) == sorted(targets)
+
+
 def assert_not_only_above_atoms(c):
     if isinstance(c, Not):
         assert isinstance(c.arg, Atom)
@@ -263,12 +276,27 @@ class TestContainers:
         abox = ABox.from_assertions([("C", "a")], [("R", "a", "b")])
         assert abox.individuals == {"a", "b"}
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_successors_index_random_kbs(self, seed):
+        assert_successors_oracle(random_kb(seed).abox)
+
+    def test_successors_index_edge_cases(self):
+        assert EMPTY_ABOX.successors == {}
+        loop = ABox.from_assertions([("C", "c")], [("R", "a", "a")])
+        assert loop.successors == {"a": {"R": ("a",)}}
+        assert_successors_oracle(loop)
+        abox = ABox.from_assertions((), [("S", "a", "b"), ("R", "a", "c"),
+                                         ("R", "a", "b"), ("R", "b", "a")])
+        assert abox.successors == {"a": {"R": ("b", "c"), "S": ("b",)},
+                                   "b": {"R": ("a",)}}
+        assert_successors_oracle(abox)
+
     def test_signature_covers_tbox_and_abox(self, family_kb):
         sig = family_kb.signature
         assert "Uncle" in sig.concept_names          # occurs only in a body
         assert "HasGrandParent" in sig.role_names
-        assert "Nicola" in sig.individuals
-        assert len(sig.individuals) == 11
+        assert "Nicola" in family_kb.individuals
+        assert len(family_kb.individuals) == 11
 
     def test_signature_names_under_every_constructor(self):
         tbox = TBox({

@@ -189,7 +189,7 @@ class TestMscExtension:
         assert_matches_concept_path(kb, (0, 1, 2, 3, 4))
 
     def test_shared_engine(self, family_kb):
-        engine = ExtensionEngine(family_kb, cache_enabled=True)
+        engine = ExtensionEngine(family_kb)
         for individual in sorted(family_kb.individuals):
             assert msc_extension(family_kb, individual, 2, engine) == (
                 concept_path_extension(family_kb, individual, 2))
@@ -208,6 +208,16 @@ class TestMscExtension:
         engine = ExtensionEngine(fathers_kb, Backend.ENTAIL)
         with pytest.raises(ValueError):
             msc_extension(fathers_kb, "Leonardo", 1, engine)
+
+    def test_engine_of_another_backend_rejected(self):
+        # the result is labelled with ``backend``, so the engine must match it
+        kb = random_kb(0)
+        with pytest.raises(ValueError):
+            msc_approx(kb, "a", 1, engine=ExtensionEngine(kb, Backend.ENTAIL))
+        with pytest.raises(ValueError):
+            msc_approx(kb, "a", 1, Backend.ENTAIL, ExtensionEngine(kb))
+        assert msc_approx(kb, "a", 1, engine=ExtensionEngine(kb)) == (
+            msc_approx(kb, "a", 1))
 
 
 def walk_exists(c):

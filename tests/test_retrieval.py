@@ -22,8 +22,8 @@ def outcome(compute):
 
 
 def assert_engine_matches_retrieve(kb, concepts):
-    # one memoising engine for all concepts, as sim_matrix uses it
-    engine = ExtensionEngine(kb, Backend.ENTAIL, cache_enabled=True)
+    # one engine for all concepts, as sim_matrix uses it
+    engine = ExtensionEngine(kb, Backend.ENTAIL)
     for c in concepts:
         expected = outcome(lambda: TableauReasoner(kb).retrieve(c))
         assert outcome(lambda: engine.extension(c)) == expected, str(c)
@@ -75,6 +75,32 @@ class TestEngineOracle:
             TableauReasoner(kb).instance_check("x", Atom("P"))
         assert TableauReasoner(kb).retrieve(c) == frozenset()
         assert ExtensionEngine(kb, Backend.ENTAIL).extension(c) == frozenset()
+
+
+def plain_name_extensions(kb, backend):
+    """Each concept name's extension, or error type, from a fresh engine."""
+    return {name: outcome(lambda: ExtensionEngine(kb, backend).extension(
+                Atom(name)))
+            for name in sorted(kb.signature.concept_names)}
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+@pytest.mark.parametrize("source", ["family_kb", "fathers_kb", *range(20)])
+def test_name_extensions_match_plain_path(source, backend, request):
+    kb = (request.getfixturevalue(source) if isinstance(source, str)
+          else random_kb(source))
+    expected = plain_name_extensions(kb, backend)
+    errors = [answer for answer in expected.values()
+              if isinstance(answer, type)]
+    engine = ExtensionEngine(kb, backend)
+    got = outcome(lambda: engine.name_extensions)
+    if errors:
+        assert got == errors[0]
+    else:
+        assert got == expected
+        assert list(got) == list(expected)      # names in sorted order
+        assert engine.computations == len(expected)
+        assert engine.name_extensions is got    # computed once
 
 
 # Three ABoxes whose checks fail in three ways; the values are those of

@@ -256,6 +256,14 @@ class TestMatrixCost:
         assert len(depth_calls) <= 1
         assert len(builds) == 1
 
+    def test_one_extension_per_concept_name(self, family_kb, monkeypatch):
+        # every roll-up reads the engine's name extensions, computed once
+        calls = count_calls(monkeypatch, "extension",
+                            retrieval.ExtensionEngine)
+        sim_matrix(family_kb, sorted(family_kb.individuals))
+        names = sorted(family_kb.signature.concept_names)
+        assert [concept for _, concept in calls] == [Atom(n) for n in names]
+
     def test_entail_builds_one_msc_per_individual(self, fathers_kb,
                                                   monkeypatch):
         rollups = count_calls(monkeypatch, "msc_extension", similarity)

@@ -226,14 +226,14 @@ class TestDeterminismAndStats:
 
     def test_entail_matrix_search(self):
         # ROADMAP W3: the entail MSC at depth 1 of every individual of
-        # random_kb seeds 0-5, through one memoising engine per KB as
+        # random_kb seeds 0-5, through one engine per KB as
         # sim_matrix uses it; the counts are those of the search before
         # the reasoner interned its concepts, and must not move with it
         shape = KbShape(individuals=6, role_assertions=8, concept_assertions=8)
         totals = [0, 0, 0, 0]
         for seed in range(6):
             kb = random_kb(seed, shape)
-            engine = ExtensionEngine(kb, Backend.ENTAIL, cache_enabled=True)
+            engine = ExtensionEngine(kb, Backend.ENTAIL)
             for individual in sorted(kb.individuals):
                 engine.extension(
                     msc_approx(kb, individual, 1, Backend.ENTAIL, engine).concept)
