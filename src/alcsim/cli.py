@@ -46,7 +46,7 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         return cls(
             kb_path=args.kb,
-            backend=Backend(args.backend),
+            backend=Backend(getattr(args, "backend", "canonical")),
             msc_depth=getattr(args, "depth", None),
             output=args.format,
         )
@@ -271,11 +271,13 @@ def _depth_arg(value: str) -> int | None:
     return depth
 
 
-def _add_common(parser: argparse.ArgumentParser, *, depth: bool = False) -> None:
-    parser.add_argument("--backend", choices=["entail", "canonical"],
-                        default="canonical")
-    parser.add_argument("--format", choices=["text", "json", "csv"],
-                        default="text")
+def _add_common(parser: argparse.ArgumentParser, *, backend: bool = True,
+                depth: bool = False,
+                formats: tuple[str, ...] = ("text", "json")) -> None:
+    if backend:
+        parser.add_argument("--backend", choices=["entail", "canonical"],
+                            default="canonical")
+    parser.add_argument("--format", choices=formats, default="text")
     if depth:
         parser.add_argument("--depth", type=_depth_arg, default=None,
                             metavar="N|auto",
@@ -297,14 +299,14 @@ def build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="parse a KB and report its shape and consistency")
     p.add_argument("kb")
-    _add_common(p)
+    _add_common(p, backend=False)
 
     p = sub.add_parser("subsumes",
                        help="is the first concept subsumed by the second?")
     p.add_argument("kb")
     p.add_argument("sub", help="candidate subsumee")
     p.add_argument("super", help="candidate subsumer")
-    _add_common(p)
+    _add_common(p, backend=False)
 
     p = sub.add_parser("retrieve", help="individuals in a concept's extension")
     p.add_argument("kb")
@@ -325,7 +327,7 @@ def build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="pairwise similarity matrix")
     p.add_argument("kb")
     p.add_argument("items", nargs="+")
-    _add_common(p, depth=True)
+    _add_common(p, depth=True, formats=("text", "json", "csv"))
 
     p = sub.add_parser("cluster", help="agglomerative clustering of items")
     p.add_argument("kb")

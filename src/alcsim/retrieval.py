@@ -56,12 +56,13 @@ class ExtensionEngine:
 
     kb: KnowledgeBase
     backend: Backend = Backend.CANONICAL
-    computations: int = 0
-    _model: CanonicalModel | None = field(default=None, repr=False)
-    _reasoner: TableauReasoner | None = field(default=None, repr=False)
+    computations: int = field(default=0, init=False)
+    _model: CanonicalModel | None = field(default=None, init=False, repr=False)
+    _reasoner: TableauReasoner | None = field(
+        default=None, init=False, repr=False)
     # entail backend: concept -> individual -> entailed?
-    _checks: dict[ConceptExpr, dict[str, bool]] = field(default_factory=dict,
-                                                         repr=False)
+    _checks: dict[ConceptExpr, dict[str, bool]] = field(
+        default_factory=dict, init=False, repr=False)
 
     def extension(self, c: ConceptExpr) -> frozenset[str]:
         self.computations += 1

@@ -11,9 +11,10 @@ otherwise.  Individuals are compared through their most-specific-concept
 approximations.
 
 Values are exact rationals; any rounding happens at the presentation
-layer only.  Each single-pair comparison performs exactly three
-extension computations (for C, D and their conjunction), and the
-reports carry the counters so the cost model is observable.
+layer only.  ``sim_pair`` computes every pair report on one extension
+engine: the MSC roll-ups share its concept-name extensions, uncounted,
+and the report counts the three extension computations for C, D and
+their conjunction, so the cost model is observable.
 
 A matrix over n items costs one extension per item and n^2 set
 intersections: on both backends ext(C and D) = ext(C) & ext(D).
@@ -99,29 +100,46 @@ def sim_formula(n_c: int, n_d: int, n_i: int) -> Fraction:
     return overlap * incidence
 
 
-def _compare(kb: KnowledgeBase, c: ConceptExpr, d: ConceptExpr,
-             backend: Backend, msc_computations: int,
-             msc_depth: int | None) -> SimilarityReport:
+def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
+             depth: int | None = None,
+             backend: Backend = Backend.CANONICAL) -> SimilarityReport:
+    """Similarity of two items, each a concept or an individual name.
+
+    The one implementation of the measure.  One engine serves the request:
+    each individual is replaced by its MSC approximation at ``depth``
+    (``None``: the ABox depth, searched once), and the same engine then
+    computes ext(C), ext(D) and ext(C and D).  The concept-name extensions
+    the roll-ups read are shared with those three and are not counted in
+    ``extension_computations``, so every report reads 3.
+    """
     engine = ExtensionEngine(kb, backend)
-    ext_c = engine.extension(c)
-    ext_d = engine.extension(d)
-    ext_i = engine.extension(And((c, d)))
+    individuals = [item for item in (x, y) if isinstance(item, str)]
+    if not individuals:
+        depth = None
+    elif depth is None:
+        depth = abox_depth(kb)
+    c, d = [msc_approx(kb, item, depth, backend, engine).concept
+            if isinstance(item, str) else item for item in (x, y)]
+    before = engine.computations
+    n_c = len(engine.extension(c))
+    n_d = len(engine.extension(d))
+    n_i = len(engine.extension(And((c, d))))
     return SimilarityReport(
-        value=sim_formula(len(ext_c), len(ext_d), len(ext_i)),
-        ext_c=len(ext_c),
-        ext_d=len(ext_d),
-        ext_i=len(ext_i),
+        value=sim_formula(n_c, n_d, n_i),
+        ext_c=n_c,
+        ext_d=n_d,
+        ext_i=n_i,
         backend=backend,
-        extension_computations=engine.computations,
-        msc_computations=msc_computations,
-        msc_depth=msc_depth,
+        extension_computations=engine.computations - before,
+        msc_computations=len(individuals),
+        msc_depth=depth,
     )
 
 
 def sim_concepts(kb: KnowledgeBase, c: ConceptExpr, d: ConceptExpr,
                  backend: Backend = Backend.CANONICAL) -> SimilarityReport:
     """Similarity of two concept descriptions over the knowledge base."""
-    return _compare(kb, c, d, backend, 0, None)
+    return sim_pair(kb, c, d, None, backend)
 
 
 def sim_individual_concept(kb: KnowledgeBase, individual: str, c: ConceptExpr,
@@ -129,35 +147,14 @@ def sim_individual_concept(kb: KnowledgeBase, individual: str, c: ConceptExpr,
                            backend: Backend = Backend.CANONICAL
                            ) -> SimilarityReport:
     """Similarity of an individual (via its MSC approximation) and a concept."""
-    msc = msc_approx(kb, individual, depth, backend)
-    return _compare(kb, msc.concept, c, backend, 1, msc.depth)
+    return sim_pair(kb, individual, c, depth, backend)
 
 
 def sim_individuals(kb: KnowledgeBase, a: str, b: str,
                     depth: int | None = None,
                     backend: Backend = Backend.CANONICAL) -> SimilarityReport:
     """Similarity of two individuals via their MSC approximations."""
-    if depth is None:
-        depth = abox_depth(kb)
-    msc_a = msc_approx(kb, a, depth, backend)
-    msc_b = msc_approx(kb, b, depth, backend)
-    return _compare(kb, msc_a.concept, msc_b.concept, backend, 2, msc_a.depth)
-
-
-def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
-             depth: int | None = None,
-             backend: Backend = Backend.CANONICAL) -> SimilarityReport:
-    """Dispatch on the argument kinds (concept or individual name)."""
-    x_ind = isinstance(x, str)
-    y_ind = isinstance(y, str)
-    if x_ind and y_ind:
-        return sim_individuals(kb, x, y, depth, backend)
-    if x_ind:
-        return sim_individual_concept(kb, x, y, depth, backend)
-    if y_ind:
-        msc_y = msc_approx(kb, y, depth, backend)
-        return _compare(kb, x, msc_y.concept, backend, 1, msc_y.depth)
-    return sim_concepts(kb, x, y, backend)
+    return sim_pair(kb, a, b, depth, backend)
 
 
 def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],

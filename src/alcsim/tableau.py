@@ -195,17 +195,13 @@ class ConceptTable:
 
 @dataclass
 class TableauNode:
-    id: int
     label: dict[int, None]                # insertion-ordered set of concept ids
     edges: dict[str, list[int]]
-    is_named: bool = False
 
     def copy(self) -> "TableauNode":
         return TableauNode(
-            self.id,
             dict(self.label),
             {role: list(ids) for role, ids in self.edges.items()},
-            self.is_named,
         )
 
 
@@ -224,13 +220,12 @@ class _State:
     """
 
     nodes: dict[int, TableauNode]
-    next_id: int
     pending_or: list[tuple[int, int]] = field(default_factory=list)
     owned: set[int] = field(default_factory=set)
 
     def copy(self) -> "_State":
         self.owned = set()
-        return _State(dict(self.nodes), self.next_id, list(self.pending_or))
+        return _State(dict(self.nodes), list(self.pending_or))
 
 
 _Queue = deque  # of (node id, concept id) pairs awaiting rule application
@@ -256,7 +251,7 @@ class TableauReasoner:
 
     def is_satisfiable(self, c: ConceptExpr) -> bool:
         self.stats.satisfiability_calls += 1
-        state = _State(nodes={}, next_id=0)
+        state = _State(nodes={})
         queue: _Queue = deque()
         nid = self._fresh_node(state)
         try:
@@ -332,13 +327,11 @@ class TableauReasoner:
         return state, node_of
 
     def _abox_state(self) -> tuple[_State, dict[str, int], _Queue]:
-        state = _State(nodes={}, next_id=0)
+        state = _State(nodes={})
         queue: _Queue = deque()
         node_of: dict[str, int] = {}
         for name in sorted(self.kb.abox.individuals):
-            nid = self._fresh_node(state)
-            state.nodes[nid].is_named = True
-            node_of[name] = nid
+            node_of[name] = self._fresh_node(state)
         for source, out in self.kb.abox.successors.items():
             state.nodes[node_of[source]].edges.update(
                 (role, [node_of[t] for t in targets])
@@ -349,9 +342,8 @@ class TableauReasoner:
         return state, node_of, queue
 
     def _fresh_node(self, state: _State) -> int:
-        nid = state.next_id
-        state.next_id += 1
-        state.nodes[nid] = TableauNode(nid, {}, {})
+        nid = len(state.nodes)      # nodes are never removed
+        state.nodes[nid] = TableauNode({}, {})
         state.owned.add(nid)
         return nid
 

@@ -200,6 +200,36 @@ class TestRetrieve:
         assert "--cache" in capsys.readouterr().err
 
 
+class TestOptionsPerCommand:
+    """A subcommand offers only the options it reads; any other is a usage
+    error, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--backend", "entail"],
+        ["check", "--backend", "canonical"],
+        ["subsumes", "Father", "Parent", "--backend", "entail"],
+        ["subsumes", "Father", "Parent", "--backend", "canonical"],
+        ["check", "--format", "csv"],
+        ["subsumes", "Father", "Parent", "--format", "csv"],
+        ["retrieve", "Father", "--format", "csv"],
+        ["msc", "Vito", "--format", "csv"],
+        ["sim", "Father", "Parent", "--format", "csv"],
+        ["cluster", "Father", "Parent", "--format", "csv"],
+    ])
+    def test_unread_option_is_exit_2(self, capsys, fathers_path, argv):
+        argv.insert(1, fathers_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_tableau_commands_run_without_backend(self, capsys, fathers_path):
+        assert run(capsys, "check", fathers_path, "--format", "json")[0] == 0
+        assert run(capsys, "subsumes", fathers_path, "Father", "Parent")[0] == 0
+
+
 class TestArgparserReuse:
     @pytest.fixture
     def parsers_built(self, monkeypatch):

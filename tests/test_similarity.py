@@ -288,6 +288,86 @@ class TestMatrixCost:
         assert len(depth_calls) == 1
         assert report.msc_depth == 10
 
+    def test_individual_pair_builds_one_canonical_model(self, family_kb,
+                                                         monkeypatch):
+        # both MSC roll-ups and the three extensions share one engine
+        builds = count_calls(monkeypatch, "build_canonical", retrieval)
+        report = sim_individuals(family_kb, "Claudia", "Tiziana")
+        assert len(builds) == 1
+        assert report.value == Fraction(1, 2)
+        assert report.extension_computations == 3
+
+    def test_entail_individual_pair_builds_one_reasoner(self, fathers_kb,
+                                                        monkeypatch):
+        reasoners = count_calls(monkeypatch, "TableauReasoner", retrieval)
+        report = sim_pair(fathers_kb, "Leonardo", "Vito",
+                          backend=Backend.ENTAIL)
+        assert len(reasoners) == 1
+        assert report.extension_computations == 3
+        assert report.msc_computations == 2
+
+
+def plain_report(kb, x, y, depth, backend):
+    """A pair report the plain way: a fresh MSC per individual, then a
+    fresh engine for C, D and C and D."""
+    mscs = []
+
+    def concept(item):
+        if isinstance(item, str):
+            mscs.append(msc.msc_approx(kb, item, depth, backend))
+            return mscs[-1].concept
+        return item
+
+    c, d = concept(x), concept(y)
+    engine = retrieval.ExtensionEngine(kb, backend)
+    n_c = len(engine.extension(c))
+    n_d = len(engine.extension(d))
+    n_i = len(engine.extension(And((c, d))))
+    return SimilarityReport(sim_formula(n_c, n_d, n_i), n_c, n_d, n_i,
+                            backend, 3, len(mscs),
+                            mscs[0].depth if mscs else None)
+
+
+def outcome(compute, *args):
+    try:
+        return compute(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestPairOracle:
+    """``sim_pair`` on one shared engine against the plain path, for every
+    order of item kinds."""
+
+    def kbs(self, family_kb, fathers_kb):
+        yield family_kb, ("Claudia", "Tiziana")
+        yield fathers_kb, ("Leonardo", "Vito")
+        rng = random.Random(12)
+        for seed in range(20):
+            kb = random_kb(seed)
+            yield kb, tuple(rng.sample(sorted(kb.individuals), 2))
+
+    def test_every_kind_order_on_both_backends(self, family_kb, fathers_kb):
+        rng = random.Random(13)
+        compared = raised = 0
+        for kb, (a, b) in self.kbs(family_kb, fathers_kb):
+            names = sorted(kb.signature.concept_names)
+            c = Atom(rng.choice(names))
+            d = random_concept(rng, names, ("r", "s"), 2)
+            for x, y in ((c, d), (a, d), (c, b), (a, b)):
+                for backend in Backend:
+                    for depth in (None, 1):
+                        got = outcome(sim_pair, kb, x, y, depth, backend)
+                        want = outcome(plain_report, kb, x, y, depth, backend)
+                        assert got == want, (x, y, depth, backend)
+                        if isinstance(got, SimilarityReport):
+                            assert got.extension_computations == 3
+                            compared += 1
+                        else:
+                            raised += 1
+        assert compared > 300
+        assert raised > 0
+
 
 class TestJsonReport:
     def test_round_trip(self, family_kb):
