@@ -3,6 +3,10 @@
 Exit codes are a stable contract for scripting: 0 for success (or "the
 queried relationship holds"), 1 for a negative answer (subsumption does
 not hold, KB inconsistent), 2 for usage, parse or internal errors.
+
+Each ``cmd_*`` handler takes the parsed ``argparse.Namespace`` and reads
+only the options its own subcommand defines; ``_HANDLERS`` is the one map
+from subcommand to handler.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .cluster import LINKAGES, cluster_matrix, render_dendrogram
 from .errors import AlcsimError
@@ -35,33 +39,17 @@ class CliError(Exception):
     """User-facing failure; message printed to stderr, exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    kb_path: str
-    backend: Backend = Backend.CANONICAL
-    msc_depth: int | None = None        # None = ABox depth
-    output: str = "text"                # text | json | csv
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            kb_path=args.kb,
-            backend=Backend(getattr(args, "backend", "canonical")),
-            msc_depth=getattr(args, "depth", None),
-            output=args.format,
-        )
-
-    def load(self) -> KnowledgeBase:
-        try:
-            with open(self.kb_path, encoding="utf-8") as handle:
-                return parse_kb(handle.read())
-        except OSError as exc:
-            raise CliError(f"cannot read {self.kb_path}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise CliError(f"cannot read {self.kb_path}: not UTF-8 "
-                           f"(byte {exc.start}: {exc.reason})") from exc
-        except ParseError as exc:
-            raise CliError(f"{self.kb_path}:{exc}") from exc
+def _load(path: str) -> KnowledgeBase:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_kb(handle.read())
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 "
+                       f"(byte {exc.start}: {exc.reason})") from exc
+    except ParseError as exc:
+        raise CliError(f"{path}:{exc}") from exc
 
 
 def _parse_concept_arg(text: str) -> ConceptExpr:
@@ -99,13 +87,13 @@ def _resolve_item(kb: KnowledgeBase, text: str) -> Item:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_check(cfg: RunConfig) -> int:
-    kb = cfg.load()
+def cmd_check(args: argparse.Namespace) -> int:
+    kb = _load(args.kb)
     consistent = TableauReasoner(kb).abox_consistent()
     n_defs = len(kb.tbox.definitions)
     n_asserts = len(kb.abox.concept_assertions) + len(kb.abox.role_assertions)
     n_inds = len(kb.individuals)
-    if cfg.output == "json":
+    if args.format == "json":
         print(json.dumps({
             "consistent": consistent,
             "acyclic": True,
@@ -120,12 +108,12 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK if consistent else EXIT_NO
 
 
-def cmd_subsumes(cfg: RunConfig, sub_text: str, super_text: str) -> int:
-    kb = cfg.load()
-    sub = _parse_concept_arg(sub_text)
-    sup = _parse_concept_arg(super_text)
+def cmd_subsumes(args: argparse.Namespace) -> int:
+    kb = _load(args.kb)
+    sub = _parse_concept_arg(args.sub)
+    sup = _parse_concept_arg(args.super)
     holds = TableauReasoner(kb).subsumes(sup, sub)
-    if cfg.output == "json":
+    if args.format == "json":
         print(json.dumps({"sub": str(sub), "super": str(sup), "holds": holds}))
     else:
         relation = "is subsumed by" if holds else "is not subsumed by"
@@ -133,15 +121,15 @@ def cmd_subsumes(cfg: RunConfig, sub_text: str, super_text: str) -> int:
     return EXIT_OK if holds else EXIT_NO
 
 
-def cmd_retrieve(cfg: RunConfig, concept_text: str) -> int:
-    kb = cfg.load()
-    concept = _parse_concept_arg(concept_text)
-    engine = ExtensionEngine(kb, cfg.backend)
-    members = sorted(engine.extension(concept))
-    if cfg.output == "json":
+def cmd_retrieve(args: argparse.Namespace) -> int:
+    kb = _load(args.kb)
+    concept = _parse_concept_arg(args.concept)
+    backend = Backend(args.backend)
+    members = sorted(ExtensionEngine(kb, backend).extension(concept))
+    if args.format == "json":
         print(json.dumps({
             "concept": str(concept),
-            "backend": cfg.backend.value,
+            "backend": backend.value,
             "members": members,
         }))
     else:
@@ -150,18 +138,19 @@ def cmd_retrieve(cfg: RunConfig, concept_text: str) -> int:
     return EXIT_OK
 
 
-def cmd_msc(cfg: RunConfig, individual: str) -> int:
-    kb = cfg.load()
-    if individual not in kb.individuals:
-        raise CliError(f"unknown individual {individual!r}")
-    engine = ExtensionEngine(kb, cfg.backend)
-    result = msc_approx(kb, individual, cfg.msc_depth, cfg.backend, engine)
+def cmd_msc(args: argparse.Namespace) -> int:
+    kb = _load(args.kb)
+    if args.individual not in kb.individuals:
+        raise CliError(f"unknown individual {args.individual!r}")
+    backend = Backend(args.backend)
+    engine = ExtensionEngine(kb, backend)
+    result = msc_approx(kb, args.individual, args.depth, backend, engine)
     members = sorted(engine.extension(result.concept))
-    if cfg.output == "json":
+    if args.format == "json":
         print(json.dumps({
             "individual": result.individual,
             "depth": result.depth,
-            "backend": cfg.backend.value,
+            "backend": backend.value,
             "concept": str(result.concept),
             "members": members,
             "cardinality": len(members),
@@ -173,12 +162,12 @@ def cmd_msc(cfg: RunConfig, individual: str) -> int:
     return EXIT_OK
 
 
-def cmd_sim(cfg: RunConfig, x_text: str, y_text: str) -> int:
-    kb = cfg.load()
-    x = _resolve_item(kb, x_text)
-    y = _resolve_item(kb, y_text)
-    report = sim_pair(kb, x, y, cfg.msc_depth, cfg.backend)
-    if cfg.output == "json":
+def cmd_sim(args: argparse.Namespace) -> int:
+    kb = _load(args.kb)
+    x = _resolve_item(kb, args.x)
+    y = _resolve_item(kb, args.y)
+    report = sim_pair(kb, x, y, args.depth, Backend(args.backend))
+    if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
         print(f"value: {float(report.value):.4f}")
@@ -191,23 +180,23 @@ def cmd_sim(cfg: RunConfig, x_text: str, y_text: str) -> int:
     return EXIT_OK
 
 
-def _labelled_matrix(cfg: RunConfig, item_texts: list[str]
+def _labelled_matrix(args: argparse.Namespace
                      ) -> tuple[list[str], list[list[Fraction]]]:
     """Load the KB, resolve the items and return their labels and matrix."""
-    kb = cfg.load()
-    items = [_resolve_item(kb, text) for text in item_texts]
+    kb = _load(args.kb)
+    items = [_resolve_item(kb, text) for text in args.items]
     labels = [item if isinstance(item, str) else str(item) for item in items]
-    return labels, sim_matrix(kb, items, cfg.msc_depth, cfg.backend)
+    return labels, sim_matrix(kb, items, args.depth, Backend(args.backend))
 
 
-def cmd_matrix(cfg: RunConfig, item_texts: list[str]) -> int:
-    labels, matrix = _labelled_matrix(cfg, item_texts)
-    if cfg.output == "json":
+def cmd_matrix(args: argparse.Namespace) -> int:
+    labels, matrix = _labelled_matrix(args)
+    if args.format == "json":
         print(json.dumps({
             "labels": labels,
             "matrix": [[float(v) for v in row] for row in matrix],
         }))
-    elif cfg.output == "csv":
+    elif args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([""] + labels)
@@ -224,13 +213,13 @@ def cmd_matrix(cfg: RunConfig, item_texts: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_cluster(cfg: RunConfig, item_texts: list[str], linkage: str) -> int:
-    labels, matrix = _labelled_matrix(cfg, item_texts)
-    dendrogram = cluster_matrix(labels, matrix, linkage)
-    if cfg.output == "json":
+def cmd_cluster(args: argparse.Namespace) -> int:
+    labels, matrix = _labelled_matrix(args)
+    dendrogram = cluster_matrix(labels, matrix, args.linkage)
+    if args.format == "json":
         print(json.dumps({
             "leaves": dendrogram.leaves,
-            "linkage": linkage,
+            "linkage": args.linkage,
             "merges": [[a, b, float(sim)] for a, b, sim in dendrogram.merges],
         }))
     else:
@@ -349,26 +338,17 @@ def build_argparser() -> argparse.ArgumentParser:
     return parser
 
 
+_HANDLERS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "check": cmd_check, "subsumes": cmd_subsumes, "retrieve": cmd_retrieve,
+    "msc": cmd_msc, "sim": cmd_sim, "matrix": cmd_matrix,
+    "cluster": cmd_cluster, "gen": cmd_gen,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_argparser()
-    args = parser.parse_args(argv)
+    args = build_argparser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        cfg = RunConfig.from_args(args)
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "subsumes":
-            return cmd_subsumes(cfg, args.sub, args.super)
-        if args.command == "retrieve":
-            return cmd_retrieve(cfg, args.concept)
-        if args.command == "msc":
-            return cmd_msc(cfg, args.individual)
-        if args.command == "sim":
-            return cmd_sim(cfg, args.x, args.y)
-        if args.command == "matrix":
-            return cmd_matrix(cfg, args.items)
-        return cmd_cluster(cfg, args.items, args.linkage)
+        return _HANDLERS[args.command](args)
     except (CliError, AlcsimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

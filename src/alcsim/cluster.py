@@ -27,9 +27,7 @@ def _linkage_value(members_a, members_b, matrix, linkage: str) -> Fraction:
         return max(pairs)
     if linkage == "complete":
         return min(pairs)
-    if linkage == "average":
-        return sum(pairs, Fraction(0)) / len(pairs)
-    raise ValueError(f"unknown linkage {linkage!r}")
+    return sum(pairs, Fraction(0)) / len(pairs)  # "average"
 
 
 def cluster_matrix(labels: Sequence[str], matrix,
@@ -60,9 +58,8 @@ def cluster_matrix(labels: Sequence[str], matrix,
                 candidate = (-sim, ka, kb, a, b)
                 if best is None or candidate < best:
                     best = candidate
-        _, _, _, a, b = best
-        sim = _linkage_value(clusters[a], clusters[b], matrix, linkage)
-        merges.append((a, b, sim))
+        neg_sim, _, _, a, b = best
+        merges.append((a, b, -neg_sim))
         clusters[next_id] = clusters.pop(a) + clusters.pop(b)
         sort_key[next_id] = tuple(sorted(
             labels[i] for i in clusters[next_id]

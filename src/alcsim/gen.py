@@ -34,6 +34,7 @@ _PRIMITIVES = ("A", "B", "C", "D", "E", "F", "G", "H")
 _DEFINED = ("P", "Q", "U", "V", "W", "X")
 _ROLES = ("r", "s", "t")
 _INDIVIDUALS = ("a", "b", "c", "d", "e", "f", "g", "h")
+_SUBSUMED_FRACTION = 0.25  # share of definitions drawn as ``<=``, not ``:=``
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class KbShape:
     role_assertions: int = 8
     el_only: bool = False            # restrict bodies to Atom/And/Exists/Top
     assert_primitive_only: bool = False
-    subsumed_fraction: float = 0.25
 
     def __post_init__(self):
         pools = {"individuals": _INDIVIDUALS, "primitives": _PRIMITIVES,
@@ -125,7 +125,7 @@ def random_kb(seed: int, shape: KbShape = KbShape()) -> KnowledgeBase:
         body = random_concept(rng, known, roles, shape.body_depth,
                               shape.el_only, max_nodes=10)
         kind = (DefKind.SUBSUMED
-                if rng.random() < shape.subsumed_fraction else DefKind.EQUIV)
+                if rng.random() < _SUBSUMED_FRACTION else DefKind.EQUIV)
         definitions[name] = Definition(kind, body)
         known.append(name)
 

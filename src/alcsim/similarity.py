@@ -85,7 +85,9 @@ def sim_formula(n_c: int, n_d: int, n_i: int) -> Fraction:
 
     ``n_i = 0`` (disjoint or empty extensions) yields 0 without touching
     the formula, which also covers the otherwise-undefined 0/0 cases;
-    both denominators are strictly positive whenever ``n_i > 0``.
+    both denominators are strictly positive whenever ``n_i > 0``.  Then
+    max(n_i/n_c, n_i/n_d) = n_i/min(n_c, n_d), so the value is the one
+    fraction n_i^2 / ((n_c + n_d - n_i) * min(n_c, n_d)).
     """
     if min(n_c, n_d, n_i) < 0:
         raise ValueError("cardinalities must be non-negative")
@@ -95,9 +97,7 @@ def sim_formula(n_c: int, n_d: int, n_i: int) -> Fraction:
         )
     if n_i == 0:
         return Fraction(0)
-    overlap = Fraction(n_i, n_c + n_d - n_i)
-    incidence = max(Fraction(n_i, n_c), Fraction(n_i, n_d))
-    return overlap * incidence
+    return Fraction(n_i * n_i, (n_c + n_d - n_i) * min(n_c, n_d))
 
 
 def sim_pair(kb: KnowledgeBase, x: Item, y: Item,

@@ -230,6 +230,74 @@ class TestOptionsPerCommand:
         assert run(capsys, "subsumes", fathers_path, "Father", "Parent")[0] == 0
 
 
+# Each KB subcommand with the formats, backends and MSC depths it offers,
+# and its positional arguments on each bundled fixture.
+SWEEP = [
+    # command, formats, backends, depths
+    ("check", ("text", "json"), (), ()),
+    ("subsumes", ("text", "json"), (), ()),
+    ("retrieve", ("text", "json"), ("canonical", "entail"), ()),
+    ("msc", ("text", "json"), ("canonical", "entail"), ("1",)),
+    ("sim", ("text", "json"), ("canonical", "entail"), ("1",)),
+    ("matrix", ("text", "json", "csv"), ("canonical", "entail"), ("1",)),
+    ("cluster", ("text", "json"), ("canonical", "entail"), ("1",)),
+]
+SWEEP_ARGS = {
+    "family": {"check": [], "subsumes": ["Mother", "Woman"],
+               "retrieve": ["Woman"], "msc": ["Claudia"],
+               "sim": ["Claudia", "Woman"],
+               "matrix": ["Woman", "Father", "Claudia"],
+               "cluster": ["Woman", "Father", "Claudia"]},
+    "fathers": {"check": [], "subsumes": ["Father", "Parent"],
+                "retrieve": ["Father"], "msc": ["Vito"],
+                "sim": ["Vito", "Male"],
+                "matrix": ["Father", "Parent", "Vito"],
+                "cluster": ["Father", "Parent", "Vito"]},
+}
+
+
+def sweep_requests():
+    for fixture, args in SWEEP_ARGS.items():
+        for command, formats, backends, depths in SWEEP:
+            for fmt in formats:
+                for backend in backends or (None,):
+                    for depth in (None, *depths):
+                        argv = [command, *args[command], "--format", fmt]
+                        if backend:
+                            argv += ["--backend", backend]
+                        if depth:
+                            argv += ["--depth", depth]
+                        yield pytest.param(fixture, argv,
+                                           id=f"{fixture}-{'-'.join(argv)}")
+
+
+class TestOptionSweep:
+    """Every option a subcommand offers reaches a handler that reads it."""
+
+    @pytest.mark.parametrize("fixture, argv", sweep_requests())
+    def test_answers_or_one_error(self, capsys, family_path, fathers_path,
+                                  fixture, argv):
+        path = {"family": family_path, "fathers": fathers_path}[fixture]
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code in (0, 1, 2)
+        assert "internal error" not in err
+        if code != 2 and "json" in argv:
+            json.loads(out)
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("sub, sup, code", [
+        ("Father", "Parent", 0),
+        ("Parent", "Father", 1),
+    ])
+    def test_exit_code_reaches_the_shell(self, fathers_path, sub, sup, code):
+        src = Path(alcsim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "alcsim.cli", "subsumes", fathers_path,
+             sub, sup], cwd=src, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (code, "")
+
+
 class TestArgparserReuse:
     @pytest.fixture
     def parsers_built(self, monkeypatch):

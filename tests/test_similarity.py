@@ -62,6 +62,16 @@ class TestSimFormula:
         with pytest.raises(ValueError):
             sim_formula(-1, 2, 0)
 
+    def test_equals_the_two_factor_form(self):
+        # the paper's form: overlap |I|/(|C|+|D|-|I|) times max incidence
+        for n_c in range(31):
+            for n_d in range(31):
+                for n_i in range(1, min(n_c, n_d) + 1):
+                    paper = (Fraction(n_i, n_c + n_d - n_i)
+                             * max(Fraction(n_i, n_c), Fraction(n_i, n_d)))
+                    assert sim_formula(n_c, n_d, n_i) == paper
+                assert sim_formula(n_c, n_d, 0) == 0
+
 
 class TestSimConcepts:
     def test_grandparent_father(self, family_kb):
