@@ -3,7 +3,9 @@
 Clusters start as singletons and the pair with the highest linkage
 similarity merges first; merged clusters get fresh ids numbered after
 the leaves.  Ties break on the lexicographically smallest sorted member
-labels, so runs are deterministic.
+labels, then on the smallest ids, so runs are deterministic.  A table of
+linkage values per live cluster pair, updated on each merge, makes
+clustering n items O(n^3).
 """
 
 from __future__ import annotations
@@ -12,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-LINKAGES = ("single", "complete", "average")
+# Lance–Williams updates: the linkage of clusters a and b merged to a third
+# cluster k, from their linkages ak and bk to k and their sizes na and nb
+_UPDATES = {
+    "single": lambda ak, bk, na, nb: max(ak, bk),
+    "complete": lambda ak, bk, na, nb: min(ak, bk),
+    "average": lambda ak, bk, na, nb: (na * ak + nb * bk) / (na + nb),
+}
+LINKAGES = tuple(_UPDATES)
 
 
 @dataclass(frozen=True)
@@ -21,50 +30,50 @@ class Dendrogram:
     merges: list[tuple[int, int, Fraction]]  # (cluster id, cluster id, similarity)
 
 
-def _linkage_value(members_a, members_b, matrix, linkage: str) -> Fraction:
-    pairs = [matrix[i][j] for i in members_a for j in members_b]
-    if linkage == "single":
-        return max(pairs)
-    if linkage == "complete":
-        return min(pairs)
-    return sum(pairs, Fraction(0)) / len(pairs)  # "average"
-
-
 def cluster_matrix(labels: Sequence[str], matrix,
                    linkage: str = "complete") -> Dendrogram:
-    """Merge clusters greedily by maximal linkage similarity."""
+    """Merge clusters greedily by maximal linkage similarity.
+
+    ``matrix`` must be square and symmetric (``ValueError`` otherwise),
+    with ``Fraction`` entries as ``sim_matrix`` gives.  Each merge updates
+    the linkage to every other cluster by the Lance–Williams recurrence:
+    single linkage takes the max, complete the min, and average the
+    size-weighted mean, which is exact in ``Fraction``s.
+    """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
-    if len(labels) != len(matrix):
-        raise ValueError("labels and matrix size disagree")
+    n = len(labels)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"matrix is not {n} x {n}, one row per label")
+    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
 
-    clusters: dict[int, tuple[int, ...]] = {
-        i: (i,) for i in range(len(labels))
-    }
-    sort_key = {i: (labels[i],) for i in range(len(labels))}
+    update = _UPDATES[linkage]
+    # (a, b) with a < b -> linkage similarity of the live clusters a and b
+    link = {(i, j): matrix[i][j] for j in range(n) for i in range(j)}
+    size = dict.fromkeys(range(n), 1)
+    sort_key = {i: (labels[i],) for i in range(n)}
     merges: list[tuple[int, int, Fraction]] = []
-    next_id = len(labels)
 
-    while len(clusters) > 1:
-        best = None
-        for a in clusters:
-            for b in clusters:
-                if a == b:
-                    continue
-                ka, kb = sort_key[a], sort_key[b]
-                if ka > kb:
-                    continue
-                sim = _linkage_value(clusters[a], clusters[b], matrix, linkage)
-                candidate = (-sim, ka, kb, a, b)
-                if best is None or candidate < best:
-                    best = candidate
-        neg_sim, _, _, a, b = best
-        merges.append((a, b, -neg_sim))
-        clusters[next_id] = clusters.pop(a) + clusters.pop(b)
-        sort_key[next_id] = tuple(sorted(
-            labels[i] for i in clusters[next_id]
-        ))
-        next_id += 1
+    def tie_key(pair: tuple[int, int]) -> tuple:
+        a, b = pair
+        ka, kb = sort_key[a], sort_key[b]
+        return (ka, kb, a, b) if ka <= kb else (kb, ka, b, a)
+
+    for new in range(n, 2 * n - 1):
+        # the pair minimising (-sim, sorted labels a, sorted labels b, a, b)
+        sim = max(link.values())
+        ka, kb, a, b = min(tie_key(pair) for pair, value in link.items()
+                           if value == sim)
+        merges.append((a, b, sim))
+        del link[min(a, b), max(a, b)]
+        na, nb = size.pop(a), size.pop(b)
+        for k in size:
+            ak = link.pop((min(a, k), max(a, k)))
+            bk = link.pop((min(b, k), max(b, k)))
+            link[k, new] = update(ak, bk, na, nb)
+        size[new] = na + nb
+        sort_key[new] = tuple(sorted(ka + kb))
 
     return Dendrogram(list(labels), merges)
 

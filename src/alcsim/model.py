@@ -312,6 +312,11 @@ class ABox:
         return {source: {role: tuple(targets) for role, targets in out.items()}
                 for source, out in index.items()}
 
+    @cached_property
+    def bits(self) -> dict[str, int]:
+        """Each individual's bit, ``1 << i`` for the i-th in sorted order."""
+        return {a: 1 << i for i, a in enumerate(sorted(self.individuals))}
+
 
 EMPTY_ABOX = ABox.from_assertions((), ())
 

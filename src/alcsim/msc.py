@@ -13,11 +13,12 @@ simple path in the role-assertion digraph.
 
 One traversal holds the out-edge order and the cycle cut.  ``msc_approx``
 builds the concept through it; ``msc_extension`` evaluates the same tree
-straight into its canonical extension and builds no concept, which is all
-a canonical similarity matrix needs.  The entail backend has no such
-shortcut (open-world ``exists`` is not compositional), so an entail
-matrix builds one MSC concept per individual, which the engine then
-evaluates conjunct by conjunct.
+straight into its canonical extension, as a bit mask, and builds no
+concept, which is all a canonical similarity matrix needs; the engine
+keeps the masks that every roll-up of the matrix shares.  The entail
+backend has no such shortcut (open-world ``exists`` is not
+compositional), so an entail matrix builds one MSC concept per
+individual, which the engine then evaluates conjunct by conjunct.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ def abox_depth(kb: KnowledgeBase) -> int:
 
     Parallel role assertions between the same pair collapse to a single
     edge.  Computed by exhaustive depth-first search with a per-path
-    visited set; fine for the KB sizes this toolkit targets.
+    visited set, which stops once a path reaches the simple-path bound:
+    a path visits each individual with a role edge at most once.
     """
     adjacency = {
         source: sorted({t for ts in out.values() for t in ts} - {source})
         for source, out in kb.abox.successors.items()
     }
+    bound = len({x for s, ts in adjacency.items() if ts for x in (s, *ts)}) - 1
 
     best = 0
 
@@ -68,7 +71,7 @@ def abox_depth(kb: KnowledgeBase) -> int:
         if length > best:
             best = length
         for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
+            if nxt not in seen and best < bound:
                 seen.add(nxt)
                 dfs(nxt, length + 1, seen)
                 seen.remove(nxt)
@@ -101,20 +104,22 @@ def _roll_up(kb: KnowledgeBase, individual: str, depth: int, top: T,
     current path.
     """
     successors = kb.abox.successors
+    bits = kb.abox.bits
 
-    def visit(x: str, d: int, visited: frozenset[str]) -> T:
+    def visit(x: str, d: int, visited: int) -> T:
         parts: list[T] = []
         if d > 0:
             for role, targets in successors.get(x, {}).items():
                 for target in targets:
-                    if target in visited:
+                    bit = bits[target]
+                    if visited & bit:
                         filler = top
                     else:
-                        filler = visit(target, d - 1, visited | {target})
+                        filler = visit(target, d - 1, visited | bit)
                     parts.append(exists(role, filler))
         return conjoin(x, parts)
 
-    return visit(individual, depth, frozenset((individual,)))
+    return visit(individual, depth, bits[individual])
 
 
 def msc_approx(kb: KnowledgeBase, individual: str,
@@ -156,37 +161,30 @@ def msc_extension(kb: KnowledgeBase, individual: str,
     ``exists R.filler`` extension per out-edge.  Canonical evaluation is
     compositional and a roll-up has no negation, disjunction or value
     restriction, so the normalisation that ``msc_approx`` applies cannot
-    change the extension and the two are equal.  ``engine`` must be a
-    canonical engine; it shares its concept-name extensions across calls.
+    change the extension and the two are equal.  Extensions are bit masks
+    over ``ABox.bits`` until the result is returned.  ``engine`` must be a
+    canonical engine; it shares across calls each individual's meet of
+    names and each ``(role, filler mask)`` term it has evaluated.
     """
     depth = _checked_depth(kb, individual, depth)
     if engine is None:
         engine = ExtensionEngine(kb)
-    model = engine.canonical_model()
-    name_exts = engine.name_extensions.values()
-    # intersection of the extensions of the names that hold for x
-    names_meet: dict[str, frozenset[str]] = {}
+    meets = engine._name_meets
+    memo = engine._exists_masks
 
-    def conjoin(x: str, parts: list[frozenset[str]]) -> frozenset[str]:
-        ext = names_meet.get(x)
-        if ext is None:
-            ext = model.domain
-            for name_ext in name_exts:
-                if x in name_ext:
-                    ext = ext & name_ext
-            names_meet[x] = ext
+    def exists(role: str, filler: int) -> int:
+        try:  # read here: most terms repeat, and a method call costs more
+            return memo[role, filler]
+        except KeyError:
+            return engine._exists_mask(role, filler)
+
+    def conjoin(x: str, parts: list[int]) -> int:
+        ext = meets[x]
         for part in parts:
-            ext = ext & part
+            ext &= part
         return ext
 
-    # many subtrees evaluate to the same filler set (every cut edge to the
-    # whole domain), so each (role, filler) term is evaluated once
-    exists_memo: dict[tuple[str, frozenset[str]], frozenset[str]] = {}
-
-    def exists(role: str, filler: frozenset[str]) -> frozenset[str]:
-        ext = exists_memo.get((role, filler))
-        if ext is None:
-            ext = exists_memo[role, filler] = model.exists_ext(role, filler)
-        return ext
-
-    return _roll_up(kb, individual, depth, model.domain, exists, conjoin)
+    bits = kb.abox.bits
+    ext = _roll_up(kb, individual, depth, (1 << len(bits)) - 1, exists,
+                   conjoin)
+    return frozenset(a for a, bit in bits.items() if ext & bit)

@@ -63,6 +63,9 @@ class ExtensionEngine:
     # entail backend: concept -> individual -> entailed?
     _checks: dict[ConceptExpr, dict[str, bool]] = field(
         default_factory=dict, init=False, repr=False)
+    # canonical roll-ups: (role, filler mask) -> mask of exists role.filler
+    _exists_masks: dict[tuple[str, int], int] = field(
+        default_factory=dict, init=False, repr=False)
 
     def extension(self, c: ConceptExpr) -> frozenset[str]:
         self.computations += 1
@@ -78,6 +81,28 @@ class ExtensionEngine:
         """The extension of each concept name, names in sorted order."""
         return {name: self.extension(Atom(name))
                 for name in sorted(self.kb.signature.concept_names)}
+
+    @cached_property
+    def _name_meets(self) -> dict[str, int]:
+        """Canonical: each individual's mask of the meet of its names."""
+        bits = self.kb.abox.bits
+        meets = dict.fromkeys(self.canonical_model().domain,
+                              (1 << len(bits)) - 1)
+        for ext in self.name_extensions.values():
+            mask = sum(bits[a] for a in ext)
+            for a in ext:
+                meets[a] &= mask
+        return meets
+
+    def _exists_mask(self, role: str, filler: int) -> int:
+        """Canonical mask of ``exists role.filler``, kept in the memo."""
+        bits = self.kb.abox.bits
+        ext = 0
+        for a, bs in self.canonical_model().role_succ.get(role, {}).items():
+            if any(bits[b] & filler for b in bs):
+                ext |= bits[a]
+        self._exists_masks[role, filler] = ext
+        return ext
 
     def canonical_model(self) -> CanonicalModel:
         """The KB's canonical model, built on first use (canonical backend only)."""

@@ -16,13 +16,14 @@ engine: the MSC roll-ups share its concept-name extensions, uncounted,
 and the report counts the three extension computations for C, D and
 their conjunction, so the cost model is observable.
 
-A matrix over n items costs one extension per item and n^2 set
-intersections: on both backends ext(C and D) = ext(C) & ext(D).
-Canonical evaluation of a conjunction is that intersection; under
-entailment, KB |= (C and D)(a) exactly when KB |= C(a) and KB |= D(a),
-and an inconsistent KB puts every individual on both sides.  On the
-canonical backend an individual's extension comes from evaluating its
-MSC roll-up directly (``msc_extension``), so the matrix builds no
+A matrix over n items costs one extension per item and n(n+1)/2 set
+intersections, one per cell i <= j, the rest mirrored: on both backends
+ext(C and D) = ext(C) & ext(D).  Canonical evaluation of a conjunction
+is that intersection; under entailment, KB |= (C and D)(a) exactly when
+KB |= C(a) and KB |= D(a), and an inconsistent KB puts every individual
+on both sides.  On the canonical backend an individual's extension comes
+from evaluating its MSC roll-up directly on bit masks (``msc_extension``),
+whose memos the engine shares across the matrix, so the matrix builds no
 concept; on the entail backend it builds the individual's MSC concept,
 n in all, and the engine evaluates each conjunct by conjunct, checking
 only the memberships no cheaper rule decides (see ``retrieval``).
@@ -163,9 +164,10 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
     """Symmetric matrix of pairwise similarities.
 
     One engine serves the whole matrix, so each concept name's extension
-    is computed once for all roll-ups.  Each item's extension is computed
-    once, an individual's from one MSC roll-up, and a cell intersects two
-    extensions.
+    and each canonical roll-up memo is computed once for all roll-ups.
+    Each item's extension is computed once, an individual's from one MSC
+    roll-up; a cell i <= j intersects two extensions, and the measure is
+    symmetric, so cell (j, i) is the same value.
     """
     if not items:
         raise ValueError("items must be non-empty")
@@ -182,5 +184,9 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
                                            engine).concept)
 
     exts = [extension(item) for item in items]
-    return [[sim_formula(len(a), len(b), len(a & b)) for b in exts]
-            for a in exts]
+    matrix: list[list[Fraction]] = []
+    for i, a in enumerate(exts):
+        matrix.append([matrix[j][i] if j < i else
+                       sim_formula(len(a), len(b), len(a & b))
+                       for j, b in enumerate(exts)])
+    return matrix

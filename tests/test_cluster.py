@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alcsim.cluster import Dendrogram, cluster_matrix, render_dendrogram
+from alcsim.cluster import (LINKAGES, Dendrogram, cluster_matrix,
+                            render_dendrogram)
 from alcsim.model import Atom
 from alcsim.parser import parse_kb
 from alcsim.similarity import sim_matrix
@@ -85,6 +88,88 @@ class TestClusterMatrix:
     def test_unknown_linkage(self):
         with pytest.raises(ValueError):
             cluster_matrix(["a"], [[Fraction(1)]], "median")
+
+    def test_rejects_matrix_not_square(self):
+        one, half = Fraction(1), Fraction(1, 2)
+        with pytest.raises(ValueError, match="2 x 2"):
+            cluster_matrix(["a", "b"], [[one, half], [half]])
+        with pytest.raises(ValueError, match="2 x 2"):
+            cluster_matrix(["a", "b"], [[one, half]])
+        with pytest.raises(ValueError, match="1 x 1"):
+            cluster_matrix(["a"], [[one, half], [half, one]])
+
+    def test_rejects_asymmetric_matrix(self):
+        one, half = Fraction(1), Fraction(1, 2)
+        matrix = [[one, half, half], [half, one, half], [half, one, one]]
+        for linkage in LINKAGES:
+            with pytest.raises(ValueError, match="not symmetric"):
+                cluster_matrix(["a", "b", "c"], matrix, linkage)
+
+
+def greedy_oracle(labels, matrix, linkage):
+    """Clustering by recomputing every cluster pair's linkage from its
+    members at every merge: O(n^4), kept as the reference."""
+
+    def linkage_value(members_a, members_b):
+        pairs = [matrix[i][j] for i in members_a for j in members_b]
+        if linkage == "single":
+            return max(pairs)
+        if linkage == "complete":
+            return min(pairs)
+        return sum(pairs, Fraction(0)) / len(pairs)
+
+    clusters = {i: (i,) for i in range(len(labels))}
+    sort_key = {i: (labels[i],) for i in range(len(labels))}
+    merges = []
+    next_id = len(labels)
+    while len(clusters) > 1:
+        best = None
+        for a in clusters:
+            for b in clusters:
+                ka, kb = sort_key[a], sort_key[b]
+                if a == b or ka > kb:
+                    continue
+                sim = linkage_value(clusters[a], clusters[b])
+                candidate = (-sim, ka, kb, a, b)
+                if best is None or candidate < best:
+                    best = candidate
+        neg_sim, _, _, a, b = best
+        merges.append((a, b, -neg_sim))
+        clusters[next_id] = clusters.pop(a) + clusters.pop(b)
+        sort_key[next_id] = tuple(sorted(labels[i] for i in clusters[next_id]))
+        next_id += 1
+    return Dendrogram(list(labels), merges)
+
+
+@st.composite
+def tied_symmetric_matrices(draw):
+    """A symmetric ``Fraction`` matrix over a pool of three values, so
+    linkages tie often, with labels that repeat."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.fractions(0, 1, max_denominator=6),
+                         min_size=3, max_size=3))
+    labels = draw(st.lists(st.sampled_from("pqrs"), min_size=n, max_size=n))
+    matrix = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            matrix[i][j] = matrix[j][i] = draw(st.sampled_from(pool))
+    return labels, matrix
+
+
+class TestLinkageTableOracle:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=tied_symmetric_matrices(), linkage=st.sampled_from(LINKAGES))
+    def test_equals_greedy_recomputation(self, case, linkage):
+        labels, matrix = case
+        assert cluster_matrix(labels, matrix, linkage) == (
+            greedy_oracle(labels, matrix, linkage))
+
+    def test_family_matrix(self, family_kb):
+        labels = sorted(family_kb.individuals)
+        matrix = sim_matrix(family_kb, labels)
+        for linkage in LINKAGES:
+            assert cluster_matrix(labels, matrix, linkage) == (
+                greedy_oracle(labels, matrix, linkage))
 
 
 class TestRenderDendrogram:

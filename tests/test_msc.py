@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,19 @@ class TestAboxDepth:
         for seed in range(40):
             kb = random_kb(seed, KbShape(individuals=7, role_assertions=10))
             assert abox_depth(kb) == longest_path_oracle(kb)
+
+    def test_dense_digraphs_match_oracle(self):
+        # the search stops at the simple-path bound (individuals with an
+        # edge to another, minus one); cover graphs that reach it and not
+        reached = 0
+        for seed in range(60):
+            kb = random_digraph(seed, 8, 6 + seed % 20)
+            depth = abox_depth(kb)
+            assert depth == longest_path_oracle(kb), seed
+            linked = {x for _, s, t in kb.abox.role_assertions if s != t
+                      for x in (s, t)}
+            reached += depth == len(linked) - 1
+        assert 10 < reached < 50  # 27 of 60
 
 
 class TestMscApprox:
@@ -218,6 +233,52 @@ class TestMscExtension:
             msc_approx(kb, "a", 1, Backend.ENTAIL, ExtensionEngine(kb))
         assert msc_approx(kb, "a", 1, engine=ExtensionEngine(kb)) == (
             msc_approx(kb, "a", 1))
+
+
+def random_digraph(seed, individuals, edges, mirrored=False):
+    """``edges`` distinct ``r``/``s`` assertions between distinct
+    individuals drawn from ``random.Random(seed)``, each also reversed
+    when ``mirrored``, plus two self-loops, three names and a definition."""
+    rng = random.Random(seed)
+    names = [f"i{k}" for k in range(individuals)]
+    pairs = set()
+    while len(pairs) < edges:
+        a, b = rng.sample(names, 2)
+        pairs.add((rng.choice("rs"), a, b))
+    if mirrored:
+        pairs |= {(role, b, a) for role, a, b in pairs}
+    pairs |= {(rng.choice("rs"), a, a) for a in rng.sample(names, 2)}
+    lines = [f"{role}({a}, {b})" for role, a, b in sorted(pairs)]
+    lines += [f"{rng.choice('AB')}({a})" for a in rng.sample(names, 3)]
+    return parse_kb("D := A and exists r.B\n" + "\n".join(lines) + "\n")
+
+
+class TestSharedRollUpMemo:
+    """One engine's masks serve every roll-up of a matrix: each answer
+    must equal a fresh engine's and the concept path's."""
+
+    def assert_shared_engine_agrees(self, kb, seed):
+        jobs = [(individual, depth) for individual in sorted(kb.individuals)
+                for depth in (0, 1, 2, 3, None)]
+        random.Random(seed).shuffle(jobs)
+        engine = ExtensionEngine(kb)
+        for individual, depth in jobs:
+            shared = msc_extension(kb, individual, depth, engine)
+            assert shared == msc_extension(kb, individual, depth)
+            assert shared == concept_path_extension(kb, individual, depth), (
+                seed, individual, depth)
+
+    def test_random_kbs(self):
+        for seed in range(20):
+            self.assert_shared_engine_agrees(random_kb(seed), seed)
+
+    def test_cycles_and_self_loops(self):
+        for seed in range(20):
+            kb = random_digraph(seed, 5, 3, mirrored=True)
+            roles = kb.abox.role_assertions
+            assert any(s == t for _, s, t in roles)
+            assert any((r, t, s) in roles for r, s, t in roles if s != t)
+            self.assert_shared_engine_agrees(kb, seed)
 
 
 def walk_exists(c):
