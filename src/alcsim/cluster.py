@@ -19,7 +19,7 @@ from typing import Sequence
 _UPDATES = {
     "single": lambda ak, bk, na, nb: max(ak, bk),
     "complete": lambda ak, bk, na, nb: min(ak, bk),
-    "average": lambda ak, bk, na, nb: (na * ak + nb * bk) / (na + nb),
+    "average": lambda ak, bk, na, nb: (na * ak + nb * bk) / Fraction(na + nb),
 }
 LINKAGES = tuple(_UPDATES)
 

@@ -164,6 +164,14 @@ class TestLinkageTableOracle:
         assert cluster_matrix(labels, matrix, linkage) == (
             greedy_oracle(labels, matrix, linkage))
 
+    def test_integer_matrix_averages_exactly(self):
+        matrix = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+        merges = cluster_matrix(["a", "b", "c"], matrix, "average").merges
+        assert merges == greedy_oracle(["a", "b", "c"], matrix,
+                                       "average").merges
+        assert merges[-1][2] == Fraction(1, 2)
+        assert isinstance(merges[-1][2], Fraction)
+
     def test_family_matrix(self, family_kb):
         labels = sorted(family_kb.individuals)
         matrix = sim_matrix(family_kb, labels)
