@@ -163,20 +163,35 @@ def msc_extension(kb: KnowledgeBase, individual: str,
     restriction, so the normalisation that ``msc_approx`` applies cannot
     change the extension and the two are equal.  Extensions are bit masks
     over ``ABox.bits`` until the result is returned.  ``engine`` must be a
-    canonical engine; it shares across calls each individual's meet of
-    names and each ``(role, filler mask)`` term it has evaluated.
+    canonical engine; its ``name_meets`` and ``exists_masks`` keep, across
+    calls, each individual's meet of names and each ``(role, filler mask)``
+    term evaluated so far.
     """
     depth = _checked_depth(kb, individual, depth)
     if engine is None:
         engine = ExtensionEngine(kb)
-    meets = engine._name_meets
-    memo = engine._exists_masks
+    role_succ = engine.canonical_model().role_succ
+    bits = kb.abox.bits
+    full = (1 << len(bits)) - 1
+    meets = engine.name_meets
+    if not meets:
+        meets.update(dict.fromkeys(bits, full))
+        for ext in engine.name_extensions.values():
+            mask = sum(bits[a] for a in ext)
+            for a in ext:
+                meets[a] &= mask
+    memo = engine.exists_masks
 
     def exists(role: str, filler: int) -> int:
-        try:  # read here: most terms repeat, and a method call costs more
+        try:  # most terms repeat across the matrix
             return memo[role, filler]
         except KeyError:
-            return engine._exists_mask(role, filler)
+            ext = 0
+            for a, bs in role_succ.get(role, {}).items():
+                if any(bits[b] & filler for b in bs):
+                    ext |= bits[a]
+            memo[role, filler] = ext
+            return ext
 
     def conjoin(x: str, parts: list[int]) -> int:
         ext = meets[x]
@@ -184,7 +199,5 @@ def msc_extension(kb: KnowledgeBase, individual: str,
             ext &= part
         return ext
 
-    bits = kb.abox.bits
-    ext = _roll_up(kb, individual, depth, (1 << len(bits)) - 1, exists,
-                   conjoin)
+    ext = _roll_up(kb, individual, depth, full, exists, conjoin)
     return frozenset(a for a, bit in bits.items() if ext & bit)

@@ -6,7 +6,8 @@ entailment checking via the tableau.  :class:`ExtensionEngine` hides the
 choice behind one call and counts every extension it computes, which
 makes the cost accounting of the similarity measure observable.  The
 concept-name extensions that every MSC roll-up reads are computed once
-per engine, and there is no other extension cache.
+per engine; besides them the engine only holds the bit-mask memos that
+``msc.msc_extension`` fills and reads.
 
 An entail extension is taken conjunct by conjunct, and a tableau
 instance check is made only where no cheaper rule decides membership:
@@ -63,8 +64,12 @@ class ExtensionEngine:
     # entail backend: concept -> individual -> entailed?
     _checks: dict[ConceptExpr, dict[str, bool]] = field(
         default_factory=dict, init=False, repr=False)
-    # canonical roll-ups: (role, filler mask) -> mask of exists role.filler
-    _exists_masks: dict[tuple[str, int], int] = field(
+    # canonical roll-ups, filled by msc.msc_extension: individual -> mask
+    # of the meet of its names, and (role, filler mask) -> mask of
+    # exists role.filler
+    name_meets: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False)
+    exists_masks: dict[tuple[str, int], int] = field(
         default_factory=dict, init=False, repr=False)
 
     def extension(self, c: ConceptExpr) -> frozenset[str]:
@@ -81,28 +86,6 @@ class ExtensionEngine:
         """The extension of each concept name, names in sorted order."""
         return {name: self.extension(Atom(name))
                 for name in sorted(self.kb.signature.concept_names)}
-
-    @cached_property
-    def _name_meets(self) -> dict[str, int]:
-        """Canonical: each individual's mask of the meet of its names."""
-        bits = self.kb.abox.bits
-        meets = dict.fromkeys(self.canonical_model().domain,
-                              (1 << len(bits)) - 1)
-        for ext in self.name_extensions.values():
-            mask = sum(bits[a] for a in ext)
-            for a in ext:
-                meets[a] &= mask
-        return meets
-
-    def _exists_mask(self, role: str, filler: int) -> int:
-        """Canonical mask of ``exists role.filler``, kept in the memo."""
-        bits = self.kb.abox.bits
-        ext = 0
-        for a, bs in self.canonical_model().role_succ.get(role, {}).items():
-            if any(bits[b] & filler for b in bs):
-                ext |= bits[a]
-        self._exists_masks[role, filler] = ext
-        return ext
 
     def canonical_model(self) -> CanonicalModel:
         """The KB's canonical model, built on first use (canonical backend only)."""

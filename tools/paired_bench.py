@@ -4,14 +4,18 @@
         --workload family_matrix --pairs 10 --out BENCH_19.json
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
-process at a time; the side that runs first alternates from pair to pair,
-and pair k uses workload seed ``--seed`` + k.  For every end-to-end metric
-that ``BENCHMARK.json`` (read from the change checkout) lists, the file
-holds both sides' medians and quartiles, the pairs the change won, and
-whether the change is better by the claim rule: it wins at least nine
-tenths of the pairs, and the medians differ by more than the distance
-between the parent's quartiles.  It also holds each run's metrics and
-failed-op counts, so a regression can be read against the metric's bound.
+process at a time, for ``BENCHMARK.json``'s ``run_seconds`` (read from the
+change checkout); the side that runs first alternates from pair to pair,
+and pair k (from 1) uses workload seed k.  For every end-to-end metric
+that ``BENCHMARK.json`` lists, the file holds both sides' medians and
+quartiles, the pairs the change won, whether the change is better by the
+claim rule (it wins at least nine tenths of the pairs, and the medians
+differ by more than the distance between the parent's quartiles), whether
+its median is worse than the parent's by more than the metric's bound,
+and whether the runs spread too widely to tell (either side's quartile
+distance exceeds the bound, relative to its median, and not every change
+run is better than every parent run).  It also holds each run's metrics
+and failed-op counts.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 900
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -32,7 +37,8 @@ def run_once(checkout: Path, workload: str, seed: int,
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False)
+        cwd=checkout, capture_output=True, text=True, check=False,
+        timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"run.py failed in {checkout} (exit "
@@ -73,6 +79,11 @@ def summarise(runs: list[dict], metric: dict) -> dict:
     if not higher:
         median_gain = -median_gain
     parent_iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+    too_wide = any(
+        stats[side]["q3"] - stats[side]["q1"]
+        > metric["bound"] * abs(stats[side]["median"]) for side in SIDES)
+    change_above = (min(values["change"]) > max(values["parent"]) if higher
+                    else max(values["change"]) < min(values["parent"]))
     return {
         "unit": metric["unit"], "better": metric["better"],
         "bound": metric["bound"], **stats,
@@ -84,6 +95,7 @@ def summarise(runs: list[dict], metric: dict) -> dict:
                                  and median_gain > parent_iqr),
         "worse_than_bound": -median_gain > metric["bound"] * abs(
             stats["parent"]["median"]),
+        "unresolved": too_wide and not change_above,
     }
 
 
@@ -93,25 +105,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1,
-                        help="workload seed of the first pair")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     checkouts = {"parent": args.parent, "change": args.change}
 
     runs = []
-    for k in range(args.pairs):
-        seed = args.seed + k
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        run = {"pair": k, "seed": seed, "first": order[0]}
+    for k in range(1, args.pairs + 1):
+        order = SIDES if k % 2 else SIDES[::-1]
+        run = {"pair": k, "seed": k, "first": order[0]}
         for side in order:
-            run[side] = run_once(checkouts[side], args.workload, seed, seconds)
+            run[side] = run_once(checkouts[side], args.workload, k, seconds)
         runs.append(run)
         print(f"pair {k}: " + ", ".join(
             f"{side} {run[side]['metrics'].get('ops_per_s', 0):.0f} ops/s"
