@@ -6,8 +6,9 @@ entailment checking via the tableau.  :class:`ExtensionEngine` hides the
 choice behind one call and counts every extension it computes, which
 makes the cost accounting of the similarity measure observable.  The
 concept-name extensions that every MSC roll-up reads are computed once
-per engine; besides them the engine only holds the bit-mask memos that
-``msc.msc_extension`` fills and reads.
+per engine; besides them the engine holds the entail backend's answered
+instance checks and the bit-mask memos that ``msc.msc_extension`` fills
+and reads.
 
 An entail extension is taken conjunct by conjunct, and a tableau
 instance check is made only where no cheaper rule decides membership:
@@ -18,7 +19,10 @@ instance check is made only where no cheaper rule decides membership:
   first, and later conjuncts are checked only on the survivors;
 * KB |= F(b) and an asserted r(a, b) imply KB |= (exists r.F)(a), so a
   candidate with an asserted ``r``-successor in the extension of ``F``
-  needs no check (that extension is taken over those successors only).
+  needs no check (that extension is taken over those successors only);
+* an individual outside the extension of C in the reasoner's witness
+  model (:attr:`TableauReasoner.witness`), a model of the KB, is not an
+  instance of C, so it needs no check either.
 
 Every other membership is one instance check, remembered per
 (concept, individual) for the engine's lifetime.
@@ -26,7 +30,8 @@ Every other membership is one instance check, remembered per
 reference this path is tested against.  A conjunct checked on its own
 can need a negated at-least that refuting the whole concept never
 reaches, so when this path raises, ``retrieve`` decides the extension:
-the engine raises only where ``retrieve`` does.
+the engine raises only where ``retrieve`` does.  It can answer where
+``retrieve`` raises, as it makes no check the witness rules out.
 """
 
 from __future__ import annotations
@@ -120,7 +125,12 @@ class ExtensionEngine:
         """Members of ``candidates`` in ``c`` by instance check, memoised."""
         if self._reasoner is None:
             self._reasoner = TableauReasoner(self.kb)
-        known = self._checks.setdefault(c, {})
+        known = self._checks.get(c)
+        if known is None:       # no individual outside c in the witness is in c
+            witness = self._reasoner.witness
+            outside = () if witness is None else (
+                self.kb.abox.individuals - eval_concept(witness, self.kb.tbox, c))
+            known = self._checks[c] = dict.fromkeys(outside, False)
         for a in sorted(candidates):
             if a not in known:
                 known[a] = self._reasoner.instance_check(a, c)

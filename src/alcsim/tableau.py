@@ -43,6 +43,10 @@ check rebuilds the ABox from scratch instead, exactly as without
 precompletion.  A check that raises from the precompleted ABox is redone
 from scratch too: rules fire in another order there, and a negated
 at-least raises only on the branches that reach it.
+
+``_run`` returns the open, complete state it finds, or ``None``.  From
+the precompleted ABox that state is a model of the KB, which
+:attr:`TableauReasoner.witness` exports as a ``CanonicalModel``.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .canonical import CanonicalModel
 from .errors import AlcsimError, UnknownIndividual
 from .model import (
     And,
@@ -258,7 +263,7 @@ class TableauReasoner:
             self._add(state, nid, self.table.id(c), queue)
         except _Clash:
             return False
-        return self._run(state, queue)
+        return self._run(state, queue) is not None
 
     def subsumes(self, d: ConceptExpr, c: ConceptExpr) -> bool:
         """True iff ``d`` subsumes ``c`` (every instance of c is one of d)."""
@@ -271,8 +276,8 @@ class TableauReasoner:
         self.stats.satisfiability_calls += 1
         if self._precompleted is None:
             state, _, queue = self._abox_state()
-            return self._run(state, queue)
-        return self._run(self._precompleted[0].copy(), deque())
+            return self._run(state, queue) is not None
+        return self._run(self._precompleted[0].copy(), deque()) is not None
 
     def instance_check(self, individual: str, c: ConceptExpr) -> bool:
         """Decide whether the KB entails membership of the individual in ``c``."""
@@ -307,7 +312,43 @@ class TableauReasoner:
             self._add(state, nid, goal, queue)
         except _Clash:
             return True
-        return not self._run(state, queue)
+        return self._run(state, queue) is None
+
+    @cached_property
+    def witness(self) -> CanonicalModel | None:
+        """A model of the KB: the open completion of the precompleted ABox.
+
+        Its domain is the node ids, named nodes as their individuals and
+        anonymous ones as ``#<id>``, which no name spells; names come from
+        the labels' atoms, roles from the edges.  ``eval_concept``'s "told
+        or body" rule is exact on it, as a label holding a fully defined
+        name holds its body too.  ``None`` if there is no precompleted
+        ABox, or the search raises or closes.
+        """
+        if self._precompleted is None:
+            return None
+        completed, node_of = self._precompleted
+        self.stats.satisfiability_calls += 1
+        try:
+            state = self._run(completed.copy(), deque())
+        except AlcsimError:
+            return None
+        if state is None:
+            return None
+        element = {nid: f"#{nid}" for nid in state.nodes}
+        element.update((nid, a) for a, nid in node_of.items())
+        names: dict[str, set[str]] = {}
+        role_succ: dict[str, dict[str, frozenset[str]]] = {}
+        for nid, node in state.nodes.items():
+            for c in node.label:
+                if self.table.kind[c] == _ATOM:
+                    names.setdefault(self.table.parts[c], set()).add(element[nid])
+            for role, succs in node.edges.items():
+                role_succ.setdefault(role, {})[element[nid]] = frozenset(
+                    element[s] for s in succs)
+        return CanonicalModel(
+            frozenset(element.values()),
+            {name: frozenset(xs) for name, xs in names.items()}, role_succ)
 
     # -- state construction -------------------------------------------------
 
@@ -358,13 +399,14 @@ class TableauReasoner:
 
     # -- search -------------------------------------------------------------
 
-    def _run(self, state: _State, queue: _Queue) -> bool:
+    def _run(self, state: _State, queue: _Queue) -> _State | None:
+        """The first open, complete state reached from ``state``, or ``None``."""
         try:
             self._saturate(state, queue)
             while True:
                 choice = self._select_disjunction(state)
                 if choice is None:
-                    return True
+                    return state
                 nid, viable = choice
                 if len(viable) > 1:
                     break
@@ -373,7 +415,7 @@ class TableauReasoner:
                 self._add(state, nid, viable[0], unit_queue)
                 self._saturate(state, unit_queue)
         except _Clash:
-            return False
+            return None
         for alternative in viable:
             self.stats.branches_explored += 1
             branch = state.copy()
@@ -382,9 +424,9 @@ class TableauReasoner:
                 self._add(branch, nid, alternative, branch_queue)
             except _Clash:
                 continue
-            if self._run(branch, branch_queue):
-                return True
-        return False
+            if (found := self._run(branch, branch_queue)) is not None:
+                return found
+        return None
 
     def _select_disjunction(self, state: _State) -> tuple[int, list[int]] | None:
         """Most-constrained open disjunction, with its viable alternatives.

@@ -55,16 +55,17 @@ class TestEngineOracle:
         engine = ExtensionEngine(fathers_kb, Backend.ENTAIL)
         assert engine.extension(parse_concept("Top")) == {"Leonardo", "Vito"}
         assert engine._reasoner is None
-        # two checks: Person on Vito, the only asserted hasChild successor,
-        # which puts Leonardo in without a check, then the concept on Vito
+        # one check: Person on Vito, the only asserted hasChild successor,
+        # which puts Leonardo in without a check; Vito has no hasChild
+        # successor in the witness, so the concept needs no check on him
         assert engine.extension(parse_concept("exists hasChild.Person")) == {
             "Leonardo"}
         stats = engine._reasoner.stats
-        assert stats.instance_checks == 2
+        assert stats.instance_checks == 1
         # two more: Male on each individual; every other answer is memoised
         assert engine.extension(parse_concept(
             "Male and exists hasChild.Person")) == {"Leonardo"}
-        assert stats.instance_checks == 4
+        assert stats.instance_checks == 3
 
     def test_conjunct_that_raises_alone_defers_to_retrieve(self):
         # checked alone, P needs the negated at-least; refuting the whole
@@ -104,7 +105,8 @@ def test_name_extensions_match_plain_path(source, backend, request):
 
 
 # Three ABoxes whose checks fail in three ways; the values are those of
-# retrieval that rebuilds the ABox for every check.
+# retrieval that rebuilds the ABox for every check.  A pair holds
+# retrieve's answer, then the engine's, where they differ.
 FALLBACK = {
     # the ABox's own saturation raises, so it is not precompleted
     "A := not atleast 2 r\nA(x)\n": {
@@ -117,11 +119,12 @@ FALLBACK = {
         "A": {"x"}, "B": {"x"}, "not A": {"x"}, "exists r.B": {"x"},
         "Top": {"x"}, "A and B": {"x"}, "consistent": False,
     },
-    # the ABox is precompleted, and some checks raise
+    # the ABox is precompleted, and some checks raise; the engine checks
+    # no individual the witness rules out, here A and B on y, so it answers
     "A := atleast 2 r\nA(x)\nr(x, y)\n": {
-        "A": UnsupportedNegation, "B": set(), "not A": set(),
+        "A": (UnsupportedNegation, {"x"}), "B": set(), "not A": set(),
         "exists r.B": set(), "Top": {"x", "y"},
-        "A and B": UnsupportedNegation, "consistent": True,
+        "A and B": (UnsupportedNegation, set()), "consistent": True,
     },
 }
 
@@ -136,7 +139,9 @@ def test_precompletion_fallback(text):
         if concept == "consistent":
             assert outcome(TableauReasoner(kb).abox_consistent) == answer
             continue
+        by_retrieve, by_engine = (
+            answer if isinstance(answer, tuple) else (answer, answer))
         c = parse_concept(concept)
         engine = ExtensionEngine(kb, Backend.ENTAIL)
-        assert outcome(lambda: TableauReasoner(kb).retrieve(c)) == answer
-        assert outcome(lambda: engine.extension(c)) == answer
+        assert outcome(lambda: TableauReasoner(kb).retrieve(c)) == by_retrieve
+        assert outcome(lambda: engine.extension(c)) == by_engine
