@@ -162,6 +162,26 @@ class TestRetrieve:
         assert code == 0
         assert out.split() == ["Leonardo"]
 
+    def test_entail_answers_where_the_witness_rules_out_a_raising_check(
+            self, capsys, tmp_path):
+        # checking y needs the negated at-least, but y has no r-successor
+        # in the witness model, so the engine never checks it
+        kb = tmp_path / "atleast.dlkb"
+        kb.write_text("A := atleast 2 r\nA(x)\nr(x, y)\n")
+        code, out, err = run(capsys, "retrieve", str(kb), "A",
+                             "--backend", "entail", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["members"] == ["x"]
+
+    def test_entail_search_that_raises_is_exit_2(self, capsys, family_path):
+        # the witness keeps Claudia, among others, in Sibling, and the check
+        # on her needs the negated at-least of Sibling's body
+        code, out, err = run(capsys, "retrieve", family_path, "Sibling",
+                             "--backend", "entail")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+
     def test_non_utf8_file_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.dlkb"
         bad.write_bytes(b"Woman(a)\n\xff\n")

@@ -1,12 +1,17 @@
 """The entail engine's conjunct-wise extensions against per-individual retrieval."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alcsim.canonical import eval_concept
 from alcsim.errors import AlcsimError, UnsupportedNegation
 from alcsim.gen import random_concept, random_kb
-from alcsim.model import Atom
+from alcsim.model import (
+    And, AtLeast, Atom, Definition, KnowledgeBase, TBox)
 from alcsim.msc import msc_approx
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
@@ -145,3 +150,96 @@ def test_precompletion_fallback(text):
         engine = ExtensionEngine(kb, Backend.ENTAIL)
         assert outcome(lambda: TableauReasoner(kb).retrieve(c)) == by_retrieve
         assert outcome(lambda: engine.extension(c)) == by_engine
+
+
+def with_atleast(seed):
+    """A ``random_kb`` with ``atleast`` in about half its definition bodies,
+    and ten concepts over it, one in five conjoined with ``atleast 2``."""
+    kb = random_kb(seed)
+    rng = random.Random(seed)
+    roles = sorted(kb.signature.role_names) or ["r"]
+    definitions = dict(kb.tbox.definitions)
+    for name, defn in sorted(definitions.items()):
+        if rng.random() < 0.5:
+            restriction = AtLeast(rng.randint(1, 2), rng.choice(roles))
+            definitions[name] = Definition(
+                defn.kind, And((defn.body, restriction)))
+    kb = KnowledgeBase.assemble(TBox(definitions), kb.abox)
+    names = sorted(kb.signature.concept_names)
+    concepts = []
+    for i in range(10):
+        c = random_concept(rng, names, roles, 2)
+        concepts.append(And((c, AtLeast(2, rng.choice(roles)))) if i % 5 == 0
+                        else c)
+    return kb, concepts
+
+
+def witness_labels(reasoner):
+    """Each witness element with the concept ids in its node's label,
+    from a second run of the search the witness came from."""
+    completed, node_of = reasoner._precompleted
+    state = reasoner._run(completed.copy(), deque())
+    element = {nid: f"#{nid}" for nid in state.nodes}
+    element.update((nid, a) for a, nid in node_of.items())
+    return {element[nid]: list(node.label) for nid, node in state.nodes.items()}
+
+
+def assert_label_lemma(kb):
+    """Every concept in a witness node's label holds at that node."""
+    reasoner = TableauReasoner(kb)
+    witness = reasoner.witness
+    consistent = outcome(TableauReasoner(kb).abox_consistent)
+    if reasoner._precompleted is None or consistent is not True:
+        assert witness is None
+        return
+    labels = witness_labels(reasoner)
+    assert witness.domain == labels.keys()
+    extensions = {}
+    for x, label in labels.items():
+        for cid in label:
+            if cid not in extensions:
+                extensions[cid] = eval_concept(
+                    witness, kb.tbox, reasoner.table.expr[cid])
+            assert x in extensions[cid], (x, str(reasoner.table.expr[cid]))
+
+
+class TestWitness:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), atleast=st.booleans())
+    def test_label_lemma_on_random_kbs(self, seed, atleast):
+        assert_label_lemma(with_atleast(seed)[0] if atleast
+                           else random_kb(seed))
+
+    @pytest.mark.parametrize("fixture", ["family_kb", "fathers_kb"])
+    def test_label_lemma_on_fixtures(self, fixture, request):
+        kb = request.getfixturevalue(fixture)
+        assert TableauReasoner(kb).witness is not None
+        assert_label_lemma(kb)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000))
+    def test_rules_out_no_instance(self, seed):
+        kb, concepts = with_atleast(seed)
+        reasoner = TableauReasoner(kb)
+        witness = reasoner.witness
+        if witness is None:
+            return
+        for c in concepts:
+            outside = kb.individuals - eval_concept(witness, kb.tbox, c)
+            for a in sorted(outside):
+                assert outcome(
+                    lambda: reasoner.instance_check(a, c)) is not True, (a, str(c))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000))
+    def test_engine_matches_retrieve_where_it_answers(self, seed):
+        kb, concepts = with_atleast(seed)
+        engine = ExtensionEngine(kb, Backend.ENTAIL)
+        for c in concepts:
+            expected = outcome(lambda: TableauReasoner(kb).retrieve(c))
+            got = outcome(lambda: engine.extension(c))
+            if isinstance(expected, type):
+                # the engine may answer where a check it skips would raise
+                assert got == expected or isinstance(got, frozenset), str(c)
+            else:
+                assert got == expected, str(c)
