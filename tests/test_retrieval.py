@@ -181,7 +181,8 @@ def witness_labels(reasoner):
     state = reasoner._run(completed.copy(), deque())
     element = {nid: f"#{nid}" for nid in state.nodes}
     element.update((nid, a) for a, nid in node_of.items())
-    return {element[nid]: list(node.label) for nid, node in state.nodes.items()}
+    return {element[nid]: list(node.label)
+            for nid, node in state.nodes.items()}
 
 
 def assert_label_lemma(kb):
@@ -227,8 +228,8 @@ class TestWitness:
         for c in concepts:
             outside = kb.individuals - eval_concept(witness, kb.tbox, c)
             for a in sorted(outside):
-                assert outcome(
-                    lambda: reasoner.instance_check(a, c)) is not True, (a, str(c))
+                answer = outcome(lambda: reasoner.instance_check(a, c))
+                assert answer is not True, (a, str(c))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
