@@ -2,10 +2,10 @@
 
 Everything here is driven by an explicit seed so failures reproduce.
 Definitions reference only earlier names, which keeps generated TBoxes
-acyclic by construction.  At-least restrictions are excluded: negating
-them is a hard error through most reasoning paths, so randomized runs
-would trip over it rather than exercise anything useful; the bundled
-family fixture covers the constructor instead.
+acyclic by construction.  :func:`random_kb` and :func:`random_concept`
+draw no at-least restriction, as the entail backend cannot negate
+``atleast n r`` for n >= 2; :func:`with_atleast` adds them on top of a
+``random_kb``, for tests of that path.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .errors import InvalidShape
 from .model import (
     ABox,
     And,
+    AtLeast,
     Atom,
     ConceptExpr,
     DefKind,
@@ -140,3 +141,26 @@ def random_kb(seed: int, shape: KbShape = KbShape()) -> KnowledgeBase:
     }
     abox = ABox.from_assertions(concept_assertions, role_assertions)
     return KnowledgeBase.assemble(TBox(definitions), abox)
+
+
+def with_atleast(seed: int) -> tuple[KnowledgeBase, list[ConceptExpr]]:
+    """``random_kb(seed)`` with ``atleast`` in about half its definition
+    bodies, and ten concepts over it, one in five conjoined with
+    ``atleast 2``."""
+    kb = random_kb(seed)
+    rng = random.Random(seed)
+    roles = sorted(kb.signature.role_names) or ["r"]
+    definitions = dict(kb.tbox.definitions)
+    for name, defn in sorted(definitions.items()):
+        if rng.random() < 0.5:
+            restriction = AtLeast(rng.randint(1, 2), rng.choice(roles))
+            definitions[name] = Definition(
+                defn.kind, And((defn.body, restriction)))
+    kb = KnowledgeBase.assemble(TBox(definitions), kb.abox)
+    names = sorted(kb.signature.concept_names)
+    concepts = []
+    for i in range(10):
+        c = random_concept(rng, names, roles, 2)
+        concepts.append(And((c, AtLeast(2, rng.choice(roles)))) if i % 5 == 0
+                        else c)
+    return kb, concepts

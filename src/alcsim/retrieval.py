@@ -27,10 +27,11 @@ instance check is made only where no cheaper rule decides membership:
 Every other membership is one instance check, remembered per
 (concept, individual) for the engine's lifetime.
 :meth:`TableauReasoner.retrieve`, one check per individual, is the
-reference this path is tested against.  A conjunct checked on its own
-can need a negated at-least that refuting the whole concept never
-reaches, so when this path raises, ``retrieve`` decides the extension:
-the engine raises only where ``retrieve`` does.  It can answer where
+reference this path is tested against.  A check of a conjunct on its
+own can end on a branch that a negated at-least leaves unknown where the
+check of the whole concept answers, so when this path raises,
+``retrieve`` decides the extension: the engine raises only where
+``retrieve`` does.  It can answer where
 ``retrieve`` raises, as it makes no check the witness rules out.
 """
 

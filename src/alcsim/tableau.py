@@ -10,10 +10,18 @@ saturation before disjunctions are branched depth-first with
 chronological backtracking.  Defined names stay in node labels as
 literals and are unfolded on demand, and negation is pushed inward one
 constructor at a time, so a branch that closes on a name-level clash
-never touches the negated body at all.  In particular, the unsupported
-negation of an at-least restriction is only an error on branches that
-actually have to process it.  No blocking is required: acyclic
+never touches the negated body at all.  No blocking is required: acyclic
 definitions bound the expansion depth.
+
+``not atleast n r`` with n >= 2 needs an at-most restriction, which the
+constructor set lacks.  Its rule adds nothing and marks the branch with
+the ``UnsupportedNegation`` it stands for.  A branch that closes is
+closed, marked or not: the constraint left out could only close it
+sooner.  A branch that ends open and marked is unknown, and the search
+goes on to the next alternative.  A search answers "satisfiable" if some
+branch ends open and unmarked, "unsatisfiable" if every branch closes,
+and otherwise raises the mark's error.  So whether a request answers,
+and what it answers, does not depend on the order in which rules fire.
 
 Each reasoner interns every concept it meets once, in its
 :class:`ConceptTable`, as a dense integer id; labels, the rule queue and
@@ -24,6 +32,17 @@ negation and, for a negation, of its argument) and what its ``Atom`` or
 ``model._negate_once``.  The clash test so builds and hashes no
 concept, and interning walks a concept with its own stack, so no step
 of the search recurses on concept depth.
+
+Interning simplifies a concept by the absorbing and unit laws of ``Top``
+and ``Bottom``, the step that Horrocks & Patel-Schneider (1999,
+*Optimizing description logic subsumption*) put before the search: an
+``And`` with ``Bottom`` is ``Bottom`` and an ``Or`` with ``Top`` is
+``Top``; ``Top`` leaves an ``And`` and ``Bottom`` an ``Or``, and a single
+part left stands alone; ``forall r.Top`` is ``Top``, ``exists r.Bottom``
+is ``Bottom``, ``not Top`` is ``Bottom`` and ``not Bottom`` is ``Top``.
+Parts keep their order, and nothing is flattened or deduplicated.  A
+concept so gets the id of an equivalent one, and the search never
+branches on a disjunction that holds trivially.
 
 Named nodes (ABox individuals) are pairwise distinct and never merged
 (unique names assumption).  An at-least restriction simply creates the
@@ -38,15 +57,14 @@ nodes it touches, not the whole graph, and the search is unchanged.
 ABox checks start from the precompleted ABox: its deterministic rules
 saturated once per reasoner.  An instance check whose negated goal
 already clashes with the individual's precompleted label returns without
-copying anything.  If the ABox's own saturation clashes or raises, every
-check rebuilds the ABox from scratch instead, exactly as without
-precompletion.  A check that raises from the precompleted ABox is redone
-from scratch too: rules fire in another order there, and a negated
-at-least raises only on the branches that reach it.
+copying anything.  If the ABox's own saturation clashes, the KB is
+inconsistent: it entails every instance and there is no precompleted
+ABox.
 
-``_run`` returns the open, complete state it finds, or ``None``.  From
-the precompleted ABox that state is a model of the KB, which
-:attr:`TableauReasoner.witness` exports as a ``CanonicalModel``.
+``_run`` returns the open, complete state it finds, unmarked if it can,
+or ``None``.  From the precompleted ABox an unmarked one is a model of
+the KB, which :attr:`TableauReasoner.witness` exports as a
+``CanonicalModel``.
 """
 
 from __future__ import annotations
@@ -56,7 +74,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .canonical import CanonicalModel
-from .errors import AlcsimError, UnknownIndividual
+from .errors import UnknownIndividual, UnsupportedNegation
 from .model import (
     And,
     AtLeast,
@@ -106,7 +124,8 @@ class ConceptTable:
     parts are the arg ids of ``And``/``Or``, ``(role, filler id)`` of
     ``Exists``/``Forall``, the arg id of ``Not``, ``(n, role)`` of
     ``AtLeast``, the name of an ``Atom``, and ``()`` for ``Top`` and
-    ``Bottom``.  Equal concepts get one id, so ids compare as concepts do.
+    ``Bottom``.  Concepts equal once simplified get one id, and
+    ``expr[i]`` is made of its parts' own concepts: the simplified form.
     """
 
     def __init__(self, tbox: TBox):
@@ -121,7 +140,11 @@ class ConceptTable:
         self.id(BOTTOM)
 
     def id(self, c: ConceptExpr) -> int:
-        """The id of ``c``, interning it and its subconcepts if new."""
+        """The id of ``c``, interning it and its subconcepts if new.
+
+        ``c`` is simplified on the way (see the module docstring), so its
+        id may be that of a smaller concept, or of ``Top`` or ``Bottom``.
+        """
         done: list[int] = []                 # ids of finished subconcepts
         stack = [(c, False)]
         while stack:
@@ -134,12 +157,29 @@ class ConceptTable:
                     continue
                 parts = tuple(done[-len(c.args):])
                 del done[-len(c.args):]
+                unit, absorbing = ((_TOP_ID, _BOTTOM_ID) if kind == _AND
+                                   else (_BOTTOM_ID, _TOP_ID))
+                if absorbing in parts:
+                    done.append(absorbing)
+                    continue
+                if unit in parts:
+                    parts = tuple(p for p in parts if p != unit)
+                    if len(parts) < 2:
+                        done.append(parts[0] if parts else unit)
+                        continue
             elif kind == _NOT or kind == _EXISTS or kind == _FORALL:
                 if not ready:
                     stack.append((c, True))
                     stack.append((c.arg if kind == _NOT else c.filler, False))
                     continue
-                parts = done.pop() if kind == _NOT else (c.role, done.pop())
+                arg = done.pop()
+                if kind == _NOT:
+                    done.append(self.negation(arg))
+                    continue
+                if arg == (_TOP_ID if kind == _FORALL else _BOTTOM_ID):
+                    done.append(arg)        # forall r.Top, exists r.Bottom
+                    continue
+                parts = (c.role, arg)
             elif kind == _ATOM:
                 parts = c.name
             elif kind == _ATLEAST:
@@ -149,21 +189,42 @@ class ConceptTable:
             done.append(self._intern(kind, parts, c))
         return done[0]
 
-    def _intern(self, kind: int, parts, c: ConceptExpr) -> int:
+    def _intern(self, kind: int, parts, c: ConceptExpr | None) -> int:
         key = (kind, parts)
         cid = self._ids.get(key)
         if cid is None:
             cid = self._ids[key] = len(self.expr)
             self.kind.append(kind)
             self.parts.append(parts)
-            self.expr.append(c)
+            self.expr.append(self._rebuilt(kind, parts, c))
             self._clash.append(None)
             self._adds.append(None)
         return cid
 
+    def _rebuilt(self, kind: int, parts, c: ConceptExpr | None) -> ConceptExpr:
+        """``c``, or, if interning simplified a part of it, ``c`` made of
+        the parts' own concepts; a negation is always made so."""
+        expr = self.expr
+        if kind == _AND or kind == _OR:
+            args = tuple(expr[p] for p in parts)
+            if len(args) == len(c.args) and all(
+                    a is b for a, b in zip(args, c.args)):
+                return c
+            return type(c)(args)
+        if kind == _NOT:
+            return Not(expr[parts])
+        if kind == _EXISTS or kind == _FORALL:
+            filler = expr[parts[1]]
+            return c if filler is c.filler else type(c)(parts[0], filler)
+        return c
+
     def negation(self, cid: int) -> int:
         """The id of ``not c`` for the concept ``c`` with id ``cid``."""
-        return self._intern(_NOT, cid, Not(self.expr[cid]))
+        if cid == _TOP_ID:
+            return _BOTTOM_ID
+        if cid == _BOTTOM_ID:
+            return _TOP_ID
+        return self._intern(_NOT, cid, None)
 
     def clash_keys(self, cid: int) -> tuple[int, ...]:
         """The ids whose presence in a label clashes with ``cid``."""
@@ -180,8 +241,8 @@ class ConceptTable:
 
         A name adds its unfolding, a negated name the negation of its
         unfolding, and any other negation its conjuncts pushed one
-        constructor in.  A negation that cannot be pushed raises on every
-        call, so only the branches that reach it fail.
+        constructor in.  A negated at-least that cannot be pushed raises
+        on every call; the rule that meets it marks its branch.
         """
         adds = self._adds[cid]
         if adds is None:
@@ -227,10 +288,13 @@ class _State:
     nodes: dict[int, TableauNode]
     pending_or: list[tuple[int, int]] = field(default_factory=list)
     owned: set[int] = field(default_factory=set)
+    # the message of the UnsupportedNegation that a negated at-least rule
+    # would have raised on this branch; an open, marked branch is unknown
+    mark: str | None = None
 
     def copy(self) -> "_State":
         self.owned = set()
-        return _State(dict(self.nodes), list(self.pending_or))
+        return _State(dict(self.nodes), list(self.pending_or), mark=self.mark)
 
 
 _Queue = deque  # of (node id, concept id) pairs awaiting rule application
@@ -263,7 +327,7 @@ class TableauReasoner:
             self._add(state, nid, self.table.id(c), queue)
         except _Clash:
             return False
-        return self._run(state, queue) is not None
+        return self._open(state, queue)
 
     def subsumes(self, d: ConceptExpr, c: ConceptExpr) -> bool:
         """True iff ``d`` subsumes ``c`` (every instance of c is one of d)."""
@@ -275,9 +339,8 @@ class TableauReasoner:
     def abox_consistent(self) -> bool:
         self.stats.satisfiability_calls += 1
         if self._precompleted is None:
-            state, _, queue = self._abox_state()
-            return self._run(state, queue) is not None
-        return self._run(self._precompleted[0].copy(), deque()) is not None
+            return False
+        return self._open(self._precompleted[0].copy(), deque())
 
     def instance_check(self, individual: str, c: ConceptExpr) -> bool:
         """Decide whether the KB entails membership of the individual in ``c``."""
@@ -286,17 +349,18 @@ class TableauReasoner:
         self.stats.instance_checks += 1
         self.stats.satisfiability_calls += 1
         goal = self.table.id(Not(c))
-        if self._precompleted is not None:
-            completed, node_of = self._precompleted
-            nid = node_of[individual]
-            if self._dead(completed.nodes[nid].label, goal):
-                return True
-            try:
-                return self._refuted(completed.copy(), deque(), nid, goal)
-            except AlcsimError:
-                pass    # the rebuilt ABox decides (see the module docstring)
-        state, node_of, queue = self._abox_state()
-        return self._refuted(state, queue, node_of[individual], goal)
+        if self._precompleted is None:
+            return True                 # an inconsistent KB entails anything
+        completed, node_of = self._precompleted
+        nid = node_of[individual]
+        if self._dead(completed.nodes[nid].label, goal):
+            return True
+        state, queue = completed.copy(), deque()
+        try:
+            self._add(state, nid, goal, queue)
+        except _Clash:
+            return True
+        return not self._open(state, queue)
 
     def retrieve(self, c: ConceptExpr) -> frozenset[str]:
         """All individuals whose membership in ``c`` is entailed."""
@@ -304,15 +368,6 @@ class TableauReasoner:
             a for a in sorted(self.kb.abox.individuals)
             if self.instance_check(a, c)
         )
-
-    def _refuted(self, state: _State, queue: _Queue, nid: int, goal: int) -> bool:
-        """True iff adding the concept id ``goal`` (``not c`` for a check
-        of ``c``) to node ``nid`` leaves no open branch."""
-        try:
-            self._add(state, nid, goal, queue)
-        except _Clash:
-            return True
-        return self._run(state, queue) is None
 
     @cached_property
     def witness(self) -> CanonicalModel | None:
@@ -322,18 +377,15 @@ class TableauReasoner:
         anonymous ones as ``#<id>``, which no name spells; names come from
         the labels' atoms, roles from the edges.  ``eval_concept``'s "told
         or body" rule is exact on it, as a label holding a fully defined
-        name holds its body too.  ``None`` if there is no precompleted
-        ABox, or the search raises or closes.
+        name holds its body too.  ``None`` if the KB is inconsistent, or
+        the search closes or finds only marked completions.
         """
         if self._precompleted is None:
             return None
         completed, node_of = self._precompleted
         self.stats.satisfiability_calls += 1
-        try:
-            state = self._run(completed.copy(), deque())
-        except AlcsimError:
-            return None
-        if state is None:
+        state = self._run(completed.copy(), deque())
+        if state is None or state.mark is not None:
             return None
         element = {nid: f"#{nid}" for nid in state.nodes}
         element.update((nid, a) for a, nid in node_of.items())
@@ -357,17 +409,8 @@ class TableauReasoner:
         """The ABox with its deterministic rules saturated, built once.
 
         Every ABox check starts from a copy of this state.  ``None`` when
-        the saturation clashes or raises: checks then rebuild the ABox
-        from scratch, so they fail exactly where they would without it.
+        the saturation clashes, that is, when the KB is inconsistent.
         """
-        state, node_of, queue = self._abox_state()
-        try:
-            self._saturate(state, queue)
-        except (_Clash, AlcsimError):
-            return None
-        return state, node_of
-
-    def _abox_state(self) -> tuple[_State, dict[str, int], _Queue]:
         state = _State(nodes={})
         queue: _Queue = deque()
         node_of: dict[str, int] = {}
@@ -380,7 +423,11 @@ class TableauReasoner:
         for concept, individual in sorted(self.kb.abox.concept_assertions):
             self._add(state, node_of[individual], self.table.id(Atom(concept)),
                       queue)
-        return state, node_of, queue
+        try:
+            self._saturate(state, queue)
+        except _Clash:
+            return None
+        return state, node_of
 
     def _fresh_node(self, state: _State) -> int:
         nid = len(state.nodes)      # nodes are never removed
@@ -399,8 +446,20 @@ class TableauReasoner:
 
     # -- search -------------------------------------------------------------
 
+    def _open(self, state: _State, queue: _Queue) -> bool:
+        """Whether some branch from ``state`` ends open and unmarked.
+
+        False if every branch closes; if neither, no answer is sound, and
+        the mark's ``UnsupportedNegation`` is raised.
+        """
+        found = self._run(state, queue)
+        if found is not None and found.mark is not None:
+            raise UnsupportedNegation(found.mark)
+        return found is not None
+
     def _run(self, state: _State, queue: _Queue) -> _State | None:
-        """The first open, complete state reached from ``state``, or ``None``."""
+        """The first open, complete and unmarked state reached from
+        ``state``; else the first open, marked one; else ``None``."""
         try:
             self._saturate(state, queue)
             while True:
@@ -416,6 +475,7 @@ class TableauReasoner:
                 self._saturate(state, unit_queue)
         except _Clash:
             return None
+        unknown = None
         for alternative in viable:
             self.stats.branches_explored += 1
             branch = state.copy()
@@ -424,9 +484,15 @@ class TableauReasoner:
                 self._add(branch, nid, alternative, branch_queue)
             except _Clash:
                 continue
-            if (found := self._run(branch, branch_queue)) is not None:
+            found = self._run(branch, branch_queue)
+            if found is None:
+                continue
+            # below a marked state every open branch is marked
+            if found.mark is None or state.mark is not None:
                 return found
-        return None
+            if unknown is None:
+                unknown = found
+        return unknown
 
     def _select_disjunction(self, state: _State) -> tuple[int, list[int]] | None:
         """Most-constrained open disjunction, with its viable alternatives.
@@ -502,9 +568,13 @@ class TableauReasoner:
             for _ in range(n):
                 self._successor(state, nid, role, _TOP_ID, queue)
         elif kind == _ATOM or kind == _NOT:
-            # Negation goes inward one constructor per rule application, so
-            # a negated at-least raises only on a branch that reaches it.
-            for d in self.table.adds(c):
+            try:
+                adds = self.table.adds(c)
+            except UnsupportedNegation as error:
+                # not atleast n r, n >= 2: add nothing and mark the branch
+                state.mark = state.mark or str(error)
+                return
+            for d in adds:
                 self._add(state, nid, d, queue)
 
     def _successor(self, state: _State, nid: int, role: str, filler: int,

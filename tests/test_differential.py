@@ -1,0 +1,23 @@
+"""``tools/differential.py`` covers every case kind on every kind of KB."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_transcript_covers_every_case():
+    # a subprocess, as the script swaps the imported alcsim for --src's
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "differential.py"),
+         "--src", str(ROOT), "--seeds", "2"],
+        capture_output=True, text=True, check=True, timeout=300).stdout
+    fields = [line.split(" | ") for line in out.splitlines()]
+    assert {len(f) for f in fields} == {5}
+    assert {f[0] for f in fields} == {
+        "family", "fathers", "seed 0", "seed 0 atleast", "seed 1",
+        "seed 1 atleast"}
+    assert {f[1].split()[0] for f in fields} == {
+        "consistent", "sat", "check", "retrieve", "extension", "matrix"}
+    assert any(f[3].startswith("UnsupportedNegation: ") for f in fields)

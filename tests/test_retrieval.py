@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from alcsim.canonical import eval_concept
 from alcsim.errors import AlcsimError, UnsupportedNegation
-from alcsim.gen import random_concept, random_kb
-from alcsim.model import (
-    And, AtLeast, Atom, Definition, KnowledgeBase, TBox)
+from alcsim.gen import random_concept, random_kb, with_atleast
+from alcsim.model import Atom
 from alcsim.msc import msc_approx
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
@@ -109,27 +108,30 @@ def test_name_extensions_match_plain_path(source, backend, request):
         assert engine.name_extensions is got    # computed once
 
 
-# Three ABoxes whose checks fail in three ways; the values are those of
-# retrieval that rebuilds the ABox for every check.  A pair holds
-# retrieve's answer, then the engine's, where they differ.
+# Three ABoxes whose checks meet a negated at-least or a clash in three
+# ways.  A pair holds retrieve's answer, then the engine's, where they
+# differ.
 FALLBACK = {
-    # the ABox's own saturation raises, so it is not precompleted
+    # the ABox's own saturation meets the negated at-least, so its
+    # precompletion is marked, and every check that does not close raises
     "A := not atleast 2 r\nA(x)\n": {
         "A": {"x"}, "B": UnsupportedNegation, "not A": UnsupportedNegation,
         "exists r.B": UnsupportedNegation, "Top": {"x"},
         "A and B": UnsupportedNegation, "consistent": UnsupportedNegation,
     },
-    # the ABox is inconsistent, so it is not precompleted
+    # the ABox is inconsistent, so it is not precompleted: every check
+    # holds
     "A := B and not B\nA(x)\n": {
         "A": {"x"}, "B": {"x"}, "not A": {"x"}, "exists r.B": {"x"},
         "Top": {"x"}, "A and B": {"x"}, "consistent": False,
     },
-    # the ABox is precompleted, and some checks raise; the engine checks
-    # no individual the witness rules out, here A and B on y, so it answers
+    # the check of A on y meets only the negated at-least and raises; the
+    # engine checks no individual the witness rules out, here A on y, so
+    # it answers; the check of A and B on y has an unmarked open branch
     "A := atleast 2 r\nA(x)\nr(x, y)\n": {
         "A": (UnsupportedNegation, {"x"}), "B": set(), "not A": set(),
-        "exists r.B": set(), "Top": {"x", "y"},
-        "A and B": (UnsupportedNegation, set()), "consistent": True,
+        "exists r.B": set(), "Top": {"x", "y"}, "A and B": set(),
+        "consistent": True,
     },
 }
 
@@ -138,8 +140,8 @@ FALLBACK = {
 def test_precompletion_fallback(text):
     kb = parse_kb(text)
     expected = FALLBACK[text]
-    precompleted = TableauReasoner(kb)._precompleted is not None
-    assert precompleted == (expected["consistent"] is True)
+    inconsistent = TableauReasoner(kb)._precompleted is None
+    assert inconsistent == (expected["consistent"] is False)
     for concept, answer in expected.items():
         if concept == "consistent":
             assert outcome(TableauReasoner(kb).abox_consistent) == answer
@@ -150,28 +152,6 @@ def test_precompletion_fallback(text):
         engine = ExtensionEngine(kb, Backend.ENTAIL)
         assert outcome(lambda: TableauReasoner(kb).retrieve(c)) == by_retrieve
         assert outcome(lambda: engine.extension(c)) == by_engine
-
-
-def with_atleast(seed):
-    """A ``random_kb`` with ``atleast`` in about half its definition bodies,
-    and ten concepts over it, one in five conjoined with ``atleast 2``."""
-    kb = random_kb(seed)
-    rng = random.Random(seed)
-    roles = sorted(kb.signature.role_names) or ["r"]
-    definitions = dict(kb.tbox.definitions)
-    for name, defn in sorted(definitions.items()):
-        if rng.random() < 0.5:
-            restriction = AtLeast(rng.randint(1, 2), rng.choice(roles))
-            definitions[name] = Definition(
-                defn.kind, And((defn.body, restriction)))
-    kb = KnowledgeBase.assemble(TBox(definitions), kb.abox)
-    names = sorted(kb.signature.concept_names)
-    concepts = []
-    for i in range(10):
-        c = random_concept(rng, names, roles, 2)
-        concepts.append(And((c, AtLeast(2, rng.choice(roles)))) if i % 5 == 0
-                        else c)
-    return kb, concepts
 
 
 def witness_labels(reasoner):

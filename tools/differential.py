@@ -1,0 +1,142 @@
+"""Differential transcript of the reasoner: one deterministic line per case.
+
+    python3 tools/differential.py --src DIR [--seeds 150] > transcript.txt
+
+The inputs come from the alcsim of this checkout (the ``src/`` beside
+``tools/``): both fixtures, and ``gen.random_kb`` seeds 0 to ``--seeds``-1
+each twice, as drawn and as ``gen.with_atleast`` draws it, with concepts
+over each KB.  They pass as text to the alcsim under ``DIR/src``, which
+answers every case, so two trees answer the very same inputs.  Per KB:
+
+* ``consistent``: ``abox_consistent``;
+* per concept, ``sat``: ``is_satisfiable``; ``check <individual>``:
+  ``instance_check``; ``retrieve``: ``retrieve``; ``extension``: the
+  entail ``ExtensionEngine.extension``, one engine for all the KB's
+  concepts, as ``sim_matrix`` uses it;
+* ``matrix``: the entail ``sim_matrix`` of all individuals at depth 1.
+
+Each line is the KB, the case, the concept, then the answer, or the
+exception's type and message, then the ``ReasonerStats`` counters
+(instance checks, satisfiability calls, branches, node copies) of the
+reasoner that answered.  Each case but ``extension`` gets a fresh reasoner.
+
+To compare a parent commit with the working tree:
+
+    git worktree add /tmp/alcsim-parent HEAD~1
+    python3 tools/differential.py --src /tmp/alcsim-parent > parent.txt
+    python3 tools/differential.py --src . > change.txt
+    diff parent.txt change.txt
+    git worktree remove /tmp/alcsim-parent
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONCEPTS_PER_KB = 8
+
+
+def import_alcsim(src: Path):
+    """Import ``alcsim`` from ``src``, dropping any alcsim imported before."""
+    for name in [m for m in sys.modules
+                 if m == "alcsim" or m.startswith("alcsim.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        import alcsim
+    finally:
+        sys.path.remove(str(src))
+    if src.resolve() not in Path(alcsim.__file__).resolve().parents:
+        raise SystemExit(f"alcsim was imported from {alcsim.__file__}, "
+                         f"not {src}")
+    return alcsim
+
+
+def inputs(seeds: int) -> list[tuple[str, str, list[str]]]:
+    """(label, KB text, concept texts) for every KB, from this checkout."""
+    alcsim = import_alcsim(ROOT / "src")
+    from alcsim.gen import random_concept, random_kb, with_atleast
+
+    def concepts(kb, rng):
+        names = sorted(kb.signature.concept_names)
+        roles = sorted(kb.signature.role_names) or ["r"]
+        return [random_concept(rng, names, roles, 2)
+                for _ in range(CONCEPTS_PER_KB)]
+
+    cases = []
+    for fixture in ("family", "fathers"):
+        kb = alcsim.load_fixture(fixture)
+        named = [alcsim.Atom(n) for n in sorted(kb.signature.concept_names)]
+        cases.append((fixture, kb, named + concepts(kb, random.Random(0))))
+    for seed in range(seeds):
+        kb = random_kb(seed)
+        cases.append((f"seed {seed}", kb, concepts(kb, random.Random(seed))))
+        cases.append((f"seed {seed} atleast", *with_atleast(seed)))
+    return [(label, alcsim.serialize(kb), [str(c) for c in drawn])
+            for label, kb, drawn in cases]
+
+
+def show(compute) -> str:
+    """What ``compute()`` returns, or the type and message of its raise."""
+    try:
+        answer = compute()
+    except Exception as exc:    # a raise is an answer to compare too
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(answer, frozenset):
+        return "{" + ", ".join(sorted(answer)) + "}"
+    if isinstance(answer, list):        # a matrix
+        return " / ".join(" ".join(map(str, row)) for row in answer)
+    return str(answer)
+
+
+def counters(reasoner) -> str:
+    return ("-" if reasoner is None else
+            " ".join(str(v) for v in vars(reasoner.stats).values()))
+
+
+def transcript(alcsim, cases) -> None:
+    """Print every case of every KB, answered by ``alcsim``."""
+    Reasoner, entail = alcsim.TableauReasoner, alcsim.Backend.ENTAIL
+    for label, text, concept_texts in cases:
+        kb = alcsim.parse_kb(text)
+        individuals = sorted(kb.individuals)
+        r = Reasoner(kb)
+        print(f"{label} | consistent | - | {show(r.abox_consistent)} | "
+              f"{counters(r)}")
+        engine = alcsim.ExtensionEngine(kb, entail)
+        for c in map(alcsim.parse_concept, concept_texts):
+            r = Reasoner(kb)
+            print(f"{label} | sat | {c} | {show(lambda: r.is_satisfiable(c))}"
+                  f" | {counters(r)}")
+            for a in individuals:
+                r = Reasoner(kb)
+                print(f"{label} | check {a} | {c} | "
+                      f"{show(lambda: r.instance_check(a, c))} | "
+                      f"{counters(r)}")
+            r = Reasoner(kb)
+            print(f"{label} | retrieve | {c} | {show(lambda: r.retrieve(c))} "
+                  f"| {counters(r)}")
+            print(f"{label} | extension | {c} | "
+                  f"{show(lambda: engine.extension(c))} | "
+                  f"{counters(engine._reasoner)}")
+        matrix = show(lambda: alcsim.sim_matrix(kb, individuals, 1, entail))
+        print(f"{label} | matrix | - | {matrix} | -")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, required=True,
+                        help="checkout whose src/alcsim answers the cases")
+    parser.add_argument("--seeds", type=int, default=150,
+                        help="random_kb seeds 0 to SEEDS-1 (default 150)")
+    args = parser.parse_args(argv)
+    cases = inputs(args.seeds)
+    transcript(import_alcsim(args.src / "src"), cases)
+
+
+if __name__ == "__main__":
+    main()
