@@ -1,70 +1,52 @@
 """Open-world tableau reasoning over acyclic TBoxes.
 
 Implements satisfiability, subsumption, equivalence, ABox consistency,
-instance checking and entailment-based retrieval for the supported
-constructor set (ALC plus unqualified at-least).
+instance checking and entailment-based retrieval for ALC plus
+unqualified at-least.
 
-Strategy: deterministic rules (conjunction, successor creation, value
-propagation, at-least expansion, lazy definition unfolding) run to
-saturation before disjunctions are branched depth-first with
-chronological backtracking.  Defined names stay in node labels as
-literals and are unfolded on demand, and negation is pushed inward one
-constructor at a time, so a branch that closes on a name-level clash
-never touches the negated body at all.  No blocking is required: acyclic
-definitions bound the expansion depth.
+Deterministic rules (conjunction, successors, value propagation,
+at-least, lazy unfolding) saturate before disjunctions are branched
+depth-first with chronological backtracking.  Defined names stay in
+labels and unfold on demand, and negation moves inward one constructor
+per rule, so a branch that closes on a name never expands its body.
+Acyclic definitions bound the depth, so nothing is blocked.
 
-``not atleast n r`` with n >= 2 needs an at-most restriction, which the
-constructor set lacks.  Its rule adds nothing and marks the branch with
-the ``UnsupportedNegation`` it stands for.  A branch that closes is
-closed, marked or not: the constraint left out could only close it
-sooner.  A branch that ends open and marked is unknown, and the search
-goes on to the next alternative.  A search answers "satisfiable" if some
-branch ends open and unmarked, "unsatisfiable" if every branch closes,
-and otherwise raises the mark's error.  So whether a request answers,
-and what it answers, does not depend on the order in which rules fire.
+``not atleast n r`` (n >= 2) needs an at-most restriction, which the
+constructor set lacks: its rule adds nothing and marks the branch.  A
+closed branch is closed, marked or not; an open, marked one is unknown,
+and the search goes on.  A search is satisfiable if a branch ends open
+and unmarked, unsatisfiable if every branch closes, and otherwise raises
+the mark's ``UnsupportedNegation``, whatever order rules fire in.
 
 Each reasoner interns every concept it meets once, in its
-:class:`ConceptTable`, as a dense integer id; labels, the rule queue and
-the open disjunctions hold ids.  The table keeps each id's kind and its
-parts as ids, and fills in on first use its clash keys (the ids of its
-negation and, for a negation, of its argument) and what its ``Atom`` or
-``Not`` rule adds, taken from ``TBox.unfolding`` and
-``model._negate_once``.  The clash test so builds and hashes no
-concept, and interning walks a concept with its own stack, so no step
-of the search recurses on concept depth.
+:class:`ConceptTable`, as a dense integer id held by labels, queue and
+open disjunctions.  The table keeps each id's kind and parts, and on
+first use its clash keys (the ids of its negation and, for a negation,
+of its argument) and what its ``Atom`` or ``Not`` rule adds, from
+``TBox.unfolding`` and ``model._negate_once``.  The clash test so builds
+and hashes no concept, and interning walks with its own stack.
 
-Interning simplifies a concept by the absorbing and unit laws of ``Top``
-and ``Bottom``, the step that Horrocks & Patel-Schneider (1999,
-*Optimizing description logic subsumption*) put before the search: an
-``And`` with ``Bottom`` is ``Bottom`` and an ``Or`` with ``Top`` is
-``Top``; ``Top`` leaves an ``And`` and ``Bottom`` an ``Or``, and a single
-part left stands alone; ``forall r.Top`` is ``Top``, ``exists r.Bottom``
-is ``Bottom``, ``not Top`` is ``Bottom`` and ``not Bottom`` is ``Top``.
-Parts keep their order, and nothing is flattened or deduplicated.  A
-concept so gets the id of an equivalent one, and the search never
-branches on a disjunction that holds trivially.
+Interning simplifies by the laws of ``Top`` and ``Bottom``, as Horrocks
+& Patel-Schneider (1999, *Optimizing description logic subsumption*) do
+before the search: ``Bottom`` absorbs an ``And``, ``Top`` an ``Or``;
+``Top`` leaves an ``And``, ``Bottom`` an ``Or``, and one part left
+stands alone; ``forall r.Top``, ``exists r.Bottom``, ``not Top`` and
+``not Bottom`` become ``Top`` or ``Bottom``.  No branch is so spent on a
+trivially true disjunction.  Parts keep their order, and nothing is
+flattened or deduplicated.
 
-Named nodes (ABox individuals) are pairwise distinct and never merged
-(unique names assumption).  An at-least restriction simply creates the
-required number of fresh successors; with no at-most constructor there
-is nothing to merge.
+ABox individuals are distinct nodes, never merged (unique names); an
+at-least makes fresh successors.  Branches share nodes copy-on-write: a
+branch copies a node on its first write to it, so it costs the nodes it
+touches, not the graph.
 
-Branches share nodes copy-on-write: a branch starts with its parent's
-nodes and copies one the first time it writes to it (a label insert or
-a new edge); the nodes it creates are its own.  A branch so costs the
-nodes it touches, not the whole graph, and the search is unchanged.
-
-ABox checks start from the precompleted ABox: its deterministic rules
-saturated once per reasoner.  An instance check whose negated goal
-already clashes with the individual's precompleted label returns without
-copying anything.  If the ABox's own saturation clashes, the KB is
-inconsistent: it entails every instance and there is no precompleted
-ABox.
-
-``_run`` returns the open, complete state it finds, unmarked if it can,
-or ``None``.  From the precompleted ABox an unmarked one is a model of
-the KB, which :attr:`TableauReasoner.witness` exports as a
-``CanonicalModel``.
+ABox checks start from the precompleted ABox, its deterministic rules
+saturated once per reasoner; a check whose negated goal clashes with the
+precompleted label copies nothing.  If that saturation clashes, the KB
+is inconsistent and entails every instance.  ``_run`` returns an open,
+complete state, unmarked if it can, or ``None``; from the precompleted
+ABox an unmarked one is a model of the KB, exported by
+:attr:`TableauReasoner.witness`.
 """
 
 from __future__ import annotations
