@@ -128,77 +128,77 @@ class ConceptTable:
         id may be that of a smaller concept, or of ``Top`` or ``Bottom``.
         """
         done: list[int] = []                 # ids of finished subconcepts
-        stack = [(c, False)]
+        simplified = 0                       # simplifying steps so far
+        stack = [(c, None)]     # with the count when its parts were pushed
         while stack:
-            c, ready = stack.pop()
+            c, entered = stack.pop()
             kind = _KIND[type(c)]
             if kind == _AND or kind == _OR:
-                if not ready:
-                    stack.append((c, True))
-                    stack.extend((a, False) for a in reversed(c.args))
+                if entered is None:
+                    stack.append((c, simplified))
+                    stack.extend((a, None) for a in reversed(c.args))
                     continue
                 parts = tuple(done[-len(c.args):])
                 del done[-len(c.args):]
-                unit, absorbing = ((_TOP_ID, _BOTTOM_ID) if kind == _AND
-                                   else (_BOTTOM_ID, _TOP_ID))
-                if absorbing in parts:
-                    done.append(absorbing)
-                    continue
-                if unit in parts:
+                if min(parts) <= _BOTTOM_ID:        # holds Top or Bottom
+                    simplified += 1
+                    unit, absorbing = ((_TOP_ID, _BOTTOM_ID) if kind == _AND
+                                       else (_BOTTOM_ID, _TOP_ID))
+                    if absorbing in parts:
+                        done.append(absorbing)
+                        continue
                     parts = tuple(p for p in parts if p != unit)
                     if len(parts) < 2:
                         done.append(parts[0] if parts else unit)
                         continue
             elif kind == _NOT or kind == _EXISTS or kind == _FORALL:
-                if not ready:
-                    stack.append((c, True))
-                    stack.append((c.arg if kind == _NOT else c.filler, False))
+                if entered is None:
+                    stack.append((c, simplified))
+                    stack.append((c.arg if kind == _NOT else c.filler, None))
                     continue
-                arg = done.pop()
-                if kind == _NOT:
-                    done.append(self.negation(arg))
+                parts = done.pop()
+                # not Top, not Bottom, forall r.Top, exists r.Bottom
+                if parts <= _BOTTOM_ID and (kind == _NOT or parts == (
+                        _TOP_ID if kind == _FORALL else _BOTTOM_ID)):
+                    simplified += 1
+                    done.append(self.negation(parts) if kind == _NOT
+                                else parts)
                     continue
-                if arg == (_TOP_ID if kind == _FORALL else _BOTTOM_ID):
-                    done.append(arg)        # forall r.Top, exists r.Bottom
-                    continue
-                parts = (c.role, arg)
+                if kind != _NOT:
+                    parts = (c.role, parts)
             elif kind == _ATOM:
                 parts = c.name
             elif kind == _ATLEAST:
                 parts = (c.n, c.role)
             else:
                 parts = ()
+            if entered is not None and entered != simplified:
+                c = None        # made anew from its simplified parts
             done.append(self._intern(kind, parts, c))
         return done[0]
 
     def _intern(self, kind: int, parts, c: ConceptExpr | None) -> int:
+        """The id of the concept ``c`` of ``kind`` with ``parts``; with
+        ``c`` None, a new id's concept is made from its parts."""
         key = (kind, parts)
         cid = self._ids.get(key)
         if cid is None:
             cid = self._ids[key] = len(self.expr)
             self.kind.append(kind)
             self.parts.append(parts)
-            self.expr.append(self._rebuilt(kind, parts, c))
+            self.expr.append(self._made(kind, parts) if c is None else c)
             self._clash.append(None)
             self._adds.append(None)
         return cid
 
-    def _rebuilt(self, kind: int, parts, c: ConceptExpr | None) -> ConceptExpr:
-        """``c``, or, if interning simplified a part of it, ``c`` made of
-        the parts' own concepts; a negation is always made so."""
+    def _made(self, kind: int, parts) -> ConceptExpr:
+        """The concept of ``kind`` made of the concepts of its parts."""
         expr = self.expr
         if kind == _AND or kind == _OR:
-            args = tuple(expr[p] for p in parts)
-            if len(args) == len(c.args) and all(
-                    a is b for a, b in zip(args, c.args)):
-                return c
-            return type(c)(args)
+            return (And if kind == _AND else Or)(tuple(expr[p] for p in parts))
         if kind == _NOT:
             return Not(expr[parts])
-        if kind == _EXISTS or kind == _FORALL:
-            filler = expr[parts[1]]
-            return c if filler is c.filler else type(c)(parts[0], filler)
-        return c
+        return (Exists if kind == _EXISTS else Forall)(parts[0], expr[parts[1]])
 
     def negation(self, cid: int) -> int:
         """The id of ``not c`` for the concept ``c`` with id ``cid``."""

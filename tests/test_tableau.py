@@ -378,14 +378,18 @@ class TestConceptTable:
         for cid, c in enumerate(list(table.expr)):   # every subconcept too
             assert table.id(c) == cid
             assert table.id(Not(c)) in table.clash_keys(cid), str(c)
-            # made of its parts' own concepts, so nothing is left to simplify
+            # made of its parts' own concepts, with no law left to apply
             parts = table.parts[cid]
             if isinstance(c, (And, Or)):
                 assert c.args == tuple(table.expr[p] for p in parts)
+                assert not {Top(), Bottom()} & set(c.args), str(c)
             elif isinstance(c, Not):
                 assert c.arg == table.expr[parts]
+                assert c.arg not in (Top(), Bottom()), str(c)
             elif isinstance(c, (Exists, Forall)):
                 assert c.filler == table.expr[parts[1]]
+                trivial = Bottom() if isinstance(c, Exists) else Top()
+                assert c.filler != trivial, str(c)
 
     def test_rule_additions_come_from_the_model(self):
         # the Atom and Not rules add what TBox.unfolding and _negate_once say
