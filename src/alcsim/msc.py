@@ -11,12 +11,12 @@ mutually inverse role assertions cannot blow the concept up.
 The default depth bound is the ABox depth: the length of the longest
 simple path in the role-assertion digraph.
 
-One traversal holds the out-edge order and the cycle cut.  ``msc_approx``
-builds the concept through it; ``msc_extension`` evaluates the same tree
-straight into its canonical extension, as a bit mask, and builds no
-concept, which is all a canonical similarity matrix needs; the engine
-keeps the masks that every roll-up of the matrix shares.  The entail
-backend has no such shortcut (open-world ``exists`` is not
+``msc_approx`` builds the concept.  ``msc_extension`` evaluates the same
+tree straight into its canonical extension, as a bit mask, and only on
+the individuals that can still change the root's answer; it builds no
+concept, which is all a canonical similarity matrix needs, and the
+engine keeps the role images that every roll-up of the matrix shares.  The
+entail backend has no such shortcut (open-world ``exists`` is not
 compositional), so an entail matrix builds one MSC concept per
 individual, which the engine then evaluates conjunct by conjunct.
 """
@@ -24,7 +24,6 @@ individual, which the engine then evaluates conjunct by conjunct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 from .errors import UnknownIndividual
 from .model import (
@@ -38,8 +37,6 @@ from .model import (
     normalize,
 )
 from .retrieval import Backend, ExtensionEngine
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -81,45 +78,36 @@ def abox_depth(kb: KnowledgeBase) -> int:
     return best
 
 
-def _checked_depth(kb: KnowledgeBase, individual: str,
-                   depth: int | None) -> int:
+class _Images(dict):
+    """Mask -> its image under one role or its inverse, filled per bit."""
+
+    def __missing__(self, mask: int) -> int:
+        out, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            out |= self.get(low, 0)
+            rest ^= low
+        self[mask] = out
+        return out
+
+
+def _checked(kb: KnowledgeBase, individual: str, depth: int | None,
+             backend: Backend,
+             engine: ExtensionEngine | None) -> tuple[int, ExtensionEngine]:
     if individual not in kb.abox.individuals:
         raise UnknownIndividual(individual)
     if depth is None:
         depth = abox_depth(kb)
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    return depth
-
-
-def _roll_up(kb: KnowledgeBase, individual: str, depth: int, top: T,
-             exists: Callable[[str, T], T],
-             conjoin: Callable[[str, list[T]], T]) -> T:
-    """Fold the roll-up tree of ``individual`` down to ``depth``.
-
-    A node for individual ``x`` is ``conjoin(x, parts)``, where ``parts``
-    holds one ``exists(role, filler)`` per out-edge of ``x`` in sorted
-    ``(role, target)`` order (none at depth 0).  The filler is the target's
-    node one level down, or ``top`` when the target is already on the
-    current path.
-    """
-    successors = kb.abox.successors
-    bits = kb.abox.bits
-
-    def visit(x: str, d: int, visited: int) -> T:
-        parts: list[T] = []
-        if d > 0:
-            for role, targets in successors.get(x, {}).items():
-                for target in targets:
-                    bit = bits[target]
-                    if visited & bit:
-                        filler = top
-                    else:
-                        filler = visit(target, d - 1, visited | bit)
-                    parts.append(exists(role, filler))
-        return conjoin(x, parts)
-
-    return visit(individual, depth, bits[individual])
+    if engine is None:
+        engine = ExtensionEngine(kb, backend)
+    elif engine.kb != kb:
+        raise ValueError("the engine was built for another KB")
+    elif engine.backend is not backend:
+        raise ValueError(f"a {engine.backend.value} engine cannot compute "
+                         f"a {backend.value} MSC")
+    return depth, engine
 
 
 def msc_approx(kb: KnowledgeBase, individual: str,
@@ -130,22 +118,26 @@ def msc_approx(kb: KnowledgeBase, individual: str,
 
     ``depth=None`` uses the ABox depth.  The individual always belongs to
     the retrieval of the returned concept under the chosen backend.  An
-    ``engine``, which must be for that backend, shares its concept-name
-    extensions across calls.
+    ``engine``, which must be for this KB and that backend, shares its
+    concept-name extensions across calls.
     """
-    depth = _checked_depth(kb, individual, depth)
-    if engine is None:
-        engine = ExtensionEngine(kb, backend)
-    elif engine.backend is not backend:
-        raise ValueError(f"a {engine.backend.value} engine cannot compute "
-                         f"a {backend.value} MSC")
+    depth, engine = _checked(kb, individual, depth, backend, engine)
     name_exts = engine.name_extensions
+    successors = kb.abox.successors
+    bits = kb.abox.bits
 
-    def conjoin(x: str, parts: list[ConceptExpr]) -> ConceptExpr:
-        names = [Atom(name) for name, ext in name_exts.items() if x in ext]
-        return make_and(names + parts)
+    def visit(x: str, d: int, visited: int) -> ConceptExpr:
+        parts: list[ConceptExpr] = [
+            Atom(name) for name, ext in name_exts.items() if x in ext]
+        if d > 0:
+            for role, targets in successors.get(x, {}).items():
+                for target in targets:
+                    bit = bits[target]
+                    parts.append(Exists(role, TOP if visited & bit else
+                                        visit(target, d - 1, visited | bit)))
+        return make_and(parts)
 
-    concept = normalize(_roll_up(kb, individual, depth, TOP, Exists, conjoin))
+    concept = normalize(visit(individual, depth, bits[individual]))
     assert concept_depth(concept) <= depth
     return MscResult(individual, depth, concept, backend)
 
@@ -155,49 +147,57 @@ def msc_extension(kb: KnowledgeBase, individual: str,
                   engine: ExtensionEngine | None = None) -> frozenset[str]:
     """Canonical extension of ``msc_approx(kb, individual, depth).concept``.
 
-    Evaluates the roll-up tree in the canonical model as it is traversed,
-    without building the concept: a node is the intersection of the
-    extensions of the names that hold for its individual and of one
-    ``exists R.filler`` extension per out-edge.  Canonical evaluation is
-    compositional and a roll-up has no negation, disjunction or value
-    restriction, so the normalisation that ``msc_approx`` applies cannot
-    change the extension and the two are equal.  Extensions are bit masks
-    over ``ABox.bits`` until the result is returned.  ``engine`` must be a
-    canonical engine; its ``name_meets`` and ``exists_masks`` keep, across
-    calls, each individual's meet of names and each ``(role, filler mask)``
-    term evaluated so far.
+    Evaluates the roll-up tree in the canonical model without building
+    the concept: a node is the intersection of the extensions of the names
+    that hold for its individual and of one ``exists R.filler`` extension
+    per out-edge.  Canonical evaluation is compositional and a roll-up has
+    no negation, disjunction or value restriction, so the normalisation
+    that ``msc_approx`` applies cannot change the extension and the two
+    are equal.
+
+    ``visit`` returns its node's extension within ``care``, the candidates
+    still in question.  An edge ``R`` to ``t`` asks only about the
+    ``R``-successors of the candidates that carry ``t``'s names, none when
+    that is ``t`` alone, and a node whose candidates are down to its own
+    individual is done.  Both are exact, as every individual is in its own
+    node's extension.  Extensions are bit masks over ``ABox.bits``.
+    ``engine`` must be a canonical engine for this KB; its ``name_meets``
+    and ``role_images`` keep the names' meets and role images across calls.
     """
-    depth = _checked_depth(kb, individual, depth)
-    if engine is None:
-        engine = ExtensionEngine(kb)
-    role_succ = engine.canonical_model().role_succ
+    depth, engine = _checked(kb, individual, depth, Backend.CANONICAL, engine)
+    successors = kb.abox.successors
     bits = kb.abox.bits
     full = (1 << len(bits)) - 1
-    meets = engine.name_meets
+    meets, images = engine.name_meets, engine.role_images
     if not meets:
         meets.update(dict.fromkeys(bits, full))
         for ext in engine.name_extensions.values():
             mask = sum(bits[a] for a in ext)
             for a in ext:
                 meets[a] &= mask
-    memo = engine.exists_masks
+        for source, out in successors.items():
+            for role, targets in out.items():
+                succ, pred = images.setdefault(role, (_Images(), _Images()))
+                succ[bits[source]] = sum(bits[t] for t in targets)
+                for t in targets:
+                    pred[bits[t]] = pred.get(bits[t], 0) | bits[source]
 
-    def exists(role: str, filler: int) -> int:
-        try:  # most terms repeat across the matrix
-            return memo[role, filler]
-        except KeyError:
-            ext = 0
-            for a, bs in role_succ.get(role, {}).items():
-                if any(bits[b] & filler for b in bs):
-                    ext |= bits[a]
-            memo[role, filler] = ext
-            return ext
-
-    def conjoin(x: str, parts: list[int]) -> int:
-        ext = meets[x]
-        for part in parts:
-            ext &= part
+    def visit(x: str, d: int, visited: int, care: int) -> int:
+        ext = meets[x] & care
+        if d > 0:
+            for role, targets in successors.get(x, {}).items():
+                succ, pred = images[role]
+                for target in targets:
+                    bit = bits[target]
+                    need = succ[ext]
+                    if not visited & bit:     # else the cut: the filler is Top
+                        need &= meets[target]
+                        if need != bit:
+                            need = visit(target, d - 1, visited | bit, need)
+                    ext &= pred[need]
+                    if ext == bits[x]:  # x stays in, whatever follows
+                        return ext
         return ext
 
-    ext = _roll_up(kb, individual, depth, full, exists, conjoin)
+    ext = visit(individual, depth, bits[individual], full)
     return frozenset(a for a, bit in bits.items() if ext & bit)

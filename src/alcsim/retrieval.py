@@ -7,8 +7,8 @@ choice behind one call and counts every extension it computes, which
 makes the cost accounting of the similarity measure observable.  The
 concept-name extensions that every MSC roll-up reads are computed once
 per engine; besides them the engine holds the entail backend's answered
-instance checks and the bit-mask memos that ``msc.msc_extension`` fills
-and reads.
+instance checks and the name meets and role images, bit masks, that
+``msc.msc_extension`` fills and reads.
 
 An entail extension is taken conjunct by conjunct, and a tableau
 instance check is made only where no cheaper rule decides membership:
@@ -71,11 +71,11 @@ class ExtensionEngine:
     _checks: dict[ConceptExpr, dict[str, bool]] = field(
         default_factory=dict, init=False, repr=False)
     # canonical roll-ups, filled by msc.msc_extension: individual -> mask
-    # of the meet of its names, and (role, filler mask) -> mask of
-    # exists role.filler
+    # of the meet of its names, and role -> mask -> its successors, and
+    # mask -> its predecessors
     name_meets: dict[str, int] = field(
         default_factory=dict, init=False, repr=False)
-    exists_masks: dict[tuple[str, int], int] = field(
+    role_images: dict[str, tuple[dict[int, int], dict[int, int]]] = field(
         default_factory=dict, init=False, repr=False)
 
     def extension(self, c: ConceptExpr) -> frozenset[str]:

@@ -19,5 +19,12 @@ def test_transcript_covers_every_case():
         "family", "fathers", "seed 0", "seed 0 atleast", "seed 1",
         "seed 1 atleast"}
     assert {f[1].split()[0] for f in fields} == {
-        "consistent", "sat", "check", "retrieve", "extension", "matrix"}
+        "consistent", "sat", "check", "retrieve", "extension", "matrix",
+        "abox_depth", "msc_approx", "msc_extension", "cluster"}
+    assert {f[1] for f in fields
+            if f[1].startswith(("matrix", "cluster"))} == {
+        "matrix entail 1", "matrix canonical auto", "cluster single",
+        "cluster complete", "cluster average"}
+    assert {f[1].split()[-1] for f in fields
+            if f[1].startswith("msc_")} == {"0", "1", "2", "auto"}
     assert any(f[3].startswith("UnsupportedNegation: ") for f in fields)

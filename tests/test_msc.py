@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from alcsim.canonical import retrieve_canonical
 from alcsim.errors import UnknownIndividual
-from alcsim.gen import KbShape, random_kb
+from alcsim.gen import KbShape, random_kb, with_atleast
 from alcsim.model import Atom, Exists, Top, concept_depth, concept_names_in
 from alcsim.msc import abox_depth, msc_approx, msc_extension
 from alcsim.parser import parse_kb
@@ -196,6 +196,11 @@ class TestMscExtension:
     def test_random_kbs_property(self, seed, depth):
         assert_matches_concept_path(random_kb(seed), (depth,))
 
+    def test_atleast_kbs(self):
+        # forall and atleast in definitions feed the names' meets
+        for seed in range(20):
+            assert_matches_concept_path(with_atleast(seed)[0])
+
     def test_cycle_cut(self):
         kb = parse_kb("R(a, b)\nR(b, a)\nR(g, h)\nR(h, i)\nR(i, j)\n")
         # a -> b -> a is cut to exists R.(exists R.Top), which the chain's
@@ -233,6 +238,18 @@ class TestMscExtension:
             msc_approx(kb, "a", 1, Backend.ENTAIL, ExtensionEngine(kb))
         assert msc_approx(kb, "a", 1, engine=ExtensionEngine(kb)) == (
             msc_approx(kb, "a", 1))
+
+    def test_engine_of_another_kb_rejected(self):
+        # its names' extensions and role images are another KB's
+        k0, k1 = random_kb(0), random_kb(1)
+        for backend in Backend:
+            with pytest.raises(ValueError):
+                msc_approx(k1, "a", 1, backend, ExtensionEngine(k0, backend))
+        with pytest.raises(ValueError):
+            msc_extension(k1, "a", 1, ExtensionEngine(k0))
+        # an equal KB is the same KB
+        assert msc_extension(k1, "a", 1, ExtensionEngine(random_kb(1))) == (
+            msc_extension(k1, "a", 1))
 
 
 def random_digraph(seed, individuals, edges, mirrored=False):
@@ -279,6 +296,34 @@ class TestSharedRollUpMemo:
             assert any(s == t for _, s, t in roles)
             assert any((r, t, s) in roles for r, s, t in roles if s != t)
             self.assert_shared_engine_agrees(kb, seed)
+
+
+class TestOwnMembership:
+    """Every individual is in its own roll-up's extension: the invariant
+    that lets ``msc_extension`` skip subtrees."""
+
+    @staticmethod
+    def assert_members(kb):
+        engine = ExtensionEngine(kb)
+        for individual in sorted(kb.individuals):
+            for depth in (0, 1, 2, 3, None):
+                assert individual in msc_extension(kb, individual, depth,
+                                                   engine), (individual, depth)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000))
+    def test_random_kbs(self, seed):
+        self.assert_members(random_kb(seed))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000))
+    def test_atleast_kbs(self, seed):
+        self.assert_members(with_atleast(seed)[0])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000))
+    def test_cycles_and_self_loops(self, seed):
+        self.assert_members(random_digraph(seed, 5, 3, mirrored=True))
 
 
 def walk_exists(c):

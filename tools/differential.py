@@ -13,12 +13,20 @@ answers every case, so two trees answer the very same inputs.  Per KB:
   ``instance_check``; ``retrieve``: ``retrieve``; ``extension``: the
   entail ``ExtensionEngine.extension``, one engine for all the KB's
   concepts, as ``sim_matrix`` uses it;
-* ``matrix``: the entail ``sim_matrix`` of all individuals at depth 1.
+* ``matrix entail 1``: the entail ``sim_matrix`` of all individuals at
+  depth 1;
+* ``abox_depth``: ``abox_depth``;
+* per individual and depth 0, 1, 2 and auto, ``msc_approx``: the
+  canonical ``msc_approx`` concept; ``msc_extension``: ``msc_extension``;
+* ``matrix canonical auto``: the canonical ``sim_matrix`` of all
+  individuals at depth auto; ``cluster <linkage>``: ``cluster_matrix`` of
+  that matrix under each linkage.
 
 Each line is the KB, the case, the concept, then the answer, or the
 exception's type and message, then the ``ReasonerStats`` counters
 (instance checks, satisfiability calls, branches, node copies) of the
-reasoner that answered.  Each case but ``extension`` gets a fresh reasoner.
+reasoner that answered, or ``-`` where no reasoner answers.  Each case
+but ``extension`` gets a fresh reasoner.
 
 To compare a parent commit with the working tree:
 
@@ -38,6 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONCEPTS_PER_KB = 8
+DEPTHS = {"0": 0, "1": 1, "2": 2, "auto": None}
+LINKAGES = ("single", "complete", "average")
 
 
 def import_alcsim(src: Path):
@@ -124,7 +134,26 @@ def transcript(alcsim, cases) -> None:
                   f"{show(lambda: engine.extension(c))} | "
                   f"{counters(engine._reasoner)}")
         matrix = show(lambda: alcsim.sim_matrix(kb, individuals, 1, entail))
-        print(f"{label} | matrix | - | {matrix} | -")
+        print(f"{label} | matrix entail 1 | - | {matrix} | -")
+        roll_ups(alcsim, label, kb, individuals)
+
+
+def roll_ups(alcsim, label, kb, individuals) -> None:
+    """Print the canonical roll-up, matrix and clustering cases of ``kb``."""
+    print(f"{label} | abox_depth | - | {show(lambda: alcsim.abox_depth(kb))}"
+          " | -")
+    for a in individuals:
+        for name, depth in DEPTHS.items():
+            concept = show(lambda: alcsim.msc_approx(kb, a, depth).concept)
+            print(f"{label} | msc_approx {a} {name} | - | {concept} | -")
+            ext = show(lambda: alcsim.msc_extension(kb, a, depth))
+            print(f"{label} | msc_extension {a} {name} | - | {ext} | -")
+    matrix = alcsim.sim_matrix(kb, individuals)
+    print(f"{label} | matrix canonical auto | - | {show(lambda: matrix)} | -")
+    for linkage in LINKAGES:
+        dendrogram = show(
+            lambda: alcsim.cluster_matrix(individuals, matrix, linkage))
+        print(f"{label} | cluster {linkage} | - | {dendrogram} | -")
 
 
 def main(argv=None) -> None:
