@@ -48,10 +48,7 @@ def _top_conjunct_names(c: ConceptExpr) -> frozenset[str]:
     if isinstance(c, Atom):
         return frozenset((c.name,))
     if isinstance(c, And):
-        out: frozenset[str] = frozenset()
-        for a in c.args:
-            out |= _top_conjunct_names(a)
-        return out
+        return frozenset().union(*map(_top_conjunct_names, c.args))
     return frozenset()
 
 
@@ -85,34 +82,34 @@ def told_closure(kb: KnowledgeBase) -> dict[str, frozenset[str]]:
 
 
 def build_canonical(kb: KnowledgeBase) -> CanonicalModel:
-    told = told_closure(kb)
-    primitive_ext = {
-        name: frozenset(a for a, names in told.items() if name in names)
-        for name in kb.signature.concept_names
-    }
+    ext = {name: set() for name in kb.signature.concept_names}
+    for a, names in told_closure(kb).items():
+        for name in names:
+            ext[name].add(a)
     role_succ: dict[str, dict[str, set[str]]] = {}
     for role, source, target in kb.abox.role_assertions:
         role_succ.setdefault(role, {}).setdefault(source, set()).add(target)
     return CanonicalModel(
         domain=kb.abox.individuals,
-        primitive_ext=primitive_ext,
+        primitive_ext={name: frozenset(s) for name, s in ext.items()},
         role_succ={r: {s: frozenset(ts) for s, ts in table.items()}
                    for r, table in role_succ.items()},
     )
 
 
-def eval_concept(model: CanonicalModel, tbox: TBox,
-                 c: ConceptExpr) -> frozenset[str]:
+def eval_concept(model: CanonicalModel, tbox: TBox, c: ConceptExpr,
+                 names: dict[str, frozenset[str]] | None = None
+                 ) -> frozenset[str]:
     """Extension of ``c`` in the canonical model.
 
     A defined name denotes the union of its told extension and the
     evaluation of its definition body (for full definitions), so asserted
     memberships survive even when the closed-world definition check
     fails.  Value restrictions are vacuously satisfied by individuals
-    without successors.  Each name is evaluated once per call, however
-    often it occurs.
+    without successors.  Each name is evaluated once per ``names``, a
+    memo valid for one model and TBox (``None``: a fresh one).
     """
-    names: dict[str, frozenset[str]] = {}
+    names = {} if names is None else names
 
     def ev(c: ConceptExpr) -> frozenset[str]:
         if isinstance(c, Top):

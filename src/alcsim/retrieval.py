@@ -5,10 +5,10 @@ over the canonical interpretation (the default) or open-world
 entailment checking via the tableau.  :class:`ExtensionEngine` hides the
 choice behind one call and counts every extension it computes, which
 makes the cost accounting of the similarity measure observable.  The
-concept-name extensions that every MSC roll-up reads are computed once
-per engine; besides them the engine holds the entail backend's answered
-instance checks and the name meets and role images, bit masks, that
-``msc.msc_extension`` fills and reads.
+concept-name extensions that every MSC roll-up reads, and every name a
+canonical evaluation meets, are computed once per engine; so are the
+entail backend's instance checks and the name meets and role images,
+bit masks, that ``msc.msc_extension`` fills and reads.
 
 An entail extension is taken conjunct by conjunct, and a tableau
 instance check is made only where no cheaper rule decides membership:
@@ -56,8 +56,8 @@ class Backend(Enum):
 class ExtensionEngine:
     """Computes concept extensions for one KB under one backend.
 
-    ``computations`` counts every call of :meth:`extension`: no
-    extension is served from memory.  :attr:`name_extensions` makes
+    ``computations`` counts every call of :meth:`extension`, even one
+    the canonical name memo answers.  :attr:`name_extensions` makes
     one call per concept name, once per engine.
     """
 
@@ -67,6 +67,8 @@ class ExtensionEngine:
     _model: CanonicalModel | None = field(default=None, init=False, repr=False)
     _reasoner: TableauReasoner | None = field(
         default=None, init=False, repr=False)
+    # canonical backend: name -> extension, the eval_concept memo
+    _names: dict = field(default_factory=dict, init=False, repr=False)
     # entail backend: concept -> individual -> entailed?
     _checks: dict[ConceptExpr, dict[str, bool]] = field(
         default_factory=dict, init=False, repr=False)
@@ -81,7 +83,8 @@ class ExtensionEngine:
     def extension(self, c: ConceptExpr) -> frozenset[str]:
         self.computations += 1
         if self.backend is Backend.CANONICAL:
-            return eval_concept(self.canonical_model(), self.kb.tbox, c)
+            return eval_concept(self.canonical_model(), self.kb.tbox, c,
+                                self._names)
         try:
             return self._entailed(c, self.kb.abox.individuals)
         except AlcsimError:   # raised by a check, so there is a reasoner

@@ -17,7 +17,8 @@ and the report counts the three extension computations for C, D and
 their conjunction, so the cost model is observable.
 
 A matrix over n items costs one extension per item and n(n+1)/2 set
-intersections, one per cell i <= j, the rest mirrored: on both backends
+intersections, one per cell i <= j, the rest mirrored, and one
+``Fraction`` per distinct count triple: on both backends
 ext(C and D) = ext(C) & ext(D).  Canonical evaluation of a conjunction
 is that intersection; under entailment, KB |= (C and D)(a) exactly when
 KB |= C(a) and KB |= D(a), and an inconsistent KB puts every individual
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence, Union
 
 from .errors import CardinalityViolation
@@ -184,10 +186,11 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
         return engine.extension(msc_approx(kb, item, depth, backend,
                                            engine).concept)
 
+    formula = cache(sim_formula)    # each triple once
     exts = [extension(item) for item in items]
     matrix: list[list[Fraction]] = []
     for i, a in enumerate(exts):
         matrix.append([matrix[j][i] if j < i else
-                       sim_formula(len(a), len(b), len(a & b))
+                       formula(len(a), len(b), len(a & b))
                        for j, b in enumerate(exts)])
     return matrix

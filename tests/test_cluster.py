@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alcsim.cluster import (LINKAGES, Dendrogram, cluster_matrix,
@@ -105,6 +106,20 @@ class TestClusterMatrix:
             with pytest.raises(ValueError, match="not symmetric"):
                 cluster_matrix(["a", "b", "c"], matrix, linkage)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_entry_without_exact_ratio(self, bad):
+        # named by its position, not "not symmetric" or a bare float error
+        half = Fraction(1, 2)
+        matrix = [[1, half, half], [half, 1, bad], [half, half, 1]]
+        for linkage in LINKAGES:
+            with pytest.raises(ValueError, match=r"matrix entry \(1, 2\) is "
+                               "not a finite number"):
+                cluster_matrix(["a", "b", "c"], matrix, linkage)
+
+    def test_diagonal_is_not_read(self):
+        matrix = [[math.nan, 0.5], [0.5, math.inf]]
+        assert cluster_matrix(["a", "b"], matrix).merges == [(0, 1, 0.5)]
+
 
 def greedy_oracle(labels, matrix, linkage):
     """Clustering by recomputing every cluster pair's linkage from its
@@ -141,15 +156,23 @@ def greedy_oracle(labels, matrix, linkage):
     return Dendrogram(list(labels), merges)
 
 
+ENTRIES = {   # entry type -> its values: exact, so equal values compare equal
+    Fraction: st.fractions(0, 1, max_denominator=6),
+    int: st.integers(0, 2),
+    float: st.integers(0, 8).map(lambda k: k / 8),     # dyadic
+}
+
+
 @st.composite
 def tied_symmetric_matrices(draw):
-    """A symmetric ``Fraction`` matrix over a pool of three values, so
-    linkages tie often, with labels that repeat."""
+    """A symmetric matrix over a pool of three values of one drawn type
+    (``Fraction``, ``int`` or ``float``), so linkages tie often, with
+    labels that repeat."""
     n = draw(st.integers(1, 12))
-    pool = draw(st.lists(st.fractions(0, 1, max_denominator=6),
-                         min_size=3, max_size=3))
+    kind = draw(st.sampled_from(list(ENTRIES)))
+    pool = draw(st.lists(ENTRIES[kind], min_size=3, max_size=3))
     labels = draw(st.lists(st.sampled_from("pqrs"), min_size=n, max_size=n))
-    matrix = [[Fraction(1)] * n for _ in range(n)]
+    matrix = [[kind(1)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i):
             matrix[i][j] = matrix[j][i] = draw(st.sampled_from(pool))
@@ -161,8 +184,22 @@ class TestLinkageTableOracle:
     @given(case=tied_symmetric_matrices(), linkage=st.sampled_from(LINKAGES))
     def test_equals_greedy_recomputation(self, case, linkage):
         labels, matrix = case
-        assert cluster_matrix(labels, matrix, linkage) == (
-            greedy_oracle(labels, matrix, linkage))
+        kind = type(matrix[0][0])
+        # float means round, so the recurrence and the oracle can part
+        assume(not (linkage == "average" and kind is float))
+        dendrogram = cluster_matrix(labels, matrix, linkage)
+        assert dendrogram == greedy_oracle(labels, matrix, linkage)
+        if linkage != "average":    # ranks read back the matrix's own values
+            assert all(type(sim) is kind for _, _, sim in dendrogram.merges)
+
+    def test_mixed_types_give_equal_values(self):
+        # equal values of other types share a rank; any of them reads back
+        third = Fraction(1, 3)
+        matrix = [[1, 0.5, third, 0], [Fraction(1, 2), 1, 0.25, 0.0],
+                  [third, Fraction(1, 4), 1, 1], [0, 0, 1, 1]]
+        for linkage in ("single", "complete"):
+            assert cluster_matrix("abcd", matrix, linkage) == (
+                greedy_oracle("abcd", matrix, linkage))
 
     def test_integer_matrix_averages_exactly(self):
         matrix = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]

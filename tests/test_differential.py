@@ -20,7 +20,12 @@ def test_transcript_covers_every_case():
         "seed 1 atleast"}
     assert {f[1].split()[0] for f in fields} == {
         "consistent", "sat", "check", "retrieve", "extension", "matrix",
-        "abox_depth", "msc_approx", "msc_extension", "cluster"}
+        "sim_pair", "abox_depth", "msc_approx", "msc_extension", "cluster"}
+    assert {f[1] for f in fields if f[1].startswith("extension")} == {
+        "extension", "extension canonical"}
+    assert {f[1] for f in fields if f[1].startswith("sim_pair")} == {
+        f"sim_pair {backend} {x}-{y}" for backend in ("canonical", "entail")
+        for x in ("concept", "individual") for y in ("concept", "individual")}
     assert {f[1] for f in fields
             if f[1].startswith(("matrix", "cluster"))} == {
         "matrix entail 1", "matrix canonical auto", "cluster single",

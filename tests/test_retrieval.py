@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import eval_concept
+from alcsim.canonical import eval_concept, retrieve_canonical
 from alcsim.errors import AlcsimError, UnsupportedNegation
 from alcsim.gen import random_concept, random_kb, with_atleast
 from alcsim.model import Atom
@@ -224,3 +224,23 @@ class TestWitness:
                 assert got == expected or isinstance(got, frozenset), str(c)
             else:
                 assert got == expected, str(c)
+
+
+class TestCanonicalNameMemo:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), atleast=st.booleans(),
+           order=st.randoms(use_true_random=False))
+    def test_one_engine_equals_fresh_evaluation(self, seed, atleast, order):
+        # the engine's name memo fills in the order of its calls; with
+        # atleast, name bodies hold forall, or and atleast
+        kb, concepts = with_atleast(seed) if atleast else (random_kb(seed), [])
+        names = sorted(kb.signature.concept_names)
+        roles = sorted(kb.signature.role_names) or ["r"]
+        rng = random.Random(seed)
+        concepts += [random_concept(rng, names, roles, 2) for _ in range(6)]
+        concepts += [Atom(name) for name in names]
+        order.shuffle(concepts)
+        engine = ExtensionEngine(kb)
+        for c in concepts:
+            assert engine.extension(c) == retrieve_canonical(kb, c), str(c)
+        assert engine.computations == len(concepts)

@@ -274,6 +274,14 @@ class TestMatrixCost:
         names = sorted(family_kb.signature.concept_names)
         assert [concept for _, concept in calls] == [Atom(n) for n in names]
 
+    def test_one_fraction_per_distinct_triple(self, family_kb, monkeypatch):
+        # cells with the same three counts share one computed value
+        triples = count_calls(monkeypatch, "sim_formula", similarity)
+        individuals = sorted(family_kb.individuals)
+        sim_matrix(family_kb, individuals)
+        assert len(triples) == len(set(triples))
+        assert len(triples) < len(individuals) * (len(individuals) + 1) // 2
+
     def test_entail_builds_one_msc_per_individual(self, fathers_kb,
                                                   monkeypatch):
         rollups = count_calls(monkeypatch, "msc_extension", similarity)

@@ -12,9 +12,16 @@ answers every case, so two trees answer the very same inputs.  Per KB:
 * per concept, ``sat``: ``is_satisfiable``; ``check <individual>``:
   ``instance_check``; ``retrieve``: ``retrieve``; ``extension``: the
   entail ``ExtensionEngine.extension``, one engine for all the KB's
-  concepts, as ``sim_matrix`` uses it;
+  concepts, as ``sim_matrix`` uses it; ``extension canonical``: the same
+  on one canonical engine, whose name memo fills in the order of the
+  concepts;
 * ``matrix entail 1``: the entail ``sim_matrix`` of all individuals at
   depth 1;
+* ``sim_pair <backend> <kinds>``: the ``SimilarityReport`` of ``sim_pair``
+  on the first two concepts and the first and last individuals, in the
+  four orders concept-concept, concept-individual, individual-concept and
+  individual-individual, at depth auto on the canonical backend and at
+  depth 1 on the entail one;
 * ``abox_depth``: ``abox_depth``;
 * per individual and depth 0, 1, 2 and auto, ``msc_approx``: the
   canonical ``msc_approx`` concept; ``msc_extension``: ``msc_extension``;
@@ -118,6 +125,7 @@ def transcript(alcsim, cases) -> None:
         print(f"{label} | consistent | - | {show(r.abox_consistent)} | "
               f"{counters(r)}")
         engine = alcsim.ExtensionEngine(kb, entail)
+        canonical = alcsim.ExtensionEngine(kb)
         for c in map(alcsim.parse_concept, concept_texts):
             r = Reasoner(kb)
             print(f"{label} | sat | {c} | {show(lambda: r.is_satisfiable(c))}"
@@ -133,9 +141,26 @@ def transcript(alcsim, cases) -> None:
             print(f"{label} | extension | {c} | "
                   f"{show(lambda: engine.extension(c))} | "
                   f"{counters(engine._reasoner)}")
+            print(f"{label} | extension canonical | {c} | "
+                  f"{show(lambda: canonical.extension(c))} | -")
         matrix = show(lambda: alcsim.sim_matrix(kb, individuals, 1, entail))
         print(f"{label} | matrix entail 1 | - | {matrix} | -")
+        sim_pairs(alcsim, label, kb, concept_texts, individuals)
         roll_ups(alcsim, label, kb, individuals)
+
+
+def sim_pairs(alcsim, label, kb, concept_texts, individuals) -> None:
+    """Print ``sim_pair`` in each order of item kinds, on both backends."""
+    c, d = map(alcsim.parse_concept, concept_texts[:2])
+    a, b = individuals[0], individuals[-1]
+    orders = {"concept-concept": (c, d), "concept-individual": (c, a),
+              "individual-concept": (a, c), "individual-individual": (a, b)}
+    for backend, depth in ((alcsim.Backend.CANONICAL, None),
+                           (alcsim.Backend.ENTAIL, 1)):
+        for kinds, (x, y) in orders.items():
+            report = show(lambda: alcsim.sim_pair(kb, x, y, depth, backend))
+            print(f"{label} | sim_pair {backend.value} {kinds} | {x} ~ {y} | "
+                  f"{report} | -")
 
 
 def roll_ups(alcsim, label, kb, individuals) -> None:

@@ -15,12 +15,15 @@ its median is worse than the parent's by more than the metric's bound,
 and whether the runs spread too widely to tell (either side's quartile
 distance exceeds the bound, relative to its median, and not every change
 run is better than every parent run).  It also holds each run's metrics
-and failed-op counts.
+and failed-op counts, and names both trees: by commit where a side is the
+root of a git clone, else by ``src-sha256:`` and 16 hex digits over the
+sorted paths and contents of its ``src/**/*.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -50,15 +53,21 @@ def run_once(checkout: Path, workload: str, seed: int,
                         for name, metric in result["metrics"].items()}}
 
 
-def commit_of(checkout: Path) -> str | None:
-    """The checked-out commit, if ``checkout`` is the root of a git clone."""
+def tree_of(checkout: Path) -> str:
+    """The checked-out commit if ``checkout`` is the root of a git clone,
+    else a digest of its sources, ``src-sha256:<16 hex>``."""
     proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
                           cwd=checkout, capture_output=True, text=True,
                           check=False)
     lines = proc.stdout.split()
-    if proc.returncode or Path(lines[0]).resolve() != checkout.resolve():
-        return None
-    return lines[1]
+    if not proc.returncode and Path(lines[0]).resolve() == checkout.resolve():
+        return lines[1]
+    digest = hashlib.sha256()
+    for path in sorted(checkout.glob("src/**/*.py")):
+        content = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest.update(f"{path.relative_to(checkout).as_posix()}\0{content}\n"
+                      .encode())
+    return "src-sha256:" + digest.hexdigest()[:16]
 
 
 def spread(values: list[float]) -> dict:
@@ -126,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {
         "workload": args.workload, "pairs": args.pairs, "seconds": seconds,
-        "commits": {side: commit_of(checkouts[side]) for side in SIDES},
+        "commits": {side: tree_of(checkouts[side]) for side in SIDES},
         "all_correct": all(run[side]["correct"] for run in runs
                            for side in SIDES),
         "fail_ratio": {side: sum(run[side]["failed"] for run in runs)
