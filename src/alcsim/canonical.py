@@ -107,7 +107,9 @@ def eval_concept(model: CanonicalModel, tbox: TBox, c: ConceptExpr,
     memberships survive even when the closed-world definition check
     fails.  Value restrictions are vacuously satisfied by individuals
     without successors.  Each name is evaluated once per ``names``, a
-    memo valid for one model and TBox (``None``: a fresh one).
+    memo valid for one model and TBox (``None``: a fresh one).  The call
+    leaves no reference cycle, so the model and memo it holds are freed
+    by reference counting, without the cyclic collector.
     """
     names = {} if names is None else names
 
@@ -151,7 +153,10 @@ def eval_concept(model: CanonicalModel, tbox: TBox, c: ConceptExpr,
             )
         raise TypeError(f"unexpected concept node: {c!r}")
 
-    return ev(c)
+    try:
+        return ev(c)
+    finally:
+        del ev  # ev refers to itself: free it now, not at a collection
 
 
 def retrieve_canonical(kb: KnowledgeBase, c: ConceptExpr) -> frozenset[str]:

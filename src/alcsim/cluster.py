@@ -109,6 +109,9 @@ def render_dendrogram(dendrogram: Dendrogram) -> str:
             walk(a, indent + 1)
             walk(b, indent + 1)
 
-    for root in roots:
-        walk(root, 0)
+    try:
+        for root in roots:
+            walk(root, 0)
+    finally:
+        del walk  # walk refers to itself: free it now, not at a collection
     return "\n".join(lines)

@@ -110,7 +110,10 @@ def random_concept(rng: random.Random, concept_names, role_names,
             return Forall(rng.choice(role_names), go(depth - 1))
         return Not(go(depth))
 
-    return go(depth)
+    try:
+        return go(depth)
+    finally:
+        del go  # go refers to itself: free it now, not at a collection
 
 
 def random_kb(seed: int, shape: KbShape = KbShape()) -> KnowledgeBase:

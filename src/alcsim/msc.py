@@ -62,19 +62,23 @@ def abox_depth(kb: KnowledgeBase) -> int:
     bound = len({x for s, ts in adjacency.items() if ts for x in (s, *ts)}) - 1
 
     best = 0
-
-    def dfs(node: str, length: int, seen: set[str]) -> None:
-        nonlocal best
-        if length > best:
-            best = length
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen and best < bound:
-                seen.add(nxt)
-                dfs(nxt, length + 1, seen)
-                seen.remove(nxt)
-
     for start in adjacency:
-        dfs(start, 0, {start})
+        best = _longest_path(adjacency, start, 0, {start}, best, bound)
+    return best
+
+
+def _longest_path(adjacency: dict[str, list[str]], node: str, length: int,
+                  seen: set[str], best: int, bound: int) -> int:
+    """The longer of ``best`` and the simple paths that extend ``seen``,
+    a path of ``length`` edges ending at ``node``; the search stops once
+    one reaches ``bound``."""
+    if length > best:
+        best = length
+    for nxt in adjacency.get(node, ()):
+        if nxt not in seen and best < bound:
+            seen.add(nxt)
+            best = _longest_path(adjacency, nxt, length + 1, seen, best, bound)
+            seen.remove(nxt)
     return best
 
 
@@ -137,7 +141,10 @@ def msc_approx(kb: KnowledgeBase, individual: str,
                                         visit(target, d - 1, visited | bit)))
         return make_and(parts)
 
-    concept = normalize(visit(individual, depth, bits[individual]))
+    try:
+        concept = normalize(visit(individual, depth, bits[individual]))
+    finally:
+        del visit  # visit refers to itself: free it now, not at a collection
     assert concept_depth(concept) <= depth
     return MscResult(individual, depth, concept, backend)
 
@@ -199,5 +206,8 @@ def msc_extension(kb: KnowledgeBase, individual: str,
                         return ext
         return ext
 
-    ext = visit(individual, depth, bits[individual], full)
+    try:
+        ext = visit(individual, depth, bits[individual], full)
+    finally:
+        del visit  # visit refers to itself: free it now, not at a collection
     return frozenset(a for a, bit in bits.items() if ext & bit)

@@ -23,6 +23,10 @@ and tokens must reach the end of the line or a ``#``, or the character
 where it stops is a ``LEX`` error.  Tokens are plain strings, and the
 first character gives a token's kind.  No column is stored: an error
 lexes its line again to find the column of the token it points at.
+A well-formed assertion line with no keyword among its names is
+recognised by one match of a pattern built from the same fragments, and
+skips the token parser; every other line goes through it, so the token
+parser words every syntax error.
 A concept nests at most :data:`MAX_NESTING` levels of ``(``, ``not``,
 ``exists`` and ``forall``; a deeper one is a :class:`ParseError` at the
 token that crosses the limit.
@@ -66,10 +70,16 @@ KEYWORDS = {"not", "and", "or", "exists", "forall", "atleast", "Top", "Bottom"}
 # Python's default recursion limit.
 MAX_NESTING = 100
 
-_TOKEN = r"[A-Za-z][A-Za-z0-9_]*|[0-9]+|:=|<=|[(),.]"
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_BLANK = r"[ \t\r]"
+_TOKEN = rf"{_NAME}|[0-9]+|:=|<=|[(),.]"
 _TOKENS = re.compile(_TOKEN)
 # The longest prefix of a line made of blanks and tokens.
-_LEXABLE = re.compile(rf"(?:[ \t\r]|{_TOKEN})*")
+_LEXABLE = re.compile(rf"(?:{_BLANK}|{_TOKEN})*")
+# A whole assertion line, Name(a) or Name(a, b), and an optional comment.
+_ASSERTION = re.compile(
+    rf"{_BLANK}*({_NAME}){_BLANK}*\({_BLANK}*({_NAME}){_BLANK}*"
+    rf"(?:,{_BLANK}*({_NAME}){_BLANK}*)?\){_BLANK}*(?:#.*)?")
 # A token's kind by its first character: NAME or INT, and otherwise the
 # token itself, a punctuation mark or "" for the end of the line.
 _KIND = (dict.fromkeys(string.ascii_letters, "NAME")
@@ -223,6 +233,38 @@ class _ConceptParser:
         if tok:
             raise self.error(f"unexpected trailing input {tok!r}")
 
+    def parse_statement(self) -> tuple | None:
+        """The line's statement: None for a blank or comment line,
+        ``(head, definition, None, None)`` for a definition, and
+        ``(head, None, individual, second individual or None)`` for an
+        assertion."""
+        if not self.tokens[0]:
+            return None
+        head = self.expect_plain_name("statement head")
+        sep = self.tokens[1]
+        self.pos = 2
+        if sep == ":=" or sep == "<=":
+            body = self.parse_concept()
+            self.expect_eof()
+            kind = DefKind.EQUIV if sep == ":=" else DefKind.SUBSUMED
+            return head, Definition(kind, body), None, None
+        if sep != "(":
+            raise self.error("expected ':=', '<=' or '(' after name", 1)
+        first = self.expect_plain_name("individual name")
+        second = None
+        if self.tokens[self.pos] == ",":
+            self.pos += 1
+            second = self.expect_plain_name("individual name")
+        self.expect(")")
+        self.expect_eof()
+        return head, None, first, second
+
+
+def _head_error(raw: str, line_no: int, message: str,
+                kind: ErrorKind = ErrorKind.SYNTAX) -> ParseError:
+    """An error at the first token of line ``raw``, its statement head."""
+    return ParseError(line_no, _TOKENS.search(raw).start() + 1, message, kind)
+
 
 def parse_concept(text: str) -> ConceptExpr:
     """Parse a single concept expression."""
@@ -249,44 +291,34 @@ def parse_kb(text: str) -> KnowledgeBase:
     first_use: dict[str, tuple[str, int]] = {}
 
     for line_no, raw in enumerate(lines, start=1):
-        parser = _ConceptParser(raw, line_no)
-        if not parser.tokens[0]:
-            continue
-        head = parser.expect_plain_name("statement head")
-        sep = parser.tokens[1]
-        if sep == ":=" or sep == "<=":
-            parser.pos = 2
-            body = parser.parse_concept()
-            parser.expect_eof()
+        match = _ASSERTION.fullmatch(raw)
+        if match and KEYWORDS.isdisjoint(match.groups()):
+            head, first, second = match.groups()
+            defn = None
+        else:
+            parser = _ConceptParser(raw, line_no)
+            statement = parser.parse_statement()
+            if statement is None:
+                continue
+            head, defn, first, second = statement
+        if defn is not None:
             if head in definitions:
-                raise parser.error(f"{head!r} is defined twice", 0,
-                                   ErrorKind.DUPLICATE_DEFINITION)
-            kind = DefKind.EQUIV if sep == ":=" else DefKind.SUBSUMED
-            definitions[head] = Definition(kind, body)
+                raise _head_error(raw, line_no, f"{head!r} is defined twice",
+                                  ErrorKind.DUPLICATE_DEFINITION)
+            definitions[head] = defn
             def_lines[head] = line_no
             uses = [(head, "concept"), *parser.uses]
-        elif sep == "(":
-            parser.pos = 2
-            first = parser.expect_plain_name("individual name")
-            if parser.tokens[parser.pos] == ",":
-                parser.pos += 1
-                second = parser.expect_plain_name("individual name")
-                parser.expect(")")
-                parser.expect_eof()
-                uses = [(head, "role")]
-                role_assertions.append((head, first, second))
-            else:
-                parser.expect(")")
-                parser.expect_eof()
-                uses = [(head, "concept")]
-                concept_assertions.append((head, first))
+        elif second is None:
+            uses = [(head, "concept")]
+            concept_assertions.append((head, first))
         else:
-            raise parser.error("expected ':=', '<=' or '(' after name")
+            uses = [(head, "role")]
+            role_assertions.append((head, first, second))
         for name, what in uses:
             was, at_line = first_use.setdefault(name, (what, line_no))
             if was != what:
-                raise parser.error(f"{name!r} used as a {what} here but as "
-                                   f"a {was} at line {at_line}", 0)
+                raise _head_error(raw, line_no, f"{name!r} used as a {what} "
+                                  f"here but as a {was} at line {at_line}")
 
     tbox = TBox(definitions)
     try:
@@ -298,8 +330,8 @@ def parse_kb(text: str) -> KnowledgeBase:
         else:
             name, kind = exc.name, ErrorKind.TOO_DEEP
         line_no = def_lines[name]
-        head = _ConceptParser(lines[line_no - 1], line_no)
-        raise head.error(str(exc), 0, kind) from exc
+        raise _head_error(lines[line_no - 1], line_no, str(exc),
+                          kind) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,15 @@ class TestAboxDepth:
         kb = parse_kb("R(a, b)\nS(a, b)\n")
         assert abox_depth(kb) == 1
 
-    def test_family_matches_oracle(self, family_kb):
-        assert abox_depth(family_kb) == longest_path_oracle(family_kb)
+    def test_family_matches_oracle(self, family_kb, fathers_kb):
+        for kb in (family_kb, fathers_kb):
+            assert abox_depth(kb) == longest_path_oracle(kb)
 
     def test_random_kbs_match_oracle(self):
-        for seed in range(40):
-            kb = random_kb(seed, KbShape(individuals=7, role_assertions=10))
+        kbs = [*(random_kb(seed, KbShape(individuals=7, role_assertions=10))
+                 for seed in range(40)),
+               *map(random_kb, range(50))]
+        for kb in kbs:
             assert abox_depth(kb) == longest_path_oracle(kb)
 
     def test_dense_digraphs_match_oracle(self):

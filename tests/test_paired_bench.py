@@ -1,4 +1,5 @@
-"""``tools/paired_bench.py`` names each tree it compares."""
+"""``tools/paired_bench.py`` names each tree it compares and prints its
+verdicts."""
 
 import importlib.util
 import re
@@ -43,3 +44,23 @@ def test_git_clone_root_is_named_by_its_commit(tmp_path):
     assert paired_bench.tree_of(tmp_path) == head
     # a directory inside a clone is not a checkout of its own
     assert paired_bench.tree_of(tmp_path / "src").startswith("src-sha256:")
+
+
+def test_verdicts_print_one_line_per_metric():
+    ops = {"name": "ops_per_s", "unit": "1/s", "better": "higher",
+           "bound": 0.25}
+    rss = {"name": "peak_rss_mb", "unit": "MiB", "better": "lower",
+           "bound": 0.1}
+    pairs = [(100, 130, 20.0, 20.0), (110, 140, 20.1, 20.0),
+             (105, 135, 20.0, 20.1), (95, 150, 19.9, 20.0)]
+    runs = [{side: {"metrics": {"ops_per_s": ops_s, "peak_rss_mb": rss_mb}}
+             for side, ops_s, rss_mb in (("parent", p, pr), ("change", c, cr))}
+            for p, c, pr, cr in pairs]
+    report = {"pairs": len(runs), "metrics": {
+        m["name"]: paired_bench.summarise(runs, m) for m in (ops, rss)}}
+    assert paired_bench.verdict_lines(report) == [
+        "ops_per_s: parent 102.5 change 137.5 1/s (1.341x), change won 4 of "
+        "4 pairs; better_beyond_spread",
+        "peak_rss_mb: parent 20 change 20 MiB (1.000x), change won 1 of 4 "
+        "pairs; none",
+    ]

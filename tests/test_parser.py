@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alcsim import parser
 from alcsim.canonical import build_canonical, eval_concept
 from alcsim.gen import KbShape, random_concept, random_kb
 from alcsim.model import (
@@ -19,6 +21,7 @@ from alcsim.model import (
     normalize,
 )
 from alcsim.parser import (
+    KEYWORDS,
     MAX_NESTING,
     ErrorKind,
     ParseError,
@@ -341,6 +344,83 @@ class TestFrontDoor:
                 if err.kind is ErrorKind.LEX:
                     assert err.message == (
                         f"unexpected character {line[err.column - 1]!r}")
+
+
+# Assertion lines, well formed or with up to two defects: a keyword, a
+# digit or nothing in a name slot, a third argument, a bracket missing or
+# doubled, a junk character; blanks between the parts.  In a KB text a
+# "\r" ends the line, so only a line on its own has "\r" blanks.
+KB_BLANKS = st.sampled_from(["", " ", "\t", " \t "])
+BLANKS = st.sampled_from(["", " ", "\t", "\r", " \t\r "])
+NAMES = st.sampled_from(["A", "Woman", "r", "a", "b2", "x_y"])
+NOT_NAMES = st.sampled_from(["not", "Top", "atleast", "or", "7", "2b", "",
+                             "é"])
+TAILS = st.sampled_from(["", "# note", "#", "#(x"])
+JUNK = st.sampled_from(["$", "Ω", "\x0b", "_", ",", ".", ":=", "x"])
+OTHER_LINES = st.sampled_from(["D := A and exists r.B", "E <= not Woman",
+                               "r := A", "# comment", "", "  "])
+
+
+@st.composite
+def assertion_lines(draw, blanks=KB_BLANKS) -> str:
+    parts = [draw(NAMES), "(", draw(NAMES)]
+    if draw(st.booleans()):
+        parts += [",", draw(NAMES)]
+    parts.append(")")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        defect = draw(st.sampled_from(["slot", "third", "bracket", "junk"]))
+        if defect == "slot":
+            slot = draw(st.sampled_from([0, *range(2, len(parts), 2)]))
+            parts[slot] = draw(NOT_NAMES)
+        elif defect == "third":
+            parts[-1:-1] = [",", draw(NAMES)]
+        elif defect == "bracket":
+            at = draw(st.sampled_from([1, len(parts) - 1]))
+            parts[at] *= draw(st.sampled_from([0, 2]))
+        else:
+            parts.insert(draw(st.integers(0, len(parts))), draw(JUNK))
+    line = draw(blanks)
+    for part in (*parts, draw(TAILS)):
+        line += part + draw(blanks)
+    return line
+
+
+def parse_outcome(text: str):
+    try:
+        return parse_kb(text)
+    except ParseError as err:
+        return err.line, err.column, err.message, err.kind
+
+
+class TestAssertionRecognizer:
+    """The one-match path for assertion lines answers as the token parser
+    does, on the same lines."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lines=st.lists(st.one_of(assertion_lines(), OTHER_LINES),
+                          max_size=8),
+           end=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_parse_kb_as_the_token_parser_alone(self, lines, end):
+        text = end.join(lines)
+        recognized = parse_outcome(text)
+        with pytest.MonkeyPatch.context() as patch:   # no line matches
+            patch.setattr(parser, "_ASSERTION", re.compile("(?!)"))
+            assert parse_outcome(text) == recognized
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(line=assertion_lines(BLANKS))
+    def test_matches_the_assertions_the_token_parser_reads(self, line):
+        # on lines alone, where a "\r" is a blank and no line break
+        match = parser._ASSERTION.fullmatch(line)
+        recognized = (match.groups() if match
+                      and KEYWORDS.isdisjoint(match.groups()) else None)
+        try:
+            statement = parser._ConceptParser(line, 1).parse_statement()
+        except ParseError:
+            statement = None
+        read = (None if statement is None or statement[1] is not None
+                else (statement[0], *statement[2:]))
+        assert recognized == read
 
 
 class TestSerialize:

@@ -8,6 +8,14 @@ each twice, as drawn and as ``gen.with_atleast`` draws it, with concepts
 over each KB.  They pass as text to the alcsim under ``DIR/src``, which
 answers every case, so two trees answer the very same inputs.  Per KB:
 
+* ``parse_kb``: ``parse_kb`` of the KB's serialised text, and
+  ``parse_kb mutation <k>``: of ``MUTATIONS_PER_KB`` seeded mutations of
+  it, each one to three edits (a piece of syntax, a keyword, a digit or a
+  junk character inserted, a character dropped, a name swapped for a
+  keyword, a line dropped or repeated); per concept text,
+  ``parse_concept``: ``parse_concept`` of the text and of one such
+  mutation of it.  The answer is the serialised result, or the
+  ``ParseError``'s line, column, kind and message;
 * ``consistent``: ``abox_consistent``;
 * per concept, ``sat``: ``is_satisfiable``; ``check <individual>``:
   ``instance_check``; ``retrieve``: ``retrieve``; ``extension``: the
@@ -48,11 +56,18 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONCEPTS_PER_KB = 8
+MUTATIONS_PER_KB = 8
+# What a mutation inserts, or puts in place of a character
+PIECES = (" ", "\t", "\r", "\n", "(", ")", ",", ".", "#", ":=", "<=", "0",
+          "12", "x", "B", "_", "$", "\u03a9", "\x0b")
+KEYWORDS = ("not", "and", "or", "exists", "forall", "atleast", "Top",
+            "Bottom")
 DEPTHS = {"0": 0, "1": 1, "2": 2, "auto": None}
 LINKAGES = ("single", "complete", "average")
 
@@ -110,6 +125,57 @@ def show(compute) -> str:
     return str(answer)
 
 
+def mutate(text: str, rng: random.Random) -> str:
+    """``text`` after one to three seeded edits."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:at] + rng.choice(PIECES + KEYWORDS) + text[at:]
+        elif edit == 1:
+            text = text[:at] + text[at + 1:]
+        elif edit == 2:
+            text = text[:at] + rng.choice(PIECES) + text[at + 1:]
+        elif edit == 3:
+            names = list(re.finditer(r"[A-Za-z]\w*", text))
+            if names:
+                name = rng.choice(names)
+                text = (text[:name.start()] + rng.choice(KEYWORDS)
+                        + text[name.end():])
+        else:
+            lines = text.splitlines(keepends=True)
+            if lines:
+                k = rng.randrange(len(lines))
+                lines[k] = rng.choice(("", lines[k] * 2))
+                text = "".join(lines)
+    return text
+
+
+def parsed(alcsim, parse, text: str) -> str:
+    """``parse(text)`` serialised on one line, or its ``ParseError``."""
+    try:
+        result = parse(text)
+    except alcsim.ParseError as exc:
+        return (f"ParseError {exc.line}:{exc.column} {exc.kind.value}: "
+                f"{exc.message}")
+    return " ; ".join(alcsim.serialize(result).splitlines())
+
+
+def parse_cases(alcsim, label, text, concept_texts) -> None:
+    """Print the ``parse_kb`` and ``parse_concept`` cases of one KB."""
+    rng = random.Random(label)
+    kb_texts = [text, *(mutate(text, rng) for _ in range(MUTATIONS_PER_KB))]
+    for k, source in enumerate(kb_texts):
+        case = f"parse_kb mutation {k - 1}" if k else "parse_kb"
+        answer = show(lambda: parsed(alcsim, alcsim.parse_kb, source))
+        print(f"{label} | {case} | - | {answer} | -")
+    for c in concept_texts:
+        for case, source in (("parse_concept", c),
+                             ("parse_concept mutation", mutate(c, rng))):
+            answer = show(lambda: parsed(alcsim, alcsim.parse_concept, source))
+            print(f"{label} | {case} | {source!r} | {answer} | -")
+
+
 def counters(reasoner) -> str:
     return ("-" if reasoner is None else
             " ".join(str(v) for v in vars(reasoner.stats).values()))
@@ -119,6 +185,7 @@ def transcript(alcsim, cases) -> None:
     """Print every case of every KB, answered by ``alcsim``."""
     Reasoner, entail = alcsim.TableauReasoner, alcsim.Backend.ENTAIL
     for label, text, concept_texts in cases:
+        parse_cases(alcsim, label, text, concept_texts)
         kb = alcsim.parse_kb(text)
         individuals = sorted(kb.individuals)
         r = Reasoner(kb)

@@ -17,7 +17,9 @@ distance exceeds the bound, relative to its median, and not every change
 run is better than every parent run).  It also holds each run's metrics
 and failed-op counts, and names both trees: by commit where a side is the
 root of a git clone, else by ``src-sha256:`` and 16 hex digits over the
-sorted paths and contents of its ``src/**/*.py``.
+sorted paths and contents of its ``src/**/*.py``.  After the runs it
+prints one line per metric on stdout: both medians, their ratio, the pairs
+the change won, and which verdicts hold.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+VERDICTS = ("better_beyond_spread", "worse_than_bound", "unresolved")
 RUN_TIMEOUT_S = 900
 
 
@@ -108,6 +111,19 @@ def summarise(runs: list[dict], metric: dict) -> dict:
     }
 
 
+def verdict_lines(report: dict) -> list[str]:
+    """One line per metric of ``report``, as ``main`` prints them."""
+    lines = []
+    for name, m in report["metrics"].items():
+        held = ", ".join(v for v in VERDICTS if m[v]) or "none"
+        lines.append(
+            f"{name}: parent {m['parent']['median']:.4g} change "
+            f"{m['change']['median']:.4g} {m['unit']} "
+            f"({m['change_over_parent']:.3f}x), change won "
+            f"{m['change_wins']} of {report['pairs']} pairs; {held}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -146,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    print("\n".join(verdict_lines(report)))
     return 0
 
 
