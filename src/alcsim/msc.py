@@ -11,14 +11,14 @@ mutually inverse role assertions cannot blow the concept up.
 The default depth bound is the ABox depth: the length of the longest
 simple path in the role-assertion digraph.
 
-``msc_approx`` builds the concept.  ``msc_extension`` evaluates the same
-tree straight into its canonical extension, as a bit mask, and only on
-the individuals that can still change the root's answer; it builds no
-concept, which is all a canonical similarity matrix needs, and the
-engine keeps the role images that every roll-up of the matrix shares.  The
-entail backend has no such shortcut (open-world ``exists`` is not
-compositional), so an entail matrix builds one MSC concept per
-individual, which the engine then evaluates conjunct by conjunct.
+``msc_approx`` builds the concept in normal form: a node with successors
+dedupes its parts and sorts them by ``str``, all that ``normalize`` does
+to a tree of names and existentials.  ``msc_extension`` evaluates the
+same tree straight into its canonical extension and builds no concept,
+which is all a canonical similarity matrix needs.  The entail backend
+has no such shortcut (open-world ``exists`` is not compositional), so an
+entail matrix builds one MSC concept per individual, which the engine
+then evaluates conjunct by conjunct.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .model import (
     TOP,
     concept_depth,
     make_and,
-    normalize,
 )
 from .retrieval import Backend, ExtensionEngine
 
@@ -51,9 +50,9 @@ def abox_depth(kb: KnowledgeBase) -> int:
     """Edge count of the longest simple directed path between individuals.
 
     Parallel role assertions between the same pair collapse to a single
-    edge.  Computed by exhaustive depth-first search with a per-path
-    visited set, which stops once a path reaches the simple-path bound:
-    a path visits each individual with a role edge at most once.
+    edge.  The depth-first search stops once a path reaches the
+    simple-path bound: a path visits each individual with a role edge at
+    most once.
     """
     adjacency = {
         source: sorted({t for ts in out.values() for t in ts} - {source})
@@ -133,16 +132,17 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     def visit(x: str, d: int, visited: int) -> ConceptExpr:
         parts: list[ConceptExpr] = [
             Atom(name) for name, ext in name_exts.items() if x in ext]
-        if d > 0:
-            for role, targets in successors.get(x, {}).items():
+        if d > 0 and x in successors:
+            for role, targets in successors[x].items():
                 for target in targets:
                     bit = bits[target]
                     parts.append(Exists(role, TOP if visited & bit else
                                         visit(target, d - 1, visited | bit)))
+            parts = sorted(dict.fromkeys(parts), key=str)  # normalize's order
         return make_and(parts)
 
     try:
-        concept = normalize(visit(individual, depth, bits[individual]))
+        concept = visit(individual, depth, bits[individual])
     finally:
         del visit  # visit refers to itself: free it now, not at a collection
     assert concept_depth(concept) <= depth
@@ -157,10 +157,8 @@ def msc_extension(kb: KnowledgeBase, individual: str,
     Evaluates the roll-up tree in the canonical model without building
     the concept: a node is the intersection of the extensions of the names
     that hold for its individual and of one ``exists R.filler`` extension
-    per out-edge.  Canonical evaluation is compositional and a roll-up has
-    no negation, disjunction or value restriction, so the normalisation
-    that ``msc_approx`` applies cannot change the extension and the two
-    are equal.
+    per out-edge.  Canonical evaluation is compositional, and ignores the
+    order and repeats of a conjunction's parts, so the two are equal.
 
     ``visit`` returns its node's extension within ``care``, the candidates
     still in question.  An edge ``R`` to ``t`` asks only about the

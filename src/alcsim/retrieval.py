@@ -5,10 +5,11 @@ over the canonical interpretation (the default) or open-world
 entailment checking via the tableau.  :class:`ExtensionEngine` hides the
 choice behind one call and counts every extension it computes, which
 makes the cost accounting of the similarity measure observable.  The
-concept-name extensions that every MSC roll-up reads, and every name a
-canonical evaluation meets, are computed once per engine; so are the
-entail backend's instance checks and the name meets and role images,
-bit masks, that ``msc.msc_extension`` fills and reads.
+concept-name extensions that every MSC roll-up reads, and every name an
+evaluation meets on the canonical model or the entail backend's witness,
+are computed once per engine; so are the entail backend's instance
+checks and the name meets and role images, bit masks, that
+``msc.msc_extension`` fills and reads.
 
 An entail extension is taken conjunct by conjunct, and a tableau
 instance check is made only where no cheaper rule decides membership:
@@ -27,12 +28,11 @@ instance check is made only where no cheaper rule decides membership:
 Every other membership is one instance check, remembered per
 (concept, individual) for the engine's lifetime.
 :meth:`TableauReasoner.retrieve`, one check per individual, is the
-reference this path is tested against.  A check of a conjunct on its
-own can end on a branch that a negated at-least leaves unknown where the
-check of the whole concept answers, so when this path raises,
-``retrieve`` decides the extension: the engine raises only where
-``retrieve`` does.  It can answer where
-``retrieve`` raises, as it makes no check the witness rules out.
+reference this path is tested against.  A conjunct checked alone can
+end on a branch that a negated at-least leaves unknown where the whole
+concept answers, so when this path raises, ``retrieve`` decides: the
+engine raises only where ``retrieve`` does, and can answer where it
+raises, as it makes no check the witness rules out.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ class ExtensionEngine:
     _model: CanonicalModel | None = field(default=None, init=False, repr=False)
     _reasoner: TableauReasoner | None = field(
         default=None, init=False, repr=False)
-    # canonical backend: name -> extension, the eval_concept memo
+    # name -> extension, the eval_concept memo of the canonical model or,
+    # on an entail engine, of the witness
     _names: dict = field(default_factory=dict, init=False, repr=False)
     # entail backend: concept -> individual -> entailed?
     _checks: dict[ConceptExpr, dict[str, bool]] = field(
@@ -133,9 +134,9 @@ class ExtensionEngine:
         if known is None:       # no individual outside c in the witness is in c
             witness = self._reasoner.witness
             outside = () if witness is None else (
-                self.kb.abox.individuals - eval_concept(witness, self.kb.tbox, c))
+                self.kb.abox.individuals
+                - eval_concept(witness, self.kb.tbox, c, self._names))
             known = self._checks[c] = dict.fromkeys(outside, False)
-        for a in sorted(candidates):
-            if a not in known:
-                known[a] = self._reasoner.instance_check(a, c)
+        self._reasoner.check_instances(
+            c, [a for a in sorted(candidates) if a not in known], known)
         return frozenset(a for a in candidates if known[a])

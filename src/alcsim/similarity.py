@@ -22,13 +22,9 @@ intersections, one per cell i <= j, the rest mirrored, and one
 ext(C and D) = ext(C) & ext(D).  Canonical evaluation of a conjunction
 is that intersection; under entailment, KB |= (C and D)(a) exactly when
 KB |= C(a) and KB |= D(a), and an inconsistent KB puts every individual
-on both sides.  On the canonical backend an individual's extension comes
-from evaluating its MSC roll-up on bit masks, only on the individuals
-still in question (``msc_extension``), with role images the engine
-shares across the matrix, so the matrix builds no concept; on the
-entail backend it builds the individual's MSC concept, n in all, and the
-engine evaluates each conjunct by conjunct, checking only the
-memberships no cheaper rule decides (see ``retrieval``).
+on both sides.  An individual's extension is its MSC's: the canonical
+backend evaluates the roll-up on bit masks, building no concept, and the
+entail backend builds n MSC concepts (see ``msc`` and ``retrieval``).
 """
 
 from __future__ import annotations

@@ -20,20 +20,16 @@ the mark's ``UnsupportedNegation``, whatever order rules fire in.
 
 Each reasoner interns every concept it meets once, in its
 :class:`ConceptTable`, as a dense integer id held by labels, queue and
-open disjunctions.  The table keeps each id's kind and parts, and on
-first use its clash keys (the ids of its negation and, for a negation,
-of its argument) and what its ``Atom`` or ``Not`` rule adds, from
-``TBox.unfolding`` and ``model._negate_once``.  The clash test so builds
-and hashes no concept, and interning walks with its own stack.
+open disjunctions, so the clash test builds and hashes no concept.  The
+checks of one concept on several individuals intern its negation once.
 
 Interning simplifies by the laws of ``Top`` and ``Bottom``, as Horrocks
 & Patel-Schneider (1999, *Optimizing description logic subsumption*) do
 before the search: ``Bottom`` absorbs an ``And``, ``Top`` an ``Or``;
 ``Top`` leaves an ``And``, ``Bottom`` an ``Or``, and one part left
 stands alone; ``forall r.Top``, ``exists r.Bottom``, ``not Top`` and
-``not Bottom`` become ``Top`` or ``Bottom``.  No branch is so spent on a
-trivially true disjunction.  Parts keep their order, and nothing is
-flattened or deduplicated.
+``not Bottom`` become ``Top`` or ``Bottom``.  Parts keep their order,
+and nothing is flattened or deduplicated.
 
 ABox individuals are distinct nodes, never merged (unique names); an
 at-least makes fresh successors.  Branches share nodes copy-on-write: a
@@ -43,9 +39,8 @@ touches, not the graph.
 ABox checks start from the precompleted ABox, its deterministic rules
 saturated once per reasoner; a check whose negated goal clashes with the
 precompleted label copies nothing.  If that saturation clashes, the KB
-is inconsistent and entails every instance.  ``_run`` returns an open,
-complete state, unmarked if it can, or ``None``; from the precompleted
-ABox an unmarked one is a model of the KB, exported by
+is inconsistent and entails every instance.  An open, complete and
+unmarked state reached from it is a model of the KB, exported by
 :attr:`TableauReasoner.witness`.
 """
 
@@ -326,11 +321,30 @@ class TableauReasoner:
 
     def instance_check(self, individual: str, c: ConceptExpr) -> bool:
         """Decide whether the KB entails membership of the individual in ``c``."""
-        if individual not in self.kb.abox.individuals:
-            raise UnknownIndividual(individual)
-        self.stats.instance_checks += 1
-        self.stats.satisfiability_calls += 1
-        goal = self.table.id(Not(c))
+        return self.check_instances(c, [individual], {})[individual]
+
+    def retrieve(self, c: ConceptExpr) -> frozenset[str]:
+        """All individuals whose membership in ``c`` is entailed."""
+        known = self.check_instances(c, sorted(self.kb.abox.individuals), {})
+        return frozenset(a for a, yes in known.items() if yes)
+
+    def check_instances(self, c: ConceptExpr, individuals: list[str],
+                        known: dict[str, bool]) -> dict[str, bool]:
+        """Enter in ``known``, in order, whether the KB entails each of
+        ``individuals`` in ``c``, interning ``not c`` once for all."""
+        goal = None
+        for a in individuals:
+            if a not in self.kb.abox.individuals:
+                raise UnknownIndividual(a)
+            self.stats.instance_checks += 1
+            self.stats.satisfiability_calls += 1
+            if goal is None:
+                goal = self.table.id(Not(c))
+            known[a] = self._entailed(a, goal)
+        return known
+
+    def _entailed(self, individual: str, goal: int) -> bool:
+        """Whether every branch closes once ``goal`` joins the label."""
         if self._precompleted is None:
             return True                 # an inconsistent KB entails anything
         completed, node_of = self._precompleted
@@ -343,13 +357,6 @@ class TableauReasoner:
         except _Clash:
             return True
         return not self._open(state, queue)
-
-    def retrieve(self, c: ConceptExpr) -> frozenset[str]:
-        """All individuals whose membership in ``c`` is entailed."""
-        return frozenset(
-            a for a in sorted(self.kb.abox.individuals)
-            if self.instance_check(a, c)
-        )
 
     @cached_property
     def witness(self) -> CanonicalModel | None:
@@ -388,11 +395,8 @@ class TableauReasoner:
 
     @cached_property
     def _precompleted(self) -> tuple[_State, dict[str, int]] | None:
-        """The ABox with its deterministic rules saturated, built once.
-
-        Every ABox check starts from a copy of this state.  ``None`` when
-        the saturation clashes, that is, when the KB is inconsistent.
-        """
+        """The ABox with its deterministic rules saturated, built once;
+        ``None`` when that clashes, as the KB is inconsistent."""
         state = _State(nodes={})
         queue: _Queue = deque()
         node_of: dict[str, int] = {}

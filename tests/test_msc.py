@@ -5,9 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcsim.canonical import retrieve_canonical
-from alcsim.errors import UnknownIndividual
+from alcsim.errors import UnknownIndividual, UnsupportedNegation
 from alcsim.gen import KbShape, random_kb, with_atleast
-from alcsim.model import Atom, Exists, Top, concept_depth, concept_names_in
+from alcsim.model import (
+    Atom,
+    Exists,
+    Top,
+    concept_depth,
+    concept_names_in,
+    make_and,
+    normalize,
+)
 from alcsim.msc import abox_depth, msc_approx, msc_extension
 from alcsim.parser import parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
@@ -165,6 +173,44 @@ class TestMscApprox:
         from alcsim.errors import UnsupportedNegation
         with pytest.raises(UnsupportedNegation):
             msc_approx(family_kb, "Claudia", 0, Backend.ENTAIL)
+
+
+def plain_roll_up(kb, individual, depth, name_exts):
+    """The roll-up with its parts in the order met, neither deduplicated
+    nor sorted: the names, then one ``exists`` per out-edge."""
+    def visit(x, d, path):
+        parts = [Atom(name) for name, ext in name_exts.items() if x in ext]
+        if d > 0:
+            for role, targets in kb.abox.successors.get(x, {}).items():
+                for t in targets:
+                    parts.append(Exists(role, Top() if t in path else
+                                        visit(t, d - 1, path | {t})))
+        return make_and(parts)
+
+    return visit(individual, depth, {individual})
+
+
+class TestNormalFormRollUp:
+    """``msc_approx`` builds its concept in normal form: ``normalize`` of
+    the plain roll-up, and a fixed point of ``normalize``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), atleast=st.booleans(),
+           backend=st.sampled_from(Backend))
+    def test_equals_normalized_plain_roll_up(self, seed, atleast, backend):
+        kb = with_atleast(seed)[0] if atleast else random_kb(seed)
+        engine = ExtensionEngine(kb, backend)
+        try:
+            name_exts = engine.name_extensions
+        except UnsupportedNegation:
+            return      # msc_approx raises on this KB and backend
+        for individual in sorted(kb.individuals):
+            for depth in (0, 1, 2):
+                concept = msc_approx(kb, individual, depth, backend,
+                                     engine).concept
+                assert concept == normalize(
+                    plain_roll_up(kb, individual, depth, name_exts))
+                assert normalize(concept) == concept
 
 
 def concept_path_extension(kb, individual, depth):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from alcsim import msc, retrieval, similarity
+from alcsim import model, msc, retrieval, similarity
 from alcsim.canonical import retrieve_canonical
 from alcsim.errors import CardinalityViolation
 from alcsim.gen import KbShape, random_concept, random_kb
@@ -252,10 +252,11 @@ class TestMatrixCost:
     def test_one_msc_per_individual_and_one_depth(self, family_kb,
                                                   monkeypatch):
         # canonical: one roll-up evaluated straight into its extension per
-        # individual, and no MSC concept built or normalised
+        # individual, and no MSC concept built or normalised (every
+        # normalisation passes through model._norm)
         rollups = count_calls(monkeypatch, "msc_extension", similarity)
         msc_calls = count_calls(monkeypatch, "msc_approx", similarity)
-        normalized = count_calls(monkeypatch, "normalize", msc)
+        normalized = count_calls(monkeypatch, "_norm", model)
         depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
         builds = count_calls(monkeypatch, "build_canonical", retrieval)
         individuals = sorted(family_kb.individuals)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import deque
 
@@ -35,6 +36,7 @@ from alcsim.msc import msc_approx
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import (
+    ConceptTable,
     TableauReasoner,
     abox_consistent,
     equivalent,
@@ -46,6 +48,16 @@ from alcsim.tableau import (
 
 A, B = Atom("A"), Atom("B")
 EMPTY = TBox({})
+
+
+class CountingDict(dict):
+    """A dict that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
 
 
 class TestSatisfiability:
@@ -268,13 +280,12 @@ class TestDeterminismAndStats:
         assert reasoner.stats.satisfiability_calls == 1
         assert reasoner.stats.branches_explored == branches
 
-    def test_entail_matrix_search(self):
-        # ROADMAP W3: the entail MSC at depth 1 of every individual of
-        # random_kb seeds 0-5, through one engine per KB as
-        # sim_matrix uses it; the witness rules out most "no" checks, and
-        # its own search is one satisfiability call per KB; interning
-        # simplifies seed 3's Q := (P or exists r.Top) and ... with
-        # P := Top to Top, so its checks no longer branch
+    @staticmethod
+    def entail_matrix_pass():
+        """ROADMAP W3: the entail MSC at depth 1 of every individual of
+        random_kb seeds 0-5, through one engine per KB as sim_matrix uses
+        it; the summed instance checks, satisfiability calls, branches
+        and node copies."""
         shape = KbShape(individuals=6, role_assertions=8, concept_assertions=8)
         totals = [0, 0, 0, 0]
         for seed in range(6):
@@ -289,7 +300,43 @@ class TestDeterminismAndStats:
                                        stats.branches_explored,
                                        stats.node_copies)):
                 totals[i] += count
-        assert totals == [89, 95, 14, 54]
+        return totals
+
+    def test_entail_matrix_search(self):
+        # the witness rules out most "no" checks, and its own search is
+        # one satisfiability call per KB; interning simplifies seed 3's
+        # Q := (P or exists r.Top) and ... with P := Top to Top, so its
+        # checks no longer branch
+        assert self.entail_matrix_pass() == [89, 95, 14, 54]
+
+    def test_entail_matrix_interns_each_goal_once(self, monkeypatch):
+        # the checks of one concept that an extension makes together
+        # intern its negation once: 188 walks when each check interned
+        # its own
+        walks = []
+        original = ConceptTable.id
+
+        def counted(table, c):
+            walks.append(c)
+            return original(table, c)
+
+        monkeypatch.setattr(ConceptTable, "id", counted)
+        assert self.entail_matrix_pass() == [89, 95, 14, 54]
+        assert len(walks) == 134
+
+    def test_witness_names_evaluated_once_per_engine(self):
+        # every concept's witness evaluation meets D; its body, the one
+        # role lookup here, is evaluated on the first only
+        kb = parse_kb("D := exists r.A\nA(b)\nr(a, b)\nB(c)\n")
+        engine = ExtensionEngine(kb, Backend.ENTAIL)
+        engine._reasoner = reasoner = TableauReasoner(kb)
+        counting = CountingDict(reasoner.witness.role_succ)
+        reasoner.witness = dataclasses.replace(reasoner.witness,
+                                               role_succ=counting)
+        for text in ("D or B", "D or A", "not D", "D and B"):
+            engine.extension(parse_concept(text))
+        assert counting.gets == 1
+        assert engine.extension(Atom("D")) == {"a"}
 
 
 def label_and_edges(state):
