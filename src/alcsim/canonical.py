@@ -107,56 +107,49 @@ def eval_concept(model: CanonicalModel, tbox: TBox, c: ConceptExpr,
     memberships survive even when the closed-world definition check
     fails.  Value restrictions are vacuously satisfied by individuals
     without successors.  Each name is evaluated once per ``names``, a
-    memo valid for one model and TBox (``None``: a fresh one).  The call
-    leaves no reference cycle, so the model and memo it holds are freed
-    by reference counting, without the cyclic collector.
+    memo valid for one model and TBox (``None``: a fresh one).
     """
-    names = {} if names is None else names
+    return _eval(model, tbox, {} if names is None else names, c)
 
-    def ev(c: ConceptExpr) -> frozenset[str]:
-        if isinstance(c, Top):
-            return model.domain
-        if isinstance(c, Bottom):
-            return frozenset()
-        if isinstance(c, Atom):
-            ext = names.get(c.name)
-            if ext is None:
-                ext = model.primitive_ext.get(c.name, frozenset())
-                defn = tbox.get(c.name)
-                if defn is not None and defn.kind is DefKind.EQUIV:
-                    ext = ext | ev(defn.body)
-                names[c.name] = ext
-            return ext
-        if isinstance(c, Not):
-            return model.domain - ev(c.arg)
-        if isinstance(c, And):
-            out = ev(c.args[0])
-            for a in c.args[1:]:
-                out = out & ev(a)
-            return out
-        if isinstance(c, Or):
-            out = ev(c.args[0])
-            for a in c.args[1:]:
-                out = out | ev(a)
-            return out
-        if isinstance(c, Exists):
-            return model.exists_ext(c.role, ev(c.filler))
-        if isinstance(c, Forall):
-            filler = ev(c.filler)
-            succ = model.role_succ.get(c.role, {})
-            return model.domain - {x for x, ys in succ.items()
-                                   if not ys <= filler}
-        if isinstance(c, AtLeast):
-            succ = model.role_succ.get(c.role, {})
-            return frozenset(
-                x for x in model.domain if len(succ.get(x, ())) >= c.n
-            )
-        raise TypeError(f"unexpected concept node: {c!r}")
 
-    try:
-        return ev(c)
-    finally:
-        del ev  # ev refers to itself: free it now, not at a collection
+def _eval(model: CanonicalModel, tbox: TBox, names: dict[str, frozenset[str]],
+          c: ConceptExpr) -> frozenset[str]:
+    if isinstance(c, Top):
+        return model.domain
+    if isinstance(c, Bottom):
+        return frozenset()
+    if isinstance(c, Atom):
+        ext = names.get(c.name)
+        if ext is None:
+            ext = model.primitive_ext.get(c.name, frozenset())
+            defn = tbox.get(c.name)
+            if defn is not None and defn.kind is DefKind.EQUIV:
+                ext = ext | _eval(model, tbox, names, defn.body)
+            names[c.name] = ext
+        return ext
+    if isinstance(c, Not):
+        return model.domain - _eval(model, tbox, names, c.arg)
+    if isinstance(c, And):
+        out = _eval(model, tbox, names, c.args[0])
+        for a in c.args[1:]:
+            out = out & _eval(model, tbox, names, a)
+        return out
+    if isinstance(c, Or):
+        out = _eval(model, tbox, names, c.args[0])
+        for a in c.args[1:]:
+            out = out | _eval(model, tbox, names, a)
+        return out
+    if isinstance(c, Exists):
+        return model.exists_ext(c.role, _eval(model, tbox, names, c.filler))
+    if isinstance(c, Forall):
+        filler = _eval(model, tbox, names, c.filler)
+        succ = model.role_succ.get(c.role, {})
+        return model.domain - {x for x, ys in succ.items()
+                               if not ys <= filler}
+    if isinstance(c, AtLeast):
+        succ = model.role_succ.get(c.role, {})
+        return frozenset(x for x in model.domain if len(succ.get(x, ())) >= c.n)
+    raise TypeError(f"unexpected concept node: {c!r}")
 
 
 def retrieve_canonical(kb: KnowledgeBase, c: ConceptExpr) -> frozenset[str]:

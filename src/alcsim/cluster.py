@@ -95,23 +95,17 @@ def render_dendrogram(dendrogram: Dendrogram) -> str:
     n = len(dendrogram.leaves)
     children = dict(enumerate(dendrogram.merges, n))
     merged_into = {x for a, b, _ in dendrogram.merges for x in (a, b)}
-    roots = [i for i in range(n + len(children)) if i not in merged_into]
-
     lines: list[str] = []
-
-    def walk(node: int, indent: int) -> None:
+    # pre-order from the roots, each node with its indent
+    stack = [(i, 0) for i in reversed(range(n + len(children)))
+             if i not in merged_into]
+    while stack:
+        node, indent = stack.pop()
         pad = "  " * indent
         if node < n:
             lines.append(f"{pad}{dendrogram.leaves[node]}")
         else:
             a, b, sim = children[node]
             lines.append(f"{pad}+ [sim={float(sim):.4f}]")
-            walk(a, indent + 1)
-            walk(b, indent + 1)
-
-    try:
-        for root in roots:
-            walk(root, 0)
-    finally:
-        del walk  # walk refers to itself: free it now, not at a collection
+            stack += (b, indent + 1), (a, indent + 1)
     return "\n".join(lines)

@@ -76,44 +76,39 @@ def random_concept(rng: random.Random, concept_names, role_names,
                    depth: int, el_only: bool = False,
                    max_nodes: int = 16) -> ConceptExpr:
     """A random concept with role depth and node count both bounded."""
-    concept_names = tuple(concept_names)
-    role_names = tuple(role_names)
-    budget = [max_nodes]
+    return _random_node(rng, tuple(concept_names), tuple(role_names),
+                        el_only, [max_nodes], depth)
 
-    def leaf() -> ConceptExpr:
+
+def _random_node(rng: random.Random, concept_names, role_names,
+                 el_only: bool, budget: list[int], depth: int) -> ConceptExpr:
+    budget[0] -= 1
+    if budget[0] <= 0 or not concept_names:
         if concept_names and rng.random() < 0.85:
             return Atom(rng.choice(concept_names))
         return TOP
-
-    def go(depth: int) -> ConceptExpr:
-        budget[0] -= 1
-        if budget[0] <= 0 or not concept_names:
-            return leaf()
-        choices = ["atom", "atom", "and", "top"]
-        if depth > 0 and role_names:
-            choices += ["exists", "exists"]
-            if not el_only:
-                choices.append("forall")
+    choices = ["atom", "atom", "and", "top"]
+    if depth > 0 and role_names:
+        choices += ["exists", "exists"]
         if not el_only:
-            choices += ["or", "not"]
-        kind = rng.choice(choices)
-        if kind == "atom":
-            return Atom(rng.choice(concept_names))
-        if kind == "top":
-            return TOP
-        if kind in ("and", "or"):
-            args = tuple(go(depth) for _ in range(rng.randint(2, 3)))
-            return And(args) if kind == "and" else Or(args)
-        if kind == "exists":
-            return Exists(rng.choice(role_names), go(depth - 1))
-        if kind == "forall":
-            return Forall(rng.choice(role_names), go(depth - 1))
-        return Not(go(depth))
-
-    try:
-        return go(depth)
-    finally:
-        del go  # go refers to itself: free it now, not at a collection
+            choices.append("forall")
+    if not el_only:
+        choices += ["or", "not"]
+    kind = rng.choice(choices)
+    if kind == "atom":
+        return Atom(rng.choice(concept_names))
+    if kind == "top":
+        return TOP
+    context = rng, concept_names, role_names, el_only, budget
+    if kind in ("and", "or"):
+        args = tuple(_random_node(*context, depth)
+                     for _ in range(rng.randint(2, 3)))
+        return And(args) if kind == "and" else Or(args)
+    if kind == "exists":
+        return Exists(rng.choice(role_names), _random_node(*context, depth - 1))
+    if kind == "forall":
+        return Forall(rng.choice(role_names), _random_node(*context, depth - 1))
+    return Not(_random_node(*context, depth))
 
 
 def random_kb(seed: int, shape: KbShape = KbShape()) -> KnowledgeBase:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .errors import UnknownIndividual
 from .model import (
+    ABox,
     ConceptExpr,
     Atom,
     Exists,
@@ -125,26 +126,8 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     concept-name extensions across calls.
     """
     depth, engine = _checked(kb, individual, depth, backend, engine)
-    name_exts = engine.name_extensions
-    successors = kb.abox.successors
-    bits = kb.abox.bits
-
-    def visit(x: str, d: int, visited: int) -> ConceptExpr:
-        parts: list[ConceptExpr] = [
-            Atom(name) for name, ext in name_exts.items() if x in ext]
-        if d > 0 and x in successors:
-            for role, targets in successors[x].items():
-                for target in targets:
-                    bit = bits[target]
-                    parts.append(Exists(role, TOP if visited & bit else
-                                        visit(target, d - 1, visited | bit)))
-            parts = sorted(dict.fromkeys(parts), key=str)  # normalize's order
-        return make_and(parts)
-
-    try:
-        concept = visit(individual, depth, bits[individual])
-    finally:
-        del visit  # visit refers to itself: free it now, not at a collection
+    concept = _rollup(kb.abox, engine.name_extensions, individual, depth,
+                      kb.abox.bits[individual])
     assert concept_depth(concept) <= depth
     return MscResult(individual, depth, concept, backend)
 
@@ -160,8 +143,8 @@ def msc_extension(kb: KnowledgeBase, individual: str,
     per out-edge.  Canonical evaluation is compositional, and ignores the
     order and repeats of a conjunction's parts, so the two are equal.
 
-    ``visit`` returns its node's extension within ``care``, the candidates
-    still in question.  An edge ``R`` to ``t`` asks only about the
+    A node's extension is computed within ``care``, the candidates still
+    in question.  An edge ``R`` to ``t`` asks only about the
     ``R``-successors of the candidates that carry ``t``'s names, none when
     that is ``t`` alone, and a node whose candidates are down to its own
     individual is done.  Both are exact, as every individual is in its own
@@ -187,25 +170,41 @@ def msc_extension(kb: KnowledgeBase, individual: str,
                 for t in targets:
                     pred[bits[t]] = pred.get(bits[t], 0) | bits[source]
 
-    def visit(x: str, d: int, visited: int, care: int) -> int:
-        ext = meets[x] & care
-        if d > 0:
-            for role, targets in successors.get(x, {}).items():
-                succ, pred = images[role]
-                for target in targets:
-                    bit = bits[target]
-                    need = succ[ext]
-                    if not visited & bit:     # else the cut: the filler is Top
-                        need &= meets[target]
-                        if need != bit:
-                            need = visit(target, d - 1, visited | bit, need)
-                    ext &= pred[need]
-                    if ext == bits[x]:  # x stays in, whatever follows
-                        return ext
-        return ext
-
-    try:
-        ext = visit(individual, depth, bits[individual], full)
-    finally:
-        del visit  # visit refers to itself: free it now, not at a collection
+    ext = _rollup_extension(kb.abox, meets, images, individual, depth,
+                            bits[individual], full)
     return frozenset(a for a, bit in bits.items() if ext & bit)
+
+
+def _rollup(abox: ABox, name_exts: dict[str, frozenset[str]], x: str,
+            d: int, visited: int) -> ConceptExpr:
+    parts: list[ConceptExpr] = [
+        Atom(name) for name, ext in name_exts.items() if x in ext]
+    if d > 0 and x in abox.successors:
+        for role, targets in abox.successors[x].items():
+            for target in targets:
+                bit = abox.bits[target]
+                parts.append(Exists(role, TOP if visited & bit else _rollup(
+                    abox, name_exts, target, d - 1, visited | bit)))
+        parts = sorted(dict.fromkeys(parts), key=str)  # normalize's order
+    return make_and(parts)
+
+
+def _rollup_extension(abox: ABox, meets: dict[str, int],
+                      images: dict[str, tuple[_Images, _Images]], x: str,
+                      d: int, visited: int, care: int) -> int:
+    ext = meets[x] & care
+    if d > 0:
+        for role, targets in abox.successors.get(x, {}).items():
+            succ, pred = images[role]
+            for target in targets:
+                bit = abox.bits[target]
+                need = succ[ext]
+                if not visited & bit:     # else the cut: the filler is Top
+                    need &= meets[target]
+                    if need != bit:
+                        need = _rollup_extension(abox, meets, images, target,
+                                                 d - 1, visited | bit, need)
+                ext &= pred[need]
+                if ext == abox.bits[x]:  # x stays in, whatever follows
+                    return ext
+    return ext

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -344,6 +345,22 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_no_function_calls_itself_through_a_closure(self):
+        # a nested function that calls itself holds its own cell, a cycle
+        # that outlives the call; recursive helpers live at module level
+        package = Path(alcsim.__file__).parent
+        self_referent = []
+        for path in sorted(package.glob("*.py")):
+            stack = [compile(path.read_text(encoding="utf-8"), str(path),
+                             "exec")]
+            while stack:
+                code = stack.pop()
+                if code.co_name in code.co_freevars:
+                    self_referent.append(f"{path.stem}.{code.co_name}")
+                stack += [const for const in code.co_consts
+                          if isinstance(const, types.CodeType)]
+        assert self_referent == []
 
 
 class TestModuleEntryPoint:

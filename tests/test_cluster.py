@@ -229,3 +229,69 @@ class TestRenderDendrogram:
         for label in labels:
             assert label in text
         assert "sim=0.0000" in text
+
+    def test_chain_of_1200_leaves_prints_without_recursion(self):
+        # each merge takes the last cluster and the next leaf: 1,199 levels
+        n = 1200
+        merges = [(0, 1, Fraction(1))] + [
+            (n + k - 1, k + 1, Fraction(1, k + 1)) for k in range(1, n - 1)]
+        lines = render_dendrogram(Dendrogram([f"x{i}" for i in range(n)],
+                                             merges)).split("\n")
+        assert len(lines) == 2 * n - 1
+        inner = [f"{'  ' * i}+ [sim={1 / (n - 1 - i):.4f}]"
+                 for i in range(n - 1)]
+        leaves = ["  " * (n - 1) + "x0"] + [
+            "  " * (n - k) + f"x{k}" for k in range(1, n)]
+        assert lines == inner + leaves
+
+
+def recursive_render(dendrogram):
+    """The plain recursive renderer: a pre-order walk from each root."""
+    n = len(dendrogram.leaves)
+    children = dict(enumerate(dendrogram.merges, n))
+    merged = {x for a, b, _ in dendrogram.merges for x in (a, b)}
+
+    def walk(node, indent):
+        if node < n:
+            return ["  " * indent + dendrogram.leaves[node]]
+        a, b, sim = children[node]
+        return ["  " * indent + f"+ [sim={float(sim):.4f}]",
+                *walk(a, indent + 1), *walk(b, indent + 1)]
+
+    return "\n".join(line for root in range(n + len(children))
+                     if root not in merged for line in walk(root, 0))
+
+
+def w7_matrix(n, seed):
+    """A random symmetric n x n matrix with entries in eighths (W7)."""
+    rng = random.Random(seed)
+    matrix = [[Fraction(1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            matrix[i][j] = matrix[j][i] = Fraction(rng.randint(0, 8), 8)
+    return matrix
+
+
+class TestRenderOracle:
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_family_dendrogram(self, family_kb, linkage):
+        labels = sorted(family_kb.individuals)
+        dendrogram = cluster_matrix(labels, sim_matrix(family_kb, labels),
+                                    linkage)
+        assert render_dendrogram(dendrogram) == recursive_render(dendrogram)
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 30])
+    def test_random_matrices(self, n, linkage):
+        labels = [f"i{k}" for k in range(n)]
+        for seed in range(3):
+            dendrogram = cluster_matrix(labels, w7_matrix(n, seed), linkage)
+            assert render_dendrogram(dendrogram) == (
+                recursive_render(dendrogram))
+
+    def test_forest_and_empty(self):
+        # a hand-built dendrogram may stop short of one root, or have none
+        forest = Dendrogram(list("abcde"), [(3, 1, Fraction(1, 2)),
+                                            (5, 4, 0.25)])
+        assert render_dendrogram(forest) == recursive_render(forest)
+        assert render_dendrogram(Dendrogram([], [])) == ""

@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 from alcsim.errors import InvalidShape
-from alcsim.gen import KbShape, random_kb
-from alcsim.parser import parse_kb, serialize_kb
+from alcsim.gen import KbShape, random_kb, with_atleast
+from alcsim.parser import parse_kb, serialize_concept, serialize_kb
 
 
 def test_same_seed_same_kb():
@@ -80,3 +82,25 @@ def test_shape_at_the_edge_of_its_pools_generates(fields):
         kb = random_kb(seed, shape)
         assert len(kb.individuals) <= shape.individuals
         assert parse_kb(serialize_kb(kb)) == kb
+
+
+def with_atleast_text(seed):
+    kb, concepts = with_atleast(seed)
+    return "\n".join([serialize_kb(kb), *map(serialize_concept, concepts)])
+
+
+# sha256 over seeds 0-49 of each draw's text, each followed by a NUL byte
+@pytest.mark.parametrize("draw, digest", [
+    (lambda seed: serialize_kb(random_kb(seed)),
+     "8a9f71040f6633361ab59d9cf2747d3cd965d63aef8c0e84a97ce2fe354a7126"),
+    (lambda seed: serialize_kb(random_kb(seed, KbShape(el_only=True))),
+     "950e63997d985d0a30e543dbdd3aea62204ff21f4730e0a768bd2c77eb5becc3"),
+    (with_atleast_text,
+     "36969c7cd5ff756ee29510b0d2aa7b100db3417f6583f56bcff5ca082050fe6d"),
+], ids=["default", "el_only", "with_atleast"])
+def test_seeds_draw_what_they_always_drew(draw, digest):
+    # a change to the draw order of the generators changes these texts
+    h = hashlib.sha256()
+    for seed in range(50):
+        h.update(draw(seed).encode() + b"\0")
+    assert h.hexdigest() == digest

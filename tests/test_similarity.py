@@ -170,6 +170,18 @@ class TestSimPairAndMatrix:
                 assert matrix[i][j] == matrix[j][i]
             assert matrix[i][i] == 1
 
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_depth_past_the_longest_simple_path_changes_the_matrix(
+            self, backend):
+        # depth auto is the longest simple path, 1: both roll-ups are
+        # exists r.B.  At 3, this KB's simple-path bound, a's roll-up is
+        # exists r.(B and exists r.Top), the cut at b back to a, and d has
+        # no successor.  So no larger bound may stand in for depth auto.
+        kb = parse_kb("B(b)\nr(a, b)\nr(b, a)\nB(d)\nr(c, d)\n")
+        assert msc.abox_depth(kb) == 1
+        assert sim_matrix(kb, ["a", "c"], None, backend)[0][1] == 1
+        assert sim_matrix(kb, ["a", "c"], 3, backend)[0][1] == Fraction(1, 2)
+
 
 def pairwise_matrix(kb, items, depth=None, backend=Backend.CANONICAL):
     """The matrix built cell by cell from single-pair reports."""
