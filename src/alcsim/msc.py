@@ -14,26 +14,30 @@ simple path in the role-assertion digraph.
 ``msc_approx`` builds the concept in normal form: a node with successors
 dedupes its parts and sorts them by ``str``, all that ``normalize`` does
 to a tree of names and existentials.  ``msc_extension`` evaluates the
-same tree straight into its canonical extension and builds no concept,
-which is all a canonical similarity matrix needs.  The entail backend
-has no such shortcut (open-world ``exists`` is not compositional), so an
-entail matrix builds one MSC concept per individual, which the engine
-then evaluates conjunct by conjunct.
+same tree straight into its extension on bit masks, as a similarity
+matrix needs it.  A node is the meet of its individual's names and of
+one ``exists R.filler`` per out-edge, whose extension among the node's
+candidates is first ``told``: the candidates with an asserted
+``R``-successor in the filler's extension.  On the canonical backend
+that is the answer.  On the entail backend it is a lower bound, and the
+``gap``, the candidates it leaves out, goes to the engine's witness
+model and instance checks (``ExtensionEngine.instances``); only then is
+the filler's concept built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnknownIndividual
+from .errors import AlcsimError, UnknownIndividual
 from .model import (
     ABox,
+    And,
     ConceptExpr,
     Atom,
     Exists,
     KnowledgeBase,
     TOP,
-    concept_depth,
     make_and,
 )
 from .retrieval import Backend, ExtensionEngine
@@ -126,40 +130,45 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     concept-name extensions across calls.
     """
     depth, engine = _checked(kb, individual, depth, backend, engine)
-    concept = _rollup(kb.abox, engine.name_extensions, individual, depth,
-                      kb.abox.bits[individual])
-    assert concept_depth(concept) <= depth
+    concept, _, height = _rollup(kb.abox, engine.name_extensions, individual,
+                                 depth, kb.abox.bits[individual])
+    assert height <= depth
     return MscResult(individual, depth, concept, backend)
 
 
 def msc_extension(kb: KnowledgeBase, individual: str,
                   depth: int | None = None,
                   engine: ExtensionEngine | None = None) -> frozenset[str]:
-    """Canonical extension of ``msc_approx(kb, individual, depth).concept``.
+    """Extension of ``msc_approx(kb, individual, depth, backend).concept``,
+    where ``backend`` is the engine's (canonical when there is none).
 
-    Evaluates the roll-up tree in the canonical model without building
-    the concept: a node is the intersection of the extensions of the names
-    that hold for its individual and of one ``exists R.filler`` extension
-    per out-edge.  Canonical evaluation is compositional, and ignores the
-    order and repeats of a conjunction's parts, so the two are equal.
+    Evaluates the roll-up tree without building the concept: a node is
+    the intersection of the extensions of the names that hold for its
+    individual and of one ``exists R.filler`` extension per out-edge.
+    Both backends ignore the order and repeats of a conjunction's parts.
+    Canonical ``exists`` is the told extension; entail ``exists`` adds
+    the gap's members by ``engine.instances`` on the filler's concept.
 
     A node's extension is computed within ``care``, the candidates still
     in question.  An edge ``R`` to ``t`` asks only about the
     ``R``-successors of the candidates that carry ``t``'s names, none when
     that is ``t`` alone, and a node whose candidates are down to its own
     individual is done.  Both are exact, as every individual is in its own
-    node's extension.  Extensions are bit masks over ``ABox.bits``.
-    ``engine`` must be a canonical engine for this KB; its ``name_meets``
-    and ``role_images`` keep the names' meets and role images across calls.
+    node's extension.  Extensions are bit masks over ``ABox.bits``; the
+    engine's ``name_meets`` and ``role_images`` keep the names' meets and
+    role images across calls.  Where an entail check raises,
+    ``engine.extension`` of the built concept decides, as it documents.
     """
-    depth, engine = _checked(kb, individual, depth, Backend.CANONICAL, engine)
+    backend = Backend.CANONICAL if engine is None else engine.backend
+    depth, engine = _checked(kb, individual, depth, backend, engine)
     successors = kb.abox.successors
     bits = kb.abox.bits
     full = (1 << len(bits)) - 1
+    name_exts = engine.name_extensions     # may raise: fill no memo before
     meets, images = engine.name_meets, engine.role_images
     if not meets:
         meets.update(dict.fromkeys(bits, full))
-        for ext in engine.name_extensions.values():
+        for ext in name_exts.values():
             mask = sum(bits[a] for a in ext)
             for a in ext:
                 meets[a] &= mask
@@ -170,28 +179,45 @@ def msc_extension(kb: KnowledgeBase, individual: str,
                 for t in targets:
                     pred[bits[t]] = pred.get(bits[t], 0) | bits[source]
 
-    ext = _rollup_extension(kb.abox, meets, images, individual, depth,
-                            bits[individual], full)
+    entail = None if backend is Backend.CANONICAL else engine
+    try:
+        ext = _rollup_extension(kb.abox, meets, images, entail, individual,
+                                depth, bits[individual], full)
+    except AlcsimError:     # only an entail check raises
+        return engine.extension(
+            msc_approx(kb, individual, depth, backend, engine).concept)
     return frozenset(a for a, bit in bits.items() if ext & bit)
 
 
 def _rollup(abox: ABox, name_exts: dict[str, frozenset[str]], x: str,
-            d: int, visited: int) -> ConceptExpr:
-    parts: list[ConceptExpr] = [
-        Atom(name) for name, ext in name_exts.items() if x in ext]
-    if d > 0 and x in abox.successors:
-        for role, targets in abox.successors[x].items():
+            d: int, visited: int) -> tuple[ConceptExpr, str, int]:
+    """The roll-up of ``x`` at depth ``d`` in normal form, its ``str`` and
+    its ``concept_depth``; parts are deduped and sorted by their text,
+    which is injective on concepts of names, ``exists``, ``Top`` and
+    ``and``."""
+    parts = {name: (Atom(name), 0)
+             for name, ext in name_exts.items() if x in ext}
+    if d > 0:
+        for role, targets in abox.successors.get(x, {}).items():
             for target in targets:
                 bit = abox.bits[target]
-                parts.append(Exists(role, TOP if visited & bit else _rollup(
-                    abox, name_exts, target, d - 1, visited | bit)))
-        parts = sorted(dict.fromkeys(parts), key=str)  # normalize's order
-    return make_and(parts)
+                filler, text, height = (TOP, "Top", 0) if visited & bit else (
+                    _rollup(abox, name_exts, target, d - 1, visited | bit))
+                if isinstance(filler, And):
+                    text = f"({text})"
+                parts.setdefault(f"exists {role}.{text}",
+                                 (Exists(role, filler), height + 1))
+    if not parts:
+        return TOP, "Top", 0
+    texts = sorted(parts)     # normalize's order
+    return (make_and(parts[t][0] for t in texts), " and ".join(texts),
+            max(parts[t][1] for t in texts))
 
 
 def _rollup_extension(abox: ABox, meets: dict[str, int],
-                      images: dict[str, tuple[_Images, _Images]], x: str,
-                      d: int, visited: int, care: int) -> int:
+                      images: dict[str, tuple[_Images, _Images]],
+                      entail: ExtensionEngine | None, x: str, d: int,
+                      visited: int, care: int) -> int:
     ext = meets[x] & care
     if d > 0:
         for role, targets in abox.successors.get(x, {}).items():
@@ -202,9 +228,18 @@ def _rollup_extension(abox: ABox, meets: dict[str, int],
                 if not visited & bit:     # else the cut: the filler is Top
                     need &= meets[target]
                     if need != bit:
-                        need = _rollup_extension(abox, meets, images, target,
-                                                 d - 1, visited | bit, need)
-                ext &= pred[need]
+                        need = _rollup_extension(abox, meets, images, entail,
+                                                 target, d - 1, visited | bit,
+                                                 need)
+                told = ext & pred[need]
+                if entail is not None and told != ext:   # the gap: check it
+                    filler = TOP if visited & bit else _rollup(
+                        abox, entail.name_extensions, target, d - 1,
+                        visited | bit)[0]
+                    gap = [a for a, b in abox.bits.items() if ext & ~told & b]
+                    told |= sum(abox.bits[a] for a in
+                                entail.instances(Exists(role, filler), gap))
+                ext = told
                 if ext == abox.bits[x]:  # x stays in, whatever follows
                     return ext
     return ext

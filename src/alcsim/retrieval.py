@@ -26,7 +26,9 @@ instance check is made only where no cheaper rule decides membership:
   instance of C, so it needs no check either.
 
 Every other membership is one instance check, remembered per
-(concept, individual) for the engine's lifetime.
+(concept, individual) for the engine's lifetime.  ``msc.msc_extension``
+applies the ``exists`` and witness rules to an MSC roll-up on bit masks
+and calls :meth:`ExtensionEngine.instances` for the rest.
 :meth:`TableauReasoner.retrieve`, one check per individual, is the
 reference this path is tested against.  A conjunct checked alone can
 end on a branch that a negated at-least leaves unknown where the whole
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import Collection
 
 from .canonical import CanonicalModel, build_canonical, eval_concept
 from .errors import AlcsimError
@@ -73,9 +76,9 @@ class ExtensionEngine:
     # entail backend: concept -> individual -> entailed?
     _checks: dict[ConceptExpr, dict[str, bool]] = field(
         default_factory=dict, init=False, repr=False)
-    # canonical roll-ups, filled by msc.msc_extension: individual -> mask
-    # of the meet of its names, and role -> mask -> its successors, and
-    # mask -> its predecessors
+    # roll-up masks on either backend, filled by msc.msc_extension:
+    # individual -> mask of the meet of its names, and role -> mask -> its
+    # asserted successors, and mask -> its asserted predecessors
     name_meets: dict[str, int] = field(
         default_factory=dict, init=False, repr=False)
     role_images: dict[str, tuple[dict[int, int], dict[int, int]]] = field(
@@ -122,12 +125,14 @@ class ExtensionEngine:
                 c.filler, frozenset(b for bs in succ.values() for b in bs))
             told = frozenset(a for a, bs in succ.items()
                              if not filler.isdisjoint(bs))
-            return told | self._checked(c, candidates - told)
-        return self._checked(c, candidates)
+            return told | self.instances(c, candidates - told)
+        return self.instances(c, candidates)
 
-    def _checked(self, c: ConceptExpr,
-                 candidates: frozenset[str]) -> frozenset[str]:
-        """Members of ``candidates`` in ``c`` by instance check, memoised."""
+    def instances(self, c: ConceptExpr,
+                  candidates: Collection[str]) -> frozenset[str]:
+        """The members of ``candidates`` that the KB entails in ``c`` (entail
+        backend only): none outside ``c`` in the witness, and an instance
+        check for each of the others, each answer memoised per engine."""
         if self._reasoner is None:
             self._reasoner = TableauReasoner(self.kb)
         known = self._checks.get(c)
@@ -138,5 +143,5 @@ class ExtensionEngine:
                 - eval_concept(witness, self.kb.tbox, c, self._names))
             known = self._checks[c] = dict.fromkeys(outside, False)
         self._reasoner.check_instances(
-            c, [a for a in sorted(candidates) if a not in known], known)
+            c, sorted(a for a in candidates if a not in known), known)
         return frozenset(a for a in candidates if known[a])

@@ -22,9 +22,10 @@ intersections, one per cell i <= j, the rest mirrored, and one
 ext(C and D) = ext(C) & ext(D).  Canonical evaluation of a conjunction
 is that intersection; under entailment, KB |= (C and D)(a) exactly when
 KB |= C(a) and KB |= D(a), and an inconsistent KB puts every individual
-on both sides.  An individual's extension is its MSC's: the canonical
-backend evaluates the roll-up on bit masks, building no concept, and the
-entail backend builds n MSC concepts (see ``msc`` and ``retrieval``).
+on both sides.  An individual's extension is its MSC's, which both
+backends evaluate on bit masks without building the MSC concept: the
+entail backend builds only the ``exists`` parts that its told
+successors leave undecided (see ``msc`` and ``retrieval``).
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
     """Symmetric matrix of pairwise similarities.
 
     One engine serves the whole matrix, so each concept name's extension
-    and each canonical roll-up memo is computed once for all roll-ups.
+    and each roll-up memo is computed once for all roll-ups.
     Each item's extension is computed once, an individual's from one MSC
     roll-up; a cell i <= j intersects two extensions, and the measure is
     symmetric, so cell (j, i) is the same value.
@@ -174,16 +175,9 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
     if depth is None and any(isinstance(item, str) for item in items):
         depth = abox_depth(kb)
 
-    def extension(item: Item) -> frozenset[str]:
-        if not isinstance(item, str):
-            return engine.extension(item)
-        if backend is Backend.CANONICAL:
-            return msc_extension(kb, item, depth, engine)
-        return engine.extension(msc_approx(kb, item, depth, backend,
-                                           engine).concept)
-
     formula = cache(sim_formula)    # each triple once
-    exts = [extension(item) for item in items]
+    exts = [msc_extension(kb, item, depth, engine) if isinstance(item, str)
+            else engine.extension(item) for item in items]
     matrix: list[list[Fraction]] = []
     for i, a in enumerate(exts):
         matrix.append([matrix[j][i] if j < i else

@@ -36,8 +36,8 @@ def test_transcript_covers_every_case():
         for x in ("concept", "individual") for y in ("concept", "individual")}
     assert {f[1] for f in fields
             if f[1].startswith(("matrix", "cluster"))} == {
-        "matrix entail 1", "matrix canonical auto", "cluster single",
-        "cluster complete", "cluster average"}
+        "matrix entail 1", "matrix entail auto", "matrix canonical auto",
+        "cluster single", "cluster complete", "cluster average"}
     assert {f[1].split()[-1] for f in fields
             if f[1].startswith("msc_")} == {"0", "1", "2", "auto"}
     assert any(f[3].startswith("UnsupportedNegation: ") for f in fields)

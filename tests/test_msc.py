@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alcsim.canonical import retrieve_canonical
-from alcsim.errors import UnknownIndividual, UnsupportedNegation
+from alcsim.errors import AlcsimError, UnknownIndividual, UnsupportedNegation
 from alcsim.gen import KbShape, random_kb, with_atleast
 from alcsim.model import (
     Atom,
@@ -190,6 +190,18 @@ def plain_roll_up(kb, individual, depth, name_exts):
     return visit(individual, depth, {individual})
 
 
+def subconcepts(c):
+    """``c`` and every concept below it."""
+    out, stack = set(), [c]
+    while stack:
+        node = stack.pop()
+        out.add(node)
+        stack.extend(getattr(node, "args", ()))
+        if isinstance(node, Exists):
+            stack.append(node.filler)
+    return out
+
+
 class TestNormalFormRollUp:
     """``msc_approx`` builds its concept in normal form: ``normalize`` of
     the plain roll-up, and a fixed point of ``normalize``."""
@@ -211,6 +223,23 @@ class TestNormalFormRollUp:
                 assert concept == normalize(
                     plain_roll_up(kb, individual, depth, name_exts))
                 assert normalize(concept) == concept
+
+    def test_str_is_injective_on_roll_ups(self):
+        # msc_approx dedupes a node's parts by their text
+        for seed in range(50):
+            for kb in (random_kb(seed), with_atleast(seed)[0]):
+                parts = set()
+                for backend in Backend:
+                    engine = ExtensionEngine(kb, backend)
+                    for individual in sorted(kb.individuals):
+                        for depth in (0, 1, 2, None):
+                            try:
+                                concept = msc_approx(kb, individual, depth,
+                                                     backend, engine).concept
+                            except UnsupportedNegation:
+                                continue
+                            parts |= subconcepts(concept)
+                assert len({str(c) for c in parts}) == len(parts), seed
 
 
 def concept_path_extension(kb, individual, depth):
@@ -273,11 +302,6 @@ class TestMscExtension:
             with pytest.raises(ValueError):
                 roll_up(family_kb, "Claudia", -1)
 
-    def test_entail_engine_rejected(self, fathers_kb):
-        engine = ExtensionEngine(fathers_kb, Backend.ENTAIL)
-        with pytest.raises(ValueError):
-            msc_extension(fathers_kb, "Leonardo", 1, engine)
-
     def test_engine_of_another_backend_rejected(self):
         # the result is labelled with ``backend``, so the engine must match it
         kb = random_kb(0)
@@ -299,6 +323,76 @@ class TestMscExtension:
         # an equal KB is the same KB
         assert msc_extension(k1, "a", 1, ExtensionEngine(random_kb(1))) == (
             msc_extension(k1, "a", 1))
+
+
+def entail_answer(compute):
+    """``compute()``, or the type of the ``AlcsimError`` it raises."""
+    try:
+        return compute()
+    except AlcsimError as exc:
+        return type(exc)
+
+
+def assert_entail_matches_concept_path(kb, depths=(0, 1, 2, None)):
+    masks = ExtensionEngine(kb, Backend.ENTAIL)
+    for depth in depths:
+        concepts = ExtensionEngine(kb, Backend.ENTAIL)
+        for individual in sorted(kb.individuals):
+            assert entail_answer(
+                lambda: msc_extension(kb, individual, depth, masks)
+            ) == entail_answer(lambda: concepts.extension(msc_approx(
+                kb, individual, depth, Backend.ENTAIL, concepts).concept)), (
+                individual, depth)
+
+
+# a check of exists s.H on g meets a negated at-least; y's roll-up at depth
+# 1 asks it, and so does x's at depth 2, where the whole concept answers
+UNKNOWN_GAP_KB = """\
+H := atleast 2 t
+L := (exists s.H) or B
+D := exists r.(L and exists s.H)
+H(z)
+D(c)
+L(g)
+r(x, y)
+s(y, z)
+r(c, g)
+s(g, w)
+"""
+
+
+class TestEntailMscExtension:
+    """``msc_extension`` on an entail engine against the engine's
+    extension of the built concept, or the same typed error."""
+
+    def test_fixtures(self, family_kb, fathers_kb):
+        assert_entail_matches_concept_path(family_kb)
+        assert_entail_matches_concept_path(fathers_kb)
+
+    def test_random_kbs(self):
+        for seed in range(50):
+            assert_entail_matches_concept_path(random_kb(seed))
+
+    def test_atleast_kbs(self):
+        for seed in range(50):
+            assert_entail_matches_concept_path(with_atleast(seed)[0])
+
+    def test_a_raising_check_defers_to_the_concept(self):
+        kb = parse_kb(UNKNOWN_GAP_KB)
+        engine = ExtensionEngine(kb, Backend.ENTAIL)
+        assert msc_extension(kb, "x", 2, engine) == {"c", "x"}
+        with pytest.raises(UnsupportedNegation):
+            msc_extension(kb, "y", 1, engine)
+        assert_entail_matches_concept_path(kb)
+
+    def test_raising_name_extensions_fill_no_memo(self):
+        # a second call on the engine raises the same error, not KeyError
+        kb = with_atleast(8)[0]
+        engine = ExtensionEngine(kb, Backend.ENTAIL)
+        for _ in range(2):
+            with pytest.raises(UnsupportedNegation):
+                msc_extension(kb, "a", 1, engine)
+        assert engine.name_meets == {} and engine.role_images == {}
 
 
 def random_digraph(seed, individuals, edges, mirrored=False):

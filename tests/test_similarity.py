@@ -295,15 +295,16 @@ class TestMatrixCost:
         assert len(triples) == len(set(triples))
         assert len(triples) < len(individuals) * (len(individuals) + 1) // 2
 
-    def test_entail_builds_one_msc_per_individual(self, fathers_kb,
-                                                  monkeypatch):
+    def test_entail_rolls_up_on_masks(self, fathers_kb, monkeypatch):
+        # one path per individual on both backends: no MSC concept is built
+        # where no instance check raises
         rollups = count_calls(monkeypatch, "msc_extension", similarity)
-        msc_calls = count_calls(monkeypatch, "msc_approx", similarity)
+        msc_calls = count_calls(monkeypatch, "msc_approx", similarity, msc)
         depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
         individuals = sorted(fathers_kb.individuals)
         sim_matrix(fathers_kb, individuals, backend=Backend.ENTAIL)
-        assert len(msc_calls) == len(individuals)
-        assert rollups == []
+        assert len(rollups) == len(individuals)
+        assert msc_calls == []
         assert len(depth_calls) == 1
 
     def test_no_depth_search_without_individuals(self, family_kb,

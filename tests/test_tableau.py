@@ -32,7 +32,7 @@ from alcsim.model import (
     _negate_once,
     nnf,
 )
-from alcsim.msc import msc_approx
+from alcsim.msc import msc_extension
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import (
@@ -282,18 +282,17 @@ class TestDeterminismAndStats:
 
     @staticmethod
     def entail_matrix_pass():
-        """ROADMAP W3: the entail MSC at depth 1 of every individual of
-        random_kb seeds 0-5, through one engine per KB as sim_matrix uses
-        it; the summed instance checks, satisfiability calls, branches
-        and node copies."""
+        """ROADMAP W3: the extension of the entail MSC at depth 1 of every
+        individual of random_kb seeds 0-5, through one engine per KB as
+        sim_matrix takes it; the summed instance checks, satisfiability
+        calls, branches and node copies."""
         shape = KbShape(individuals=6, role_assertions=8, concept_assertions=8)
         totals = [0, 0, 0, 0]
         for seed in range(6):
             kb = random_kb(seed, shape)
             engine = ExtensionEngine(kb, Backend.ENTAIL)
             for individual in sorted(kb.individuals):
-                engine.extension(
-                    msc_approx(kb, individual, 1, Backend.ENTAIL, engine).concept)
+                msc_extension(kb, individual, 1, engine)
             stats = engine._reasoner.stats
             for i, count in enumerate((stats.instance_checks,
                                        stats.satisfiability_calls,

@@ -23,8 +23,8 @@ answers every case, so two trees answer the very same inputs.  Per KB:
   concepts, as ``sim_matrix`` uses it; ``extension canonical``: the same
   on one canonical engine, whose name memo fills in the order of the
   concepts;
-* ``matrix entail 1``: the entail ``sim_matrix`` of all individuals at
-  depth 1;
+* ``matrix entail 1`` and ``matrix entail auto``: the entail
+  ``sim_matrix`` of all individuals at depth 1 and at depth auto;
 * ``sim_pair <backend> <kinds>``: the ``SimilarityReport`` of ``sim_pair``
   on the first two concepts and the first and last individuals, in the
   four orders concept-concept, concept-individual, individual-concept and
@@ -210,8 +210,10 @@ def transcript(alcsim, cases) -> None:
                   f"{counters(engine._reasoner)}")
             print(f"{label} | extension canonical | {c} | "
                   f"{show(lambda: canonical.extension(c))} | -")
-        matrix = show(lambda: alcsim.sim_matrix(kb, individuals, 1, entail))
-        print(f"{label} | matrix entail 1 | - | {matrix} | -")
+        for name in ("1", "auto"):
+            matrix = show(lambda: alcsim.sim_matrix(kb, individuals,
+                                                    DEPTHS[name], entail))
+            print(f"{label} | matrix entail {name} | - | {matrix} | -")
         sim_pairs(alcsim, label, kb, concept_texts, individuals)
         roll_ups(alcsim, label, kb, individuals)
 
