@@ -34,33 +34,52 @@ class ConceptExpr:
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        # a stack, so no depth recurses.  As arguments And/Or, looser than
+        # not/quantifiers (and Or than And), take parentheses; all else
+        # re-parses unambiguously.
+        out, stack = [], [self]
+        while stack:
+            c = stack.pop()
+            kind = type(c)
+            if kind is str or kind is Atom:
+                out.append(c if kind is str else c.name)
+            elif kind is And or kind is Or:
+                sep, loose = ((" and ", (And, Or)) if kind is And
+                              else (" or ", (Or,)))
+                parts = []
+                for a in c.args:
+                    parts += (sep, "(", a, ")") if type(a) in loose else (sep, a)
+                stack += reversed(parts[1:])
+            elif kind is Not or kind is Exists or kind is Forall:
+                out.append("not " if kind is Not else
+                           f"{'exists' if kind is Exists else 'forall'} {c.role}.")
+                a = c.arg if kind is Not else c.filler
+                stack += (")", a, "(") if type(a) in (And, Or) else (a,)
+            else:
+                out.append(f"atleast {c.n} {c.role}" if kind is AtLeast
+                           else kind.__name__)      # Top, Bottom
+        return "".join(out)
+
 
 @dataclass(frozen=True)
 class Top(ConceptExpr):
-    def __str__(self) -> str:
-        return "Top"
+    pass
 
 
 @dataclass(frozen=True)
 class Bottom(ConceptExpr):
-    def __str__(self) -> str:
-        return "Bottom"
+    pass
 
 
 @dataclass(frozen=True)
 class Atom(ConceptExpr):
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Not(ConceptExpr):
     arg: ConceptExpr
-
-    def __str__(self) -> str:
-        return "not " + _unary_str(self.arg)
 
 
 @dataclass(frozen=True)
@@ -71,9 +90,6 @@ class And(ConceptExpr):
         if len(self.args) < 2:
             raise ValueError("And requires at least two arguments")
 
-    def __str__(self) -> str:
-        return " and ".join(_unary_str(a) for a in self.args)
-
 
 @dataclass(frozen=True)
 class Or(ConceptExpr):
@@ -83,28 +99,17 @@ class Or(ConceptExpr):
         if len(self.args) < 2:
             raise ValueError("Or requires at least two arguments")
 
-    def __str__(self) -> str:
-        return " or ".join(
-            f"({a})" if isinstance(a, Or) else str(a) for a in self.args
-        )
-
 
 @dataclass(frozen=True)
 class Exists(ConceptExpr):
     role: str
     filler: ConceptExpr
 
-    def __str__(self) -> str:
-        return f"exists {self.role}.{_unary_str(self.filler)}"
-
 
 @dataclass(frozen=True)
 class Forall(ConceptExpr):
     role: str
     filler: ConceptExpr
-
-    def __str__(self) -> str:
-        return f"forall {self.role}.{_unary_str(self.filler)}"
 
 
 @dataclass(frozen=True)
@@ -118,20 +123,9 @@ class AtLeast(ConceptExpr):
         if self.n < 1:
             raise ValueError("AtLeast requires n >= 1")
 
-    def __str__(self) -> str:
-        return f"atleast {self.n} {self.role}"
-
 
 TOP = Top()
 BOTTOM = Bottom()
-
-
-def _unary_str(c: ConceptExpr) -> str:
-    # And/Or bind looser than not/quantifiers, so they need parentheses in
-    # argument position; everything else re-parses unambiguously.
-    if isinstance(c, (And, Or)):
-        return f"({c})"
-    return str(c)
 
 
 def make_and(args) -> ConceptExpr:
@@ -316,6 +310,40 @@ class ABox:
     def bits(self) -> dict[str, int]:
         """Each individual's bit, ``1 << i`` for the i-th in sorted order."""
         return {a: 1 << i for i, a in enumerate(sorted(self.individuals))}
+
+    @cached_property
+    def depth(self) -> int:
+        """Edge count of the longest simple directed path between individuals.
+
+        Parallel role assertions between the same pair collapse to a single
+        edge.  The depth-first search stops once a path reaches the
+        simple-path bound: a path visits each individual with a role edge at
+        most once.
+        """
+        adjacency = {
+            source: sorted({t for ts in out.values() for t in ts} - {source})
+            for source, out in self.successors.items()
+        }
+        bound = len({x for s, ts in adjacency.items() if ts for x in (s, *ts)}) - 1
+        best = 0
+        for start in adjacency:
+            best = _longest_path(adjacency, start, 0, {start}, best, bound)
+        return best
+
+
+def _longest_path(adjacency: dict[str, list[str]], node: str, length: int,
+                  seen: set[str], best: int, bound: int) -> int:
+    """The longer of ``best`` and the simple paths that extend ``seen``,
+    a path of ``length`` edges ending at ``node``; the search stops once
+    one reaches ``bound``."""
+    if length > best:
+        best = length
+    for nxt in adjacency.get(node, ()):
+        if nxt not in seen and best < bound:
+            seen.add(nxt)
+            best = _longest_path(adjacency, nxt, length + 1, seen, best, bound)
+            seen.remove(nxt)
+    return best
 
 
 EMPTY_ABOX = ABox.from_assertions((), ())

@@ -9,7 +9,7 @@ current path contributes ``exists R.Top`` instead of recursing, so
 mutually inverse role assertions cannot blow the concept up.
 
 The default depth bound is the ABox depth: the length of the longest
-simple path in the role-assertion digraph.
+simple path in the role-assertion digraph, searched once per ABox.
 
 ``msc_approx`` builds the concept in normal form: a node with successors
 dedupes its parts and sorts them by ``str``, all that ``normalize`` does
@@ -52,51 +52,8 @@ class MscResult:
 
 
 def abox_depth(kb: KnowledgeBase) -> int:
-    """Edge count of the longest simple directed path between individuals.
-
-    Parallel role assertions between the same pair collapse to a single
-    edge.  The depth-first search stops once a path reaches the
-    simple-path bound: a path visits each individual with a role edge at
-    most once.
-    """
-    adjacency = {
-        source: sorted({t for ts in out.values() for t in ts} - {source})
-        for source, out in kb.abox.successors.items()
-    }
-    bound = len({x for s, ts in adjacency.items() if ts for x in (s, *ts)}) - 1
-
-    best = 0
-    for start in adjacency:
-        best = _longest_path(adjacency, start, 0, {start}, best, bound)
-    return best
-
-
-def _longest_path(adjacency: dict[str, list[str]], node: str, length: int,
-                  seen: set[str], best: int, bound: int) -> int:
-    """The longer of ``best`` and the simple paths that extend ``seen``,
-    a path of ``length`` edges ending at ``node``; the search stops once
-    one reaches ``bound``."""
-    if length > best:
-        best = length
-    for nxt in adjacency.get(node, ()):
-        if nxt not in seen and best < bound:
-            seen.add(nxt)
-            best = _longest_path(adjacency, nxt, length + 1, seen, best, bound)
-            seen.remove(nxt)
-    return best
-
-
-class _Images(dict):
-    """Mask -> its image under one role or its inverse, filled per bit."""
-
-    def __missing__(self, mask: int) -> int:
-        out, rest = 0, mask
-        while rest:
-            low = rest & -rest
-            out |= self.get(low, 0)
-            rest ^= low
-        self[mask] = out
-        return out
+    """``ABox.depth``, searched once per ABox."""
+    return kb.abox.depth
 
 
 def _checked(kb: KnowledgeBase, individual: str, depth: int | None,
@@ -104,7 +61,7 @@ def _checked(kb: KnowledgeBase, individual: str, depth: int | None,
              engine: ExtensionEngine | None) -> tuple[int, ExtensionEngine]:
     if individual not in kb.abox.individuals:
         raise UnknownIndividual(individual)
-    if depth is None:
+    if depth is None:       # resolved here only
         depth = abox_depth(kb)
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -155,34 +112,18 @@ def msc_extension(kb: KnowledgeBase, individual: str,
     that is ``t`` alone, and a node whose candidates are down to its own
     individual is done.  Both are exact, as every individual is in its own
     node's extension.  Extensions are bit masks over ``ABox.bits``; the
-    engine's ``name_meets`` and ``role_images`` keep the names' meets and
-    role images across calls.  Where an entail check raises,
+    engine's ``rollup_masks`` keep the names' meets and role images across
+    calls.  Where an entail check raises,
     ``engine.extension`` of the built concept decides, as it documents.
     """
     backend = Backend.CANONICAL if engine is None else engine.backend
     depth, engine = _checked(kb, individual, depth, backend, engine)
-    successors = kb.abox.successors
     bits = kb.abox.bits
-    full = (1 << len(bits)) - 1
-    name_exts = engine.name_extensions     # may raise: fill no memo before
-    meets, images = engine.name_meets, engine.role_images
-    if not meets:
-        meets.update(dict.fromkeys(bits, full))
-        for ext in name_exts.values():
-            mask = sum(bits[a] for a in ext)
-            for a in ext:
-                meets[a] &= mask
-        for source, out in successors.items():
-            for role, targets in out.items():
-                succ, pred = images.setdefault(role, (_Images(), _Images()))
-                succ[bits[source]] = sum(bits[t] for t in targets)
-                for t in targets:
-                    pred[bits[t]] = pred.get(bits[t], 0) | bits[source]
-
+    meets, images = engine.rollup_masks
     entail = None if backend is Backend.CANONICAL else engine
     try:
         ext = _rollup_extension(kb.abox, meets, images, entail, individual,
-                                depth, bits[individual], full)
+                                depth, bits[individual], (1 << len(bits)) - 1)
     except AlcsimError:     # only an entail check raises
         return engine.extension(
             msc_approx(kb, individual, depth, backend, engine).concept)
@@ -215,7 +156,7 @@ def _rollup(abox: ABox, name_exts: dict[str, frozenset[str]], x: str,
 
 
 def _rollup_extension(abox: ABox, meets: dict[str, int],
-                      images: dict[str, tuple[_Images, _Images]],
+                      images: dict[str, tuple[dict, dict]],
                       entail: ExtensionEngine | None, x: str, d: int,
                       visited: int, care: int) -> int:
     ext = meets[x] & care

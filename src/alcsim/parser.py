@@ -44,7 +44,6 @@ from itertools import islice
 from .errors import AlcsimError, CyclicTBox, DefinitionTooDeep
 from .model import (
     ABox,
-    And,
     AtLeast,
     Atom,
     Bottom,
@@ -55,7 +54,6 @@ from .model import (
     Forall,
     KnowledgeBase,
     Not,
-    Or,
     TBox,
     Top,
     make_and,
@@ -66,8 +64,8 @@ KEYWORDS = {"not", "and", "or", "exists", "forall", "atleast", "Top", "Bottom"}
 
 # Nesting levels of ``(``, ``not``, ``exists`` and ``forall`` in one concept.
 # At this depth the parser and every later recursive traversal (``nnf``,
-# ``normalize``, ``str``, ``eval_concept``, the tableau) stay well inside
-# Python's default recursion limit.
+# ``normalize``, ``eval_concept``, the tableau) stay well inside Python's
+# default recursion limit.
 MAX_NESTING = 100
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"

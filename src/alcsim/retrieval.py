@@ -8,8 +8,8 @@ makes the cost accounting of the similarity measure observable.  The
 concept-name extensions that every MSC roll-up reads, and every name an
 evaluation meets on the canonical model or the entail backend's witness,
 are computed once per engine; so are the entail backend's instance
-checks and the name meets and role images, bit masks, that
-``msc.msc_extension`` fills and reads.
+checks, the canonical model and ``msc.msc_extension``'s bit masks, each
+a cached property that keeps nothing if its build raises.
 
 An entail extension is taken conjunct by conjunct, and a tableau
 instance check is made only where no cheaper rule decides membership:
@@ -55,6 +55,19 @@ class Backend(Enum):
     CANONICAL = "canonical"
 
 
+class _Images(dict):
+    """Mask -> its image under one role or its inverse, filled per bit."""
+
+    def __missing__(self, mask: int) -> int:
+        out, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            out |= self.get(low, 0)
+            rest ^= low
+        self[mask] = out
+        return out
+
+
 @dataclass
 class ExtensionEngine:
     """Computes concept extensions for one KB under one backend.
@@ -67,7 +80,6 @@ class ExtensionEngine:
     kb: KnowledgeBase
     backend: Backend = Backend.CANONICAL
     computations: int = field(default=0, init=False)
-    _model: CanonicalModel | None = field(default=None, init=False, repr=False)
     _reasoner: TableauReasoner | None = field(
         default=None, init=False, repr=False)
     # name -> extension, the eval_concept memo of the canonical model or,
@@ -76,18 +88,11 @@ class ExtensionEngine:
     # entail backend: concept -> individual -> entailed?
     _checks: dict[ConceptExpr, dict[str, bool]] = field(
         default_factory=dict, init=False, repr=False)
-    # roll-up masks on either backend, filled by msc.msc_extension:
-    # individual -> mask of the meet of its names, and role -> mask -> its
-    # asserted successors, and mask -> its asserted predecessors
-    name_meets: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False)
-    role_images: dict[str, tuple[dict[int, int], dict[int, int]]] = field(
-        default_factory=dict, init=False, repr=False)
 
     def extension(self, c: ConceptExpr) -> frozenset[str]:
         self.computations += 1
         if self.backend is Backend.CANONICAL:
-            return eval_concept(self.canonical_model(), self.kb.tbox, c,
+            return eval_concept(self.canonical_model, self.kb.tbox, c,
                                 self._names)
         try:
             return self._entailed(c, self.kb.abox.individuals)
@@ -100,13 +105,31 @@ class ExtensionEngine:
         return {name: self.extension(Atom(name))
                 for name in sorted(self.kb.signature.concept_names)}
 
+    @cached_property
+    def rollup_masks(self) -> tuple[dict, dict]:
+        """Individual -> the meet of its names' extensions, and role -> (mask
+        -> its asserted successors, mask -> its asserted predecessors)."""
+        bits = self.kb.abox.bits
+        meets = dict.fromkeys(bits, (1 << len(bits)) - 1)
+        for ext in self.name_extensions.values():
+            mask = sum(bits[a] for a in ext)
+            for a in ext:
+                meets[a] &= mask
+        images: dict = {}
+        for source, out in self.kb.abox.successors.items():
+            for role, targets in out.items():
+                succ, pred = images.setdefault(role, (_Images(), _Images()))
+                succ[bits[source]] = sum(bits[t] for t in targets)
+                for t in targets:
+                    pred[bits[t]] = pred.get(bits[t], 0) | bits[source]
+        return meets, images
+
+    @cached_property
     def canonical_model(self) -> CanonicalModel:
         """The KB's canonical model, built on first use (canonical backend only)."""
         if self.backend is not Backend.CANONICAL:
             raise ValueError("only a canonical engine has a canonical model")
-        if self._model is None:
-            self._model = build_canonical(self.kb)
-        return self._model
+        return build_canonical(self.kb)
 
     def _entailed(self, c: ConceptExpr,
                   candidates: frozenset[str]) -> frozenset[str]:

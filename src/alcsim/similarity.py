@@ -8,7 +8,7 @@ extensions and of the extension of their conjunction::
 It is 1 exactly for equivalent concepts with non-empty extensions, 0
 exactly for disjoint (or empty) extensions, and strictly between
 otherwise.  Individuals are compared through their most-specific-concept
-approximations.
+approximations, by default at the ABox depth.
 
 Values are exact rationals; any rounding happens at the presentation
 layer only.  ``sim_pair`` computes every pair report on one extension
@@ -37,7 +37,7 @@ from typing import Sequence, Union
 
 from .errors import CardinalityViolation
 from .model import And, ConceptExpr, KnowledgeBase
-from .msc import abox_depth, msc_approx, msc_extension
+from .msc import msc_approx, msc_extension
 from .retrieval import Backend, ExtensionEngine
 
 Item = Union[ConceptExpr, str]  # a concept expression or an individual name
@@ -108,19 +108,17 @@ def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
 
     The one implementation of the measure.  One engine serves the request:
     each individual is replaced by its MSC approximation at ``depth``
-    (``None``: the ABox depth, searched once), and the same engine then
+    (``None``: the ABox depth), and the same engine then
     computes ext(C), ext(D) and ext(C and D).  The concept-name extensions
     the roll-ups read are shared with those three and are not counted in
     ``extension_computations``, so every report reads 3.
     """
     engine = ExtensionEngine(kb, backend)
-    individuals = [item for item in (x, y) if isinstance(item, str)]
-    if not individuals:
-        depth = None
-    elif depth is None:
-        depth = abox_depth(kb)
-    c, d = [msc_approx(kb, item, depth, backend, engine).concept
-            if isinstance(item, str) else item for item in (x, y)]
+    mscs = [msc_approx(kb, item, depth, backend, engine)
+            for item in (x, y) if isinstance(item, str)]
+    rolled = iter(mscs)
+    c, d = [next(rolled).concept if isinstance(item, str) else item
+            for item in (x, y)]
     before = engine.computations
     n_c = len(engine.extension(c))
     n_d = len(engine.extension(d))
@@ -132,8 +130,8 @@ def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
         ext_i=n_i,
         backend=backend,
         extension_computations=engine.computations - before,
-        msc_computations=len(individuals),
-        msc_depth=depth,
+        msc_computations=len(mscs),
+        msc_depth=mscs[0].depth if mscs else None,
     )
 
 
@@ -172,9 +170,6 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
     if not items:
         raise ValueError("items must be non-empty")
     engine = ExtensionEngine(kb, backend)
-    if depth is None and any(isinstance(item, str) for item in items):
-        depth = abox_depth(kb)
-
     formula = cache(sim_formula)    # each triple once
     exts = [msc_extension(kb, item, depth, engine) if isinstance(item, str)
             else engine.extension(item) for item in items]

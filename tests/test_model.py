@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from alcsim.canonical import retrieve_canonical
 from alcsim.errors import CyclicTBox, DefinitionTooDeep, UnsupportedNegation
-from alcsim.gen import random_concept, random_kb
+from alcsim.gen import random_concept, random_kb, with_atleast
 from alcsim.model import (
     ABox,
     And,
@@ -185,9 +185,16 @@ class TestUnfoldedDepth:
         tbox = TBox({"D": Definition(DefKind.EQUIV, body)})
         abox = ABox.from_assertions({("B", "x"), ("C", "x")}, ())
         kb = KnowledgeBase.assemble(tbox, abox)
-        # (dataclass equality recurses deeper still, so compare the top only)
+        # (dataclass equality of two such trees recurses deeper still, so
+        # compare the top only; str walks with its own stack)
         assert unfold(Atom("D"), tbox).args[1] == C
         assert retrieve_canonical(kb, Atom("D")) == {"x"}
+
+    def test_deepest_allowed_definition_prints(self):
+        body = self.nested_and(MAX_UNFOLDED_DEPTH - 2)
+        unfolded = unfold(Atom("D"), TBox({"D": Definition(DefKind.EQUIV, body)}))
+        opened = MAX_UNFOLDED_DEPTH - 3
+        assert str(unfolded) == "(" * opened + "B and C" + ") and C" * opened
 
     def test_one_level_more_is_a_typed_error(self):
         body = self.nested_and(MAX_UNFOLDED_DEPTH - 1)
@@ -261,6 +268,59 @@ class TestConceptDepth:
 
     def test_negation_transparent(self):
         assert concept_depth(Not(A)) == 0
+
+
+def plain_str(c):
+    """The concrete syntax of ``c``, rendered recursively: And and Or take
+    parentheses as the argument of not, a quantifier or And, and Or also as
+    an argument of Or."""
+    def arg(a, loose=(And, Or)):
+        return f"({plain_str(a)})" if isinstance(a, loose) else plain_str(a)
+
+    if isinstance(c, Atom):
+        return c.name
+    if isinstance(c, (Top, Bottom)):
+        return type(c).__name__
+    if isinstance(c, Not):
+        return "not " + arg(c.arg)
+    if isinstance(c, And):
+        return " and ".join(arg(a) for a in c.args)
+    if isinstance(c, Or):
+        return " or ".join(arg(a, Or) for a in c.args)
+    if isinstance(c, (Exists, Forall)):
+        return f"{type(c).__name__.lower()} {c.role}.{arg(c.filler)}"
+    return f"atleast {c.n} {c.role}"
+
+
+class TestStr:
+    def test_matches_recursive_renderer(self):
+        concepts = [*rand_concepts(1500, depth=4, seed=31),
+                    *rand_concepts(500, depth=3, seed=32, el_only=True)]
+        for seed in range(20):
+            kb, drawn = with_atleast(seed)
+            concepts += drawn
+            concepts += (d.body for d in kb.tbox.definitions.values())
+        for c in concepts:
+            assert str(c) == plain_str(c)
+
+    @pytest.mark.parametrize("concept, text", [
+        (Top(), "Top"),
+        (Bottom(), "Bottom"),
+        (Not(And((A, B))), "not (A and B)"),
+        (Not(Not(Top())), "not not Top"),
+        (And((Or((A, B)), And((A, B)), Not(C))), "(A or B) and (A and B) and not C"),
+        (Or((And((A, B)), Or((A, Bottom())), C)), "A and B or (A or Bottom) or C"),
+        (Exists(R, Forall(S, Or((A, AtLeast(2, R))))),
+         "exists R.forall S.(A or atleast 2 R)"),
+    ])
+    def test_edge_cases(self, concept, text):
+        assert str(concept) == plain_str(concept) == text
+
+    def test_deep_conjunction_prints(self):
+        c = A
+        for _ in range(5000):
+            c = And((c, B))
+        assert str(c) == "(" * 4999 + "A and B" + ") and B" * 4999
 
 
 class TestContainers:

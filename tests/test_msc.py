@@ -392,7 +392,7 @@ class TestEntailMscExtension:
         for _ in range(2):
             with pytest.raises(UnsupportedNegation):
                 msc_extension(kb, "a", 1, engine)
-        assert engine.name_meets == {} and engine.role_images == {}
+        assert "rollup_masks" not in vars(engine)
 
 
 def random_digraph(seed, individuals, edges, mirrored=False):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from alcsim import model, msc, retrieval, similarity
+from alcsim import load_fixture, model, msc, retrieval, similarity
 from alcsim.canonical import retrieve_canonical
 from alcsim.errors import CardinalityViolation
 from alcsim.gen import KbShape, random_concept, random_kb
@@ -260,23 +260,39 @@ def count_calls(monkeypatch, name, *modules) -> list:
     return calls
 
 
+def count_depth_searches(monkeypatch) -> list:
+    """Record each search of the ABox depth: the first read of
+    ``ABox.depth`` on an ABox, which caches the answer for later reads.
+    A test that counts searches parses its own KB, as the session
+    fixtures may have been searched already."""
+    searches = []
+    search = model.ABox.depth.func
+
+    def counted(abox):
+        searches.append(abox)
+        return search(abox)
+
+    monkeypatch.setattr(model.ABox.depth, "func", counted)
+    return searches
+
+
 class TestMatrixCost:
-    def test_one_msc_per_individual_and_one_depth(self, family_kb,
-                                                  monkeypatch):
+    def test_one_msc_per_individual_and_one_depth(self, monkeypatch):
         # canonical: one roll-up evaluated straight into its extension per
         # individual, and no MSC concept built or normalised (every
         # normalisation passes through model._norm)
+        family_kb = load_fixture("family")
         rollups = count_calls(monkeypatch, "msc_extension", similarity)
         msc_calls = count_calls(monkeypatch, "msc_approx", similarity)
         normalized = count_calls(monkeypatch, "_norm", model)
-        depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
+        searches = count_depth_searches(monkeypatch)
         builds = count_calls(monkeypatch, "build_canonical", retrieval)
         individuals = sorted(family_kb.individuals)
         sim_matrix(family_kb, individuals)
         assert len(rollups) == len(individuals)
         assert msc_calls == []
         assert normalized == []
-        assert len(depth_calls) <= 1
+        assert len(searches) <= 1
         assert len(builds) == 1
 
     def test_one_extension_per_concept_name(self, family_kb, monkeypatch):
@@ -295,30 +311,45 @@ class TestMatrixCost:
         assert len(triples) == len(set(triples))
         assert len(triples) < len(individuals) * (len(individuals) + 1) // 2
 
-    def test_entail_rolls_up_on_masks(self, fathers_kb, monkeypatch):
+    def test_entail_rolls_up_on_masks(self, monkeypatch):
         # one path per individual on both backends: no MSC concept is built
         # where no instance check raises
+        fathers_kb = load_fixture("fathers")
         rollups = count_calls(monkeypatch, "msc_extension", similarity)
         msc_calls = count_calls(monkeypatch, "msc_approx", similarity, msc)
-        depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
+        searches = count_depth_searches(monkeypatch)
         individuals = sorted(fathers_kb.individuals)
         sim_matrix(fathers_kb, individuals, backend=Backend.ENTAIL)
         assert len(rollups) == len(individuals)
         assert msc_calls == []
-        assert len(depth_calls) == 1
+        assert len(searches) == 1
 
-    def test_no_depth_search_without_individuals(self, family_kb,
-                                                 monkeypatch):
-        depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
+    def test_no_depth_search_without_individuals(self, monkeypatch):
+        family_kb = load_fixture("family")
+        searches = count_depth_searches(monkeypatch)
         sim_matrix(family_kb, [Atom("Woman"), Atom("Father")])
-        assert depth_calls == []
+        assert searches == []
 
-    def test_individual_pair_searches_depth_once(self, family_kb,
-                                                 monkeypatch):
-        depth_calls = count_calls(monkeypatch, "abox_depth", similarity, msc)
+    def test_individual_pair_searches_depth_once(self, monkeypatch):
+        family_kb = load_fixture("family")
+        searches = count_depth_searches(monkeypatch)
         report = sim_individuals(family_kb, "Claudia", "Tiziana")
-        assert len(depth_calls) == 1
+        assert len(searches) == 1
         assert report.msc_depth == 10
+
+    def test_one_depth_search_per_abox(self, monkeypatch):
+        # the depth is a fact of the frozen ABox: after the first search,
+        # every depth-auto call on the KB reads it, on either backend
+        kb = load_fixture("fathers")
+        searches = count_depth_searches(monkeypatch)
+        individuals = sorted(kb.individuals)
+        sim_matrix(kb, individuals)
+        sim_matrix(kb, individuals, backend=Backend.ENTAIL)
+        report = sim_individuals(kb, individuals[0], individuals[-1])
+        result = msc.msc_approx(kb, individuals[0])
+        msc.msc_extension(kb, individuals[-1])
+        assert searches == [kb.abox]
+        assert report.msc_depth == result.depth == msc.abox_depth(kb)
 
     def test_individual_pair_builds_one_canonical_model(self, family_kb,
                                                          monkeypatch):
