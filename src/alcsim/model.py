@@ -61,28 +61,52 @@ class ConceptExpr:
                            else kind.__name__)      # Top, Bottom
         return "".join(out)
 
+    def __eq__(self, other) -> bool:
+        # the dataclasses' own ==, field by field, but with a stack, so no
+        # depth recurses; a shared subtree is equal without a walk
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if type(a) is not type(b):
+                    return False
+                for x, y in zip(vars(a).values(), vars(b).values()):
+                    if type(x) is tuple and len(x) == len(y):
+                        stack += zip(x, y)          # And and Or args
+                    elif isinstance(x, ConceptExpr):
+                        stack.append((x, y))
+                    elif x != y:
+                        return False
+        return True
 
-@dataclass(frozen=True)
+
+# frozen nodes with ConceptExpr's ==, hashed by their fields as before
+_node = dataclass(frozen=True, eq=False, unsafe_hash=True)
+
+
+@_node
 class Top(ConceptExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bottom(ConceptExpr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(ConceptExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not(ConceptExpr):
     arg: ConceptExpr
 
 
-@dataclass(frozen=True)
+@_node
 class And(ConceptExpr):
     args: tuple[ConceptExpr, ...]
 
@@ -91,7 +115,7 @@ class And(ConceptExpr):
             raise ValueError("And requires at least two arguments")
 
 
-@dataclass(frozen=True)
+@_node
 class Or(ConceptExpr):
     args: tuple[ConceptExpr, ...]
 
@@ -100,19 +124,19 @@ class Or(ConceptExpr):
             raise ValueError("Or requires at least two arguments")
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(ConceptExpr):
     role: str
     filler: ConceptExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(ConceptExpr):
     role: str
     filler: ConceptExpr
 
 
-@dataclass(frozen=True)
+@_node
 class AtLeast(ConceptExpr):
     """Unqualified at-least restriction: at least ``n`` distinct role successors."""
 

@@ -20,9 +20,9 @@ one ``exists R.filler`` per out-edge, whose extension among the node's
 candidates is first ``told``: the candidates with an asserted
 ``R``-successor in the filler's extension.  On the canonical backend
 that is the answer.  On the entail backend it is a lower bound, and the
-``gap``, the candidates it leaves out, goes to the engine's witness
-model and instance checks (``ExtensionEngine.instances``); only then is
-the filler's concept built.
+``gap``, the candidates it leaves out, goes to the reasoner's bounds and
+instance checks (``ExtensionEngine.instances``); only then is the
+filler's concept built.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ def msc_extension(kb: KnowledgeBase, individual: str,
     individual is done.  Both are exact, as every individual is in its own
     node's extension.  Extensions are bit masks over ``ABox.bits``; the
     engine's ``rollup_masks`` keep the names' meets and role images across
-    calls.  Where an entail check raises,
-    ``engine.extension`` of the built concept decides, as it documents.
+    calls.  Where an entail check raises, ``engine.extension`` of the
+    built concept decides, as it documents; the engine remembers the
+    raising check, so that path raises it again with no search.
     """
     backend = Backend.CANONICAL if engine is None else engine.backend
     depth, engine = _checked(kb, individual, depth, backend, engine)

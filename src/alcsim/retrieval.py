@@ -6,10 +6,10 @@ entailment checking via the tableau.  :class:`ExtensionEngine` hides the
 choice behind one call and counts every extension it computes, which
 makes the cost accounting of the similarity measure observable.  The
 concept-name extensions that every MSC roll-up reads, and every name an
-evaluation meets on the canonical model or the entail backend's witness,
-are computed once per engine; so are the entail backend's instance
-checks, the canonical model and ``msc.msc_extension``'s bit masks, each
-a cached property that keeps nothing if its build raises.
+evaluation meets on the canonical model, are computed once per engine;
+so are the entail backend's instance checks, the canonical model and
+``msc.msc_extension``'s bit masks, each a cached property that keeps
+nothing if its build raises.
 
 An entail extension is taken conjunct by conjunct, and a tableau
 instance check is made only where no cheaper rule decides membership:
@@ -21,20 +21,19 @@ instance check is made only where no cheaper rule decides membership:
 * KB |= F(b) and an asserted r(a, b) imply KB |= (exists r.F)(a), so a
   candidate with an asserted ``r``-successor in the extension of ``F``
   needs no check (that extension is taken over those successors only);
-* an individual outside the extension of C in the reasoner's witness
-  model (:attr:`TableauReasoner.witness`), a model of the KB, is not an
-  instance of C, so it needs no check either.
+* :meth:`TableauReasoner.bounds` puts C's instances between two masks:
+  the individuals the precompleted ABox's structure puts in C are
+  instances, and those outside C in the witness, a model, are not.
 
 Every other membership is one instance check, remembered per
-(concept, individual) for the engine's lifetime.  ``msc.msc_extension``
-applies the ``exists`` and witness rules to an MSC roll-up on bit masks
-and calls :meth:`ExtensionEngine.instances` for the rest.
-:meth:`TableauReasoner.retrieve`, one check per individual, is the
-reference this path is tested against.  A conjunct checked alone can
-end on a branch that a negated at-least leaves unknown where the whole
-concept answers, so when this path raises, ``retrieve`` decides: the
-engine raises only where ``retrieve`` does, and can answer where it
-raises, as it makes no check the witness rules out.
+(concept, individual) for the engine's lifetime, as is a check that
+raises.  ``msc.msc_extension`` applies the ``exists`` rule to an MSC
+roll-up on bit masks and calls :meth:`ExtensionEngine.instances` for
+the rest.  :meth:`TableauReasoner.retrieve`, one check per individual,
+is the reference.  A conjunct checked alone can end on a branch that a
+negated at-least leaves unknown where the whole concept answers, so
+when this path raises, ``retrieve`` decides: the engine raises only
+where ``retrieve`` does, and can answer where it raises.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from functools import cached_property
 from typing import Collection
 
 from .canonical import CanonicalModel, build_canonical, eval_concept
-from .errors import AlcsimError
+from .errors import AlcsimError, UnsupportedNegation
 from .model import And, Atom, ConceptExpr, Exists, KnowledgeBase, Top
 from .tableau import TableauReasoner
 
@@ -82,11 +81,10 @@ class ExtensionEngine:
     computations: int = field(default=0, init=False)
     _reasoner: TableauReasoner | None = field(
         default=None, init=False, repr=False)
-    # name -> extension, the eval_concept memo of the canonical model or,
-    # on an entail engine, of the witness
+    # name -> extension, the eval_concept memo of the canonical model
     _names: dict = field(default_factory=dict, init=False, repr=False)
-    # entail backend: concept -> individual -> entailed?
-    _checks: dict[ConceptExpr, dict[str, bool]] = field(
+    # entail backend: concept id -> individual -> entailed, or its check's error
+    _checks: dict[int, dict[str, bool | str]] = field(
         default_factory=dict, init=False, repr=False)
 
     def extension(self, c: ConceptExpr) -> frozenset[str]:
@@ -154,17 +152,23 @@ class ExtensionEngine:
     def instances(self, c: ConceptExpr,
                   candidates: Collection[str]) -> frozenset[str]:
         """The members of ``candidates`` that the KB entails in ``c`` (entail
-        backend only): none outside ``c`` in the witness, and an instance
-        check for each of the others, each answer memoised per engine."""
-        if self._reasoner is None:
-            self._reasoner = TableauReasoner(self.kb)
-        known = self._checks.get(c)
-        if known is None:       # no individual outside c in the witness is in c
-            witness = self._reasoner.witness
-            outside = () if witness is None else (
-                self.kb.abox.individuals
-                - eval_concept(witness, self.kb.tbox, c, self._names))
-            known = self._checks[c] = dict.fromkeys(outside, False)
-        self._reasoner.check_instances(
-            c, sorted(a for a in candidates if a not in known), known)
+        backend only): the reasoner's bounds decide all but those between
+        them, each one instance check, memoised per engine; one that raised
+        raises again with no search."""
+        reasoner = self._reasoner = self._reasoner or TableauReasoner(self.kb)
+        cid = reasoner.table.id(c)
+        known = self._checks.get(cid)
+        if known is None:
+            lower, upper = reasoner.bounds(cid)
+            known = self._checks[cid] = {
+                a: bool(bit & lower) for a, bit in self.kb.abox.bits.items()
+                if bit & lower or not bit & upper}
+        for a in sorted(a for a in candidates if type(known.get(a)) is not bool):
+            if a not in known:
+                try:
+                    reasoner.check_instances(cid, [a], known)
+                    continue
+                except UnsupportedNegation as error:  # all a search raises
+                    known[a] = str(error)
+            raise UnsupportedNegation(known[a])
         return frozenset(a for a in candidates if known[a])

@@ -20,8 +20,8 @@ the mark's ``UnsupportedNegation``, whatever order rules fire in.
 
 Each reasoner interns every concept it meets once, in its
 :class:`ConceptTable`, as a dense integer id held by labels, queue and
-open disjunctions, so the clash test builds and hashes no concept.  The
-checks of one concept on several individuals intern its negation once.
+open disjunctions, so the clash test builds and hashes no concept.  A
+check takes its concept by id and derives the negated goal from it.
 
 Interning simplifies by the laws of ``Top`` and ``Bottom``, as Horrocks
 & Patel-Schneider (1999, *Optimizing description logic subsumption*) do
@@ -37,11 +37,11 @@ branch copies a node on its first write to it, so it costs the nodes it
 touches, not the graph.
 
 ABox checks start from the precompleted ABox, its deterministic rules
-saturated once per reasoner; a check whose negated goal clashes with the
-precompleted label copies nothing.  If that saturation clashes, the KB
-is inconsistent and entails every instance.  An open, complete and
-unmarked state reached from it is a model of the KB, exported by
-:attr:`TableauReasoner.witness`.
+saturated once per reasoner; if that clashes, the KB is inconsistent and
+entails every instance.  An open, complete and unmarked state reached
+from it, the witness, is a model of the KB.  Evaluated on both states,
+a concept bounds its retrieval (:meth:`TableauReasoner.bounds`), and
+only the individuals between the bounds need a search.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .canonical import CanonicalModel
 from .errors import UnknownIndividual, UnsupportedNegation
 from .model import (
     And,
@@ -277,6 +276,63 @@ class _State:
 _Queue = deque  # of (node id, concept id) pairs awaiting rule application
 
 
+class _Masks:
+    """The nodes of one state in each concept id, as bit masks (node ``i``
+    is bit ``1 << i``), each id evaluated once, recursing once per level
+    as ``eval_concept`` does.  A node is in a concept if its label holds
+    it or the structure puts it there: ``Top``; ``And``, every part;
+    ``Or``, some part; ``exists r.F``, an ``r``-edge into F; a name, its
+    unfolding (for ``N <= D``, ``N* and D``, whose marker only N's
+    unfolding adds).  ``not``, ``forall``, ``atleast`` and ``Bottom`` are
+    read from labels only unless ``exact``: on a model, each mask is the
+    concept's extension; on the precompleted ABox, the nodes every model
+    puts in it (Haarslev & Möller 2008, *On the scalability of
+    description logic instance retrieval*)."""
+
+    def __init__(self, table: ConceptTable, state: _State, exact: bool):
+        self.table, self.exact, self.memo = table, exact, {}
+        self.everyone = (1 << len(state.nodes)) - 1
+        self.labelled: dict[int, int] = {}
+        # role -> (bit, mask of its role-successors) per node with some
+        self.edges: dict[str, list[tuple[int, int]]] = {}
+        for nid, node in state.nodes.items():
+            for c in node.label:
+                self.labelled[c] = self.labelled.get(c, 0) | 1 << nid
+            for role, succs in node.edges.items():
+                self.edges.setdefault(role, []).append(
+                    (1 << nid, sum(1 << s for s in succs)))
+
+    def mask(self, cid: int) -> int:
+        out = self.memo.get(cid)
+        if out is not None:
+            return out
+        kind, parts = self.table.kind[cid], self.table.parts[cid]
+        if kind == _AND or kind == _TOP:
+            out = self.everyone
+            for p in parts:
+                out &= self.mask(p)
+        elif kind == _OR or kind == _ATOM:
+            out = 0
+            for p in parts if kind == _OR else self.table.adds(cid):
+                out |= self.mask(p)
+        elif kind == _EXISTS or kind == _FORALL and self.exact:
+            # forall r.F is not exists r.not F
+            inside = self.mask(parts[1])
+            inside = inside if kind == _EXISTS else ~inside
+            out = sum(bit for bit, succ in self.edges.get(parts[0], ())
+                      if succ & inside)
+            out = out if kind == _EXISTS else self.everyone & ~out
+        elif kind == _BOTTOM or not self.exact:
+            out = 0
+        elif kind == _NOT:
+            out = self.everyone & ~self.mask(parts)
+        else:           # atleast n r
+            out = sum(bit for bit, succ in self.edges.get(parts[1], ())
+                      if succ.bit_count() >= parts[0])
+        out = self.memo[cid] = self.labelled.get(cid, 0) | out
+        return out
+
+
 class TableauReasoner:
     """A reasoning session over one immutable knowledge base.
 
@@ -321,75 +377,63 @@ class TableauReasoner:
 
     def instance_check(self, individual: str, c: ConceptExpr) -> bool:
         """Decide whether the KB entails membership of the individual in ``c``."""
-        return self.check_instances(c, [individual], {})[individual]
+        return self.check_instances(self.table.id(c), [individual],
+                                    {})[individual]
 
     def retrieve(self, c: ConceptExpr) -> frozenset[str]:
         """All individuals whose membership in ``c`` is entailed."""
-        known = self.check_instances(c, sorted(self.kb.abox.individuals), {})
+        known = self.check_instances(self.table.id(c),
+                                     sorted(self.kb.abox.individuals), {})
         return frozenset(a for a, yes in known.items() if yes)
 
-    def check_instances(self, c: ConceptExpr, individuals: list[str],
+    def check_instances(self, cid: int, individuals: list[str],
                         known: dict[str, bool]) -> dict[str, bool]:
         """Enter in ``known``, in order, whether the KB entails each of
-        ``individuals`` in ``c``, interning ``not c`` once for all."""
-        goal = None
+        ``individuals`` in the concept with id ``cid`` in :attr:`table`."""
+        goal = self.table.negation(cid)
         for a in individuals:
             if a not in self.kb.abox.individuals:
                 raise UnknownIndividual(a)
             self.stats.instance_checks += 1
             self.stats.satisfiability_calls += 1
-            if goal is None:
-                goal = self.table.id(Not(c))
             known[a] = self._entailed(a, goal)
         return known
+
+    def bounds(self, cid: int) -> tuple[int, int]:
+        """Masks over ``ABox.bits``: the individuals the precompleted ABox's
+        structure puts in the concept with id ``cid``, which the KB entails
+        in it, and those the witness puts in it (all, with no witness),
+        outside which the KB entails none."""
+        everyone = (1 << len(self.kb.abox.individuals)) - 1
+        if self._precompleted is None:
+            return everyone, everyone   # an inconsistent KB entails anything
+        lower, upper = self._masks
+        return (lower.mask(cid) & everyone,
+                everyone if upper is None else upper.mask(cid) & everyone)
 
     def _entailed(self, individual: str, goal: int) -> bool:
         """Whether every branch closes once ``goal`` joins the label."""
         if self._precompleted is None:
             return True                 # an inconsistent KB entails anything
         completed, node_of = self._precompleted
-        nid = node_of[individual]
-        if self._dead(completed.nodes[nid].label, goal):
-            return True
         state, queue = completed.copy(), deque()
         try:
-            self._add(state, nid, goal, queue)
+            self._add(state, node_of[individual], goal, queue)
         except _Clash:
             return True
         return not self._open(state, queue)
 
     @cached_property
-    def witness(self) -> CanonicalModel | None:
-        """A model of the KB: the open completion of the precompleted ABox.
-
-        Its domain is the node ids, named nodes as their individuals and
-        anonymous ones as ``#<id>``, which no name spells; names come from
-        the labels' atoms, roles from the edges.  ``eval_concept``'s "told
-        or body" rule is exact on it, as a label holding a fully defined
-        name holds its body too.  ``None`` if the KB is inconsistent, or
-        the search closes or finds only marked completions.
-        """
-        if self._precompleted is None:
-            return None
-        completed, node_of = self._precompleted
+    def _masks(self) -> tuple[_Masks, _Masks | None]:
+        """The masks of the precompleted ABox of a consistent KB, and of the
+        witness, a model of the KB: the open completion of that ABox
+        (``None`` if the search closes or finds only marked completions)."""
+        completed = self._precompleted[0]
         self.stats.satisfiability_calls += 1
         state = self._run(completed.copy(), deque())
-        if state is None or state.mark is not None:
-            return None
-        element = {nid: f"#{nid}" for nid in state.nodes}
-        element.update((nid, a) for a, nid in node_of.items())
-        names: dict[str, set[str]] = {}
-        role_succ: dict[str, dict[str, frozenset[str]]] = {}
-        for nid, node in state.nodes.items():
-            for c in node.label:
-                if self.table.kind[c] == _ATOM:
-                    names.setdefault(self.table.parts[c], set()).add(element[nid])
-            for role, succs in node.edges.items():
-                role_succ.setdefault(role, {})[element[nid]] = frozenset(
-                    element[s] for s in succs)
-        return CanonicalModel(
-            frozenset(element.values()),
-            {name: frozenset(xs) for name, xs in names.items()}, role_succ)
+        return _Masks(self.table, completed, exact=False), (
+            None if state is None or state.mark is not None
+            else _Masks(self.table, state, exact=True))
 
     # -- state construction -------------------------------------------------
 

@@ -20,7 +20,7 @@ def test_transcript_covers_every_case():
         "seed 1 atleast"}
     assert {f[1].split()[0] for f in fields} == {
         "parse_kb", "parse_concept", "consistent", "sat", "check", "retrieve",
-        "extension", "matrix", "sim_pair", "abox_depth", "msc_approx",
+        "bounds", "extension", "matrix", "sim_pair", "abox_depth", "msc_approx",
         "msc_extension", "cluster"}
     assert {f[1] for f in fields if f[1].startswith("parse_")} == {
         "parse_kb", "parse_concept", "parse_concept mutation",

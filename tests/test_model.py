@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from alcsim.model import (
     AtLeast,
     Atom,
     Bottom,
+    ConceptExpr,
     DefKind,
     Definition,
     EMPTY_ABOX,
@@ -30,6 +32,7 @@ from alcsim.model import (
     normalize,
     unfold,
 )
+from alcsim.parser import parse_concept
 from alcsim.tableau import equivalent
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -185,8 +188,7 @@ class TestUnfoldedDepth:
         tbox = TBox({"D": Definition(DefKind.EQUIV, body)})
         abox = ABox.from_assertions({("B", "x"), ("C", "x")}, ())
         kb = KnowledgeBase.assemble(tbox, abox)
-        # (dataclass equality of two such trees recurses deeper still, so
-        # compare the top only; str walks with its own stack)
+        # (test_deepest_allowed_unfoldings_compare compares whole trees)
         assert unfold(Atom("D"), tbox).args[1] == C
         assert retrieve_canonical(kb, Atom("D")) == {"x"}
 
@@ -195,6 +197,15 @@ class TestUnfoldedDepth:
         unfolded = unfold(Atom("D"), TBox({"D": Definition(DefKind.EQUIV, body)}))
         opened = MAX_UNFOLDED_DEPTH - 3
         assert str(unfolded) == "(" * opened + "B and C" + ") and C" * opened
+
+    def test_deepest_allowed_unfoldings_compare(self):
+        # two trees built apart, so == walks every level
+        unfolded = [unfold(Atom("D"), TBox({"D": Definition(
+            DefKind.EQUIV, self.nested_and(MAX_UNFOLDED_DEPTH - 2))}))
+            for _ in range(2)]
+        assert unfolded[0] is not unfolded[1]
+        assert unfolded[0] == unfolded[1]
+        assert hash(unfolded[0]) == hash(unfolded[1])
 
     def test_one_level_more_is_a_typed_error(self):
         body = self.nested_and(MAX_UNFOLDED_DEPTH - 1)
@@ -321,6 +332,60 @@ class TestStr:
         for _ in range(5000):
             c = And((c, B))
         assert str(c) == "(" * 4999 + "A and B" + ") and B" * 4999
+
+
+def plain_eq(c, d):
+    """Structural equality of two concepts, compared field by field with
+    recursion, as the dataclasses' own ``==`` does."""
+    if type(c) is not type(d):
+        return False
+    for f in dataclasses.fields(c):
+        x, y = getattr(c, f.name), getattr(d, f.name)
+        if isinstance(x, tuple):
+            if len(x) != len(y) or not all(map(plain_eq, x, y)):
+                return False
+        elif isinstance(x, ConceptExpr):
+            if not plain_eq(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+ROLES = st.sampled_from([R, S])
+CONCEPTS = st.recursive(
+    st.one_of(st.sampled_from([A, B, Top(), Bottom()]),
+              st.builds(AtLeast, st.integers(1, 2), ROLES)),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(sub, min_size=2, max_size=3).map(tuple)),
+        st.builds(Exists, ROLES, sub), st.builds(Forall, ROLES, sub)),
+    max_leaves=8)
+
+
+class TestEq:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(c=CONCEPTS, d=CONCEPTS)
+    def test_matches_recursive_comparison(self, c, d):
+        assert (c == d) is plain_eq(c, d)
+        assert (c != d) is not plain_eq(c, d)
+        copy = parse_concept(str(c))        # built apart: no shared node
+        assert c == copy and not c != copy and hash(c) == hash(copy)
+
+    def test_other_types_are_unequal(self):
+        assert A != "A" and A != ("A",) and Top() != Bottom()
+        assert Exists(R, A) != Forall(R, A) and AtLeast(2, R) != AtLeast(2, S)
+
+    def test_deep_conjunctions_compare(self):
+        chains = []
+        for leaf in (A, A, B):
+            c = leaf
+            for _ in range(5000):
+                c = And((c, C))
+            chains.append(c)
+        assert chains[0] == chains[1]
+        assert chains[0] != chains[2]
 
 
 class TestContainers:

@@ -385,6 +385,25 @@ class TestEntailMscExtension:
             msc_extension(kb, "y", 1, engine)
         assert_entail_matches_concept_path(kb)
 
+    def test_a_raising_check_is_not_searched_again(self):
+        # x's mask path meets the raising gap check, and the concept path
+        # it falls back to asks it again: the engine re-raises it from its
+        # memo, so the mask path costs what the concept path alone does
+        kb = parse_kb(UNKNOWN_GAP_KB)
+        counts = []
+        for through_masks in (True, False):
+            engine = ExtensionEngine(kb, Backend.ENTAIL)
+            engine.name_extensions
+            stats = engine._reasoner.stats
+            before = stats.instance_checks
+            if through_masks:
+                msc_extension(kb, "x", 2, engine)
+            else:
+                engine.extension(msc_approx(kb, "x", 2, Backend.ENTAIL,
+                                            engine).concept)
+            counts.append(stats.instance_checks - before)
+        assert counts == [7, 7]
+
     def test_raising_name_extensions_fill_no_memo(self):
         # a second call on the engine raises the same error, not KeyError
         kb = with_atleast(8)[0]

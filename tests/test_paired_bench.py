@@ -46,6 +46,25 @@ def test_git_clone_root_is_named_by_its_commit(tmp_path):
     assert paired_bench.tree_of(tmp_path / "src").startswith("src-sha256:")
 
 
+def test_edited_clone_is_named_by_its_commit_and_sources(tmp_path):
+    write(tmp_path / "src" / "a.py", "x = 1\n")
+    write(tmp_path / "README.md", "notes\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "a"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True)
+    head = paired_bench.tree_of(tmp_path)
+    write(tmp_path / "README.md", "edited outside src\n")
+    assert paired_bench.tree_of(tmp_path) == head
+    write(tmp_path / "src" / "a.py", "x = 2\n")
+    edited = paired_bench.tree_of(tmp_path)
+    assert edited == f"{head}+{paired_bench.sources_digest(tmp_path)}"
+    write(tmp_path / "src" / "b.py", "y = 1\n")       # untracked
+    assert paired_bench.tree_of(tmp_path) not in (head, edited)
+    (tmp_path / "src" / "b.py").unlink()
+    write(tmp_path / "src" / "a.py", "x = 1\n")
+    assert paired_bench.tree_of(tmp_path) == head
+
+
 def test_verdicts_print_one_line_per_metric():
     ops = {"name": "ops_per_s", "unit": "1/s", "better": "higher",
            "bound": 0.25}

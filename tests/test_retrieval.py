@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import eval_concept, retrieve_canonical
+from alcsim.canonical import CanonicalModel, eval_concept, retrieve_canonical
 from alcsim.errors import AlcsimError, UnsupportedNegation
 from alcsim.gen import random_concept, random_kb, with_atleast
 from alcsim.model import Atom
@@ -59,17 +59,22 @@ class TestEngineOracle:
         engine = ExtensionEngine(fathers_kb, Backend.ENTAIL)
         assert engine.extension(parse_concept("Top")) == {"Leonardo", "Vito"}
         assert engine._reasoner is None
-        # one check: Person on Vito, the only asserted hasChild successor,
-        # which puts Leonardo in without a check; Vito has no hasChild
-        # successor in the witness, so the concept needs no check on him
+        # no check: Vito's precompleted label holds Person (Male <= Person),
+        # which puts Leonardo in through his asserted hasChild edge; Vito
+        # has no hasChild successor in the witness
         assert engine.extension(parse_concept("exists hasChild.Person")) == {
             "Leonardo"}
         stats = engine._reasoner.stats
-        assert stats.instance_checks == 1
-        # two more: Male on each individual; every other answer is memoised
+        assert stats.instance_checks == 0
+        # none either: both labels hold Male
         assert engine.extension(parse_concept(
             "Male and exists hasChild.Person")) == {"Leonardo"}
-        assert stats.instance_checks == 3
+        assert stats.instance_checks == 0
+        # one: Vito's case split lies between the bounds
+        assert engine.extension(parse_concept(
+            "exists hasChild.Top or forall hasChild.Bottom")) == {
+            "Leonardo", "Vito"}
+        assert stats.instance_checks == 1
 
     def test_conjunct_that_raises_alone_defers_to_retrieve(self):
         # checked alone, P needs the negated at-least; refuting the whole
@@ -154,34 +159,65 @@ def test_precompletion_fallback(text):
         assert outcome(lambda: engine.extension(c)) == by_engine
 
 
-def witness_labels(reasoner):
-    """Each witness element with the concept ids in its node's label,
-    from a second run of the search the witness came from."""
+def witness_state(reasoner):
+    """The state the reasoner's witness masks come from, by a second run
+    of its search, and each node's element: named nodes as their
+    individuals and anonymous ones as ``#<id>``, which no name spells."""
     completed, node_of = reasoner._precompleted
     state = reasoner._run(completed.copy(), deque())
     element = {nid: f"#{nid}" for nid in state.nodes}
     element.update((nid, a) for a, nid in node_of.items())
-    return {element[nid]: list(node.label)
-            for nid, node in state.nodes.items()}
+    return state, element
+
+
+def witness_model(reasoner, state, element):
+    """The witness state as a ``CanonicalModel``: names from the labels'
+    atoms, roles from the edges.  ``eval_concept``'s "told or body" rule is
+    exact on it, as a label holding a fully defined name holds its body."""
+    names, role_succ = {}, {}
+    for nid, node in state.nodes.items():
+        for cid in node.label:
+            if isinstance(reasoner.table.expr[cid], Atom):
+                names.setdefault(reasoner.table.parts[cid], set()).add(
+                    element[nid])
+        for role, succs in node.edges.items():
+            role_succ.setdefault(role, {})[element[nid]] = frozenset(
+                element[s] for s in succs)
+    return CanonicalModel(
+        frozenset(element.values()),
+        {name: frozenset(xs) for name, xs in names.items()}, role_succ)
 
 
 def assert_label_lemma(kb):
-    """Every concept in a witness node's label holds at that node."""
+    """Every concept in a witness node's label holds at that node in the
+    witness's mask, which equals ``eval_concept`` on the exported model."""
     reasoner = TableauReasoner(kb)
-    witness = reasoner.witness
     consistent = outcome(TableauReasoner(kb).abox_consistent)
     if reasoner._precompleted is None or consistent is not True:
-        assert witness is None
+        assert reasoner._precompleted is None or reasoner._masks[1] is None
         return
-    labels = witness_labels(reasoner)
-    assert witness.domain == labels.keys()
-    extensions = {}
-    for x, label in labels.items():
-        for cid in label:
-            if cid not in extensions:
-                extensions[cid] = eval_concept(
-                    witness, kb.tbox, reasoner.table.expr[cid])
-            assert x in extensions[cid], (x, str(reasoner.table.expr[cid]))
+    masks = reasoner._masks[1]
+    state, element = witness_state(reasoner)
+    model = witness_model(reasoner, state, element)
+    for nid, node in state.nodes.items():
+        for cid in node.label:
+            assert masks.mask(cid) >> nid & 1, str(reasoner.table.expr[cid])
+    for cid, expr in enumerate(reasoner.table.expr):
+        expected = eval_concept(model, kb.tbox, expr)
+        assert {element[nid] for nid in state.nodes
+                if masks.mask(cid) >> nid & 1} == expected, str(expr)
+
+
+def kb_and_concepts(seed, atleast):
+    """``with_atleast(seed)``, or ``random_kb(seed)`` with concepts drawn
+    over it."""
+    if atleast:
+        return with_atleast(seed)
+    kb = random_kb(seed)
+    names = sorted(kb.signature.concept_names)
+    roles = sorted(kb.signature.role_names) or ["r"]
+    rng = random.Random(seed)
+    return kb, [random_concept(rng, names, roles, 2) for _ in range(8)]
 
 
 class TestWitness:
@@ -194,7 +230,7 @@ class TestWitness:
     @pytest.mark.parametrize("fixture", ["family_kb", "fathers_kb"])
     def test_label_lemma_on_fixtures(self, fixture, request):
         kb = request.getfixturevalue(fixture)
-        assert TableauReasoner(kb).witness is not None
+        assert TableauReasoner(kb)._masks[1] is not None
         assert_label_lemma(kb)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -202,14 +238,12 @@ class TestWitness:
     def test_rules_out_no_instance(self, seed):
         kb, concepts = with_atleast(seed)
         reasoner = TableauReasoner(kb)
-        witness = reasoner.witness
-        if witness is None:
-            return
         for c in concepts:
-            outside = kb.individuals - eval_concept(witness, kb.tbox, c)
-            for a in sorted(outside):
-                answer = outcome(lambda: reasoner.instance_check(a, c))
-                assert answer is not True, (a, str(c))
+            _, upper = reasoner.bounds(reasoner.table.id(c))
+            for a, bit in kb.abox.bits.items():
+                if not bit & upper:
+                    answer = outcome(lambda: reasoner.instance_check(a, c))
+                    assert answer is not True, (a, str(c))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000))
@@ -224,6 +258,36 @@ class TestWitness:
                 assert got == expected or isinstance(got, frozenset), str(c)
             else:
                 assert got == expected, str(c)
+
+
+class TestBounds:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), atleast=st.booleans())
+    def test_bounds_hold_retrieve(self, seed, atleast):
+        # lower <= retrieve(c) <= upper, for names, drawn concepts and
+        # roll-ups; every individual in the lower bound is an instance by
+        # a search that closes, so its check cannot raise
+        kb, concepts = kb_and_concepts(seed, atleast)
+        concepts += [Atom(name) for name in sorted(kb.signature.concept_names)]
+        concepts += [msc_approx(kb, a, 1).concept for a in sorted(kb.individuals)]
+        reasoner = TableauReasoner(kb)
+        bits = kb.abox.bits
+        for c in concepts:
+            lower, upper = reasoner.bounds(reasoner.table.id(c))
+            assert lower & ~upper == 0, str(c)
+            for a, bit in bits.items():
+                if bit & lower:
+                    assert TableauReasoner(kb).instance_check(a, c), (a, str(c))
+            expected = outcome(lambda: TableauReasoner(kb).retrieve(c))
+            if isinstance(expected, type):
+                continue
+            assert {a for a, bit in bits.items() if bit & lower} <= expected
+            assert expected <= {a for a, bit in bits.items() if bit & upper}
+
+    def test_inconsistent_kb_bounds_everyone(self):
+        kb = parse_kb("A := B and not B\nA(x)\nC(y)\n")
+        reasoner = TableauReasoner(kb)
+        assert reasoner.bounds(reasoner.table.id(Atom("D"))) == (0b11, 0b11)
 
 
 class TestCanonicalNameMemo:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import deque
 
@@ -302,16 +301,16 @@ class TestDeterminismAndStats:
         return totals
 
     def test_entail_matrix_search(self):
-        # the witness rules out most "no" checks, and its own search is
-        # one satisfiability call per KB; interning simplifies seed 3's
-        # Q := (P or exists r.Top) and ... with P := Top to Top, so its
-        # checks no longer branch
-        assert self.entail_matrix_pass() == [89, 95, 14, 54]
+        # the witness rules out the "no" checks and the precompleted
+        # ABox's structure decides most "yes" ones; the witness's own
+        # search is one satisfiability call per KB; interning simplifies
+        # seed 3's Q := (P or exists r.Top) and ... with P := Top to Top
+        assert self.entail_matrix_pass() == [10, 16, 2, 13]
 
     def test_entail_matrix_interns_each_goal_once(self, monkeypatch):
-        # the checks of one concept that an extension makes together
-        # intern its negation once: 188 walks when each check interned
-        # its own
+        # each concept an extension asks about is interned once per ask,
+        # and its checks derive their goal from its id with no walk: 188
+        # walks when each check interned its own goal
         walks = []
         original = ConceptTable.id
 
@@ -320,21 +319,21 @@ class TestDeterminismAndStats:
             return original(table, c)
 
         monkeypatch.setattr(ConceptTable, "id", counted)
-        assert self.entail_matrix_pass() == [89, 95, 14, 54]
-        assert len(walks) == 134
+        assert self.entail_matrix_pass() == [10, 16, 2, 13]
+        assert len(walks) == 146
 
-    def test_witness_names_evaluated_once_per_engine(self):
-        # every concept's witness evaluation meets D; its body, the one
-        # role lookup here, is evaluated on the first only
+    def test_bodies_evaluated_once_per_reasoner(self):
+        # the bounds of every concept meet D; its body, the one role lookup
+        # here, is evaluated once on each of the reasoner's two states
         kb = parse_kb("D := exists r.A\nA(b)\nr(a, b)\nB(c)\n")
         engine = ExtensionEngine(kb, Backend.ENTAIL)
         engine._reasoner = reasoner = TableauReasoner(kb)
-        counting = CountingDict(reasoner.witness.role_succ)
-        reasoner.witness = dataclasses.replace(reasoner.witness,
-                                               role_succ=counting)
+        states = reasoner._masks
+        for masks in states:
+            masks.edges = CountingDict(masks.edges)
         for text in ("D or B", "D or A", "not D", "D and B"):
             engine.extension(parse_concept(text))
-        assert counting.gets == 1
+        assert [masks.edges.gets for masks in states] == [1, 1]
         assert engine.extension(Atom("D")) == {"a"}
 
 

@@ -18,7 +18,9 @@ answers every case, so two trees answer the very same inputs.  Per KB:
   ``ParseError``'s line, column, kind and message;
 * ``consistent``: ``abox_consistent``;
 * per concept, ``sat``: ``is_satisfiable``; ``check <individual>``:
-  ``instance_check``; ``retrieve``: ``retrieve``; ``extension``: the
+  ``instance_check``; ``retrieve``: ``retrieve``; ``bounds``: the
+  individuals in ``TableauReasoner.bounds``' lower and upper bound (the
+  precompleted ABox's and the witness's); ``extension``: the
   entail ``ExtensionEngine.extension``, one engine for all the KB's
   concepts, as ``sim_matrix`` uses it; ``extension canonical``: the same
   on one canonical engine, whose name memo fills in the order of the
@@ -181,6 +183,15 @@ def counters(reasoner) -> str:
             " ".join(str(v) for v in vars(reasoner.stats).values()))
 
 
+def bounds(reasoner, c) -> str:
+    """The individuals in the reasoner's lower and upper bound of ``c``."""
+    masks = reasoner.bounds(reasoner.table.id(c))
+    bits = reasoner.kb.abox.bits
+    return "lower {} upper {}".format(*(
+        show(lambda: frozenset(a for a, bit in bits.items() if bit & mask))
+        for mask in masks))
+
+
 def transcript(alcsim, cases) -> None:
     """Print every case of every KB, answered by ``alcsim``."""
     Reasoner, entail = alcsim.TableauReasoner, alcsim.Backend.ENTAIL
@@ -204,6 +215,9 @@ def transcript(alcsim, cases) -> None:
                       f"{counters(r)}")
             r = Reasoner(kb)
             print(f"{label} | retrieve | {c} | {show(lambda: r.retrieve(c))} "
+                  f"| {counters(r)}")
+            r = Reasoner(kb)
+            print(f"{label} | bounds | {c} | {show(lambda: bounds(r, c))} "
                   f"| {counters(r)}")
             print(f"{label} | extension | {c} | "
                   f"{show(lambda: engine.extension(c))} | "

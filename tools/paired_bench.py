@@ -17,7 +17,8 @@ distance exceeds the bound, relative to its median, and not every change
 run is better than every parent run).  It also holds each run's metrics
 and failed-op counts, and names both trees: by commit where a side is the
 root of a git clone, else by ``src-sha256:`` and 16 hex digits over the
-sorted paths and contents of its ``src/**/*.py``.  After the runs it
+sorted paths and contents of its ``src/**/*.py``, and by both, joined by
+``+``, where a clone's ``src/`` differs from its commit.  After the runs it
 prints one line per metric on stdout: both medians, their ratio, the pairs
 the change won, and which verdicts hold.
 """
@@ -58,13 +59,24 @@ def run_once(checkout: Path, workload: str, seed: int,
 
 def tree_of(checkout: Path) -> str:
     """The checked-out commit if ``checkout`` is the root of a git clone,
-    else a digest of its sources, ``src-sha256:<16 hex>``."""
+    with ``+`` and the digest of its sources appended if ``src/`` differs
+    from that commit; else that digest alone, ``src-sha256:<16 hex>``."""
     proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"],
                           cwd=checkout, capture_output=True, text=True,
                           check=False)
     lines = proc.stdout.split()
     if not proc.returncode and Path(lines[0]).resolve() == checkout.resolve():
-        return lines[1]
+        edited = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=all", "--",
+             "src"], cwd=checkout, capture_output=True, text=True,
+            check=True).stdout
+        return lines[1] + ("+" + sources_digest(checkout) if edited else "")
+    return sources_digest(checkout)
+
+
+def sources_digest(checkout: Path) -> str:
+    """``src-sha256:`` and 16 hex digits over the sorted paths and contents
+    of ``checkout``'s ``src/**/*.py``."""
     digest = hashlib.sha256()
     for path in sorted(checkout.glob("src/**/*.py")):
         content = hashlib.sha256(path.read_bytes()).hexdigest()
