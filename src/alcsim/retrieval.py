@@ -11,29 +11,20 @@ so are the entail backend's instance checks, the canonical model and
 ``msc.msc_extension``'s bit masks, each a cached property that keeps
 nothing if its build raises.
 
-An entail extension is taken conjunct by conjunct, and a tableau
-instance check is made only where no cheaper rule decides membership:
-
-* every individual is an instance of ``Top``;
-* KB |= (C and D)(a) exactly when KB |= C(a) and KB |= D(a), so a
-  conjunction filters the candidates through its conjuncts, names
-  first, and later conjuncts are checked only on the survivors;
-* KB |= F(b) and an asserted r(a, b) imply KB |= (exists r.F)(a), so a
-  candidate with an asserted ``r``-successor in the extension of ``F``
-  needs no check (that extension is taken over those successors only);
-* :meth:`TableauReasoner.bounds` puts C's instances between two masks:
-  the individuals the precompleted ABox's structure puts in C are
-  instances, and those outside C in the witness, a model, are not.
-
-Every other membership is one instance check, remembered per
-(concept, individual) for the engine's lifetime, as is a check that
-raises.  ``msc.msc_extension`` applies the ``exists`` rule to an MSC
-roll-up on bit masks and calls :meth:`ExtensionEngine.instances` for
-the rest.  :meth:`TableauReasoner.retrieve`, one check per individual,
-is the reference.  A conjunct checked alone can end on a branch that a
-negated at-least leaves unknown where the whole concept answers, so
-when this path raises, ``retrieve`` decides: the engine raises only
-where ``retrieve`` does, and can answer where it raises.
+An entail extension is one call of :meth:`ExtensionEngine.instances`
+on the whole concept, with every individual as a candidate (``Top``
+needs no reasoner).  :meth:`TableauReasoner.bounds` puts C's instances
+between two masks: the individuals the precompleted ABox's structure
+puts in C are instances, and those outside C in the witness, a model,
+are not.  Every individual between them is one instance check,
+remembered per (concept, individual) for the engine's lifetime, as is a
+check that raises.  ``msc.msc_extension`` decides an MSC roll-up's
+told ``exists`` edges on bit masks and calls
+:meth:`ExtensionEngine.instances` for the rest.
+:meth:`TableauReasoner.retrieve`, one check per individual, is the
+reference.  The engine makes the same whole-concept check as
+``retrieve`` on a subset of the individuals, so it raises only where
+``retrieve`` does, and can answer where it raises.
 """
 
 from __future__ import annotations
@@ -44,8 +35,8 @@ from functools import cached_property
 from typing import Collection
 
 from .canonical import CanonicalModel, build_canonical, eval_concept
-from .errors import AlcsimError, UnsupportedNegation
-from .model import And, Atom, ConceptExpr, Exists, KnowledgeBase, Top
+from .errors import UnsupportedNegation
+from .model import Atom, ConceptExpr, KnowledgeBase, Top
 from .tableau import TableauReasoner
 
 
@@ -92,10 +83,9 @@ class ExtensionEngine:
         if self.backend is Backend.CANONICAL:
             return eval_concept(self.canonical_model, self.kb.tbox, c,
                                 self._names)
-        try:
-            return self._entailed(c, self.kb.abox.individuals)
-        except AlcsimError:   # raised by a check, so there is a reasoner
-            return self._reasoner.retrieve(c)
+        if isinstance(c, Top):
+            return self.kb.abox.individuals
+        return self.instances(c, self.kb.abox.individuals)
 
     @cached_property
     def name_extensions(self) -> dict[str, frozenset[str]]:
@@ -128,26 +118,6 @@ class ExtensionEngine:
         if self.backend is not Backend.CANONICAL:
             raise ValueError("only a canonical engine has a canonical model")
         return build_canonical(self.kb)
-
-    def _entailed(self, c: ConceptExpr,
-                  candidates: frozenset[str]) -> frozenset[str]:
-        """The individuals among ``candidates`` that the KB entails in ``c``."""
-        if not candidates or isinstance(c, Top):
-            return candidates
-        if isinstance(c, And):
-            # names first: their checks are shared across concepts
-            for conjunct in sorted(c.args, key=lambda a: not isinstance(a, Atom)):
-                candidates = self._entailed(conjunct, candidates)
-            return candidates
-        if isinstance(c, Exists):
-            out = self.kb.abox.successors
-            succ = {a: out.get(a, {}).get(c.role, ()) for a in candidates}
-            filler = self._entailed(
-                c.filler, frozenset(b for bs in succ.values() for b in bs))
-            told = frozenset(a for a, bs in succ.items()
-                             if not filler.isdisjoint(bs))
-            return told | self.instances(c, candidates - told)
-        return self.instances(c, candidates)
 
     def instances(self, c: ConceptExpr,
                   candidates: Collection[str]) -> frozenset[str]:

@@ -19,9 +19,9 @@ def test_transcript_covers_every_case():
         "family", "fathers", "seed 0", "seed 0 atleast", "seed 1",
         "seed 1 atleast"}
     assert {f[1].split()[0] for f in fields} == {
-        "parse_kb", "parse_concept", "consistent", "sat", "check", "retrieve",
-        "bounds", "extension", "matrix", "sim_pair", "abox_depth", "msc_approx",
-        "msc_extension", "cluster"}
+        "parse_kb", "parse_concept", "consistent", "sat", "subsumes", "check",
+        "retrieve", "bounds", "extension", "matrix", "sim_pair", "abox_depth",
+        "msc_approx", "msc_extension", "cluster"}
     assert {f[1] for f in fields if f[1].startswith("parse_")} == {
         "parse_kb", "parse_concept", "parse_concept mutation",
         *(f"parse_kb mutation {k}" for k in range(8))}

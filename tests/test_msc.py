@@ -386,9 +386,10 @@ class TestEntailMscExtension:
         assert_entail_matches_concept_path(kb)
 
     def test_a_raising_check_is_not_searched_again(self):
-        # x's mask path meets the raising gap check, and the concept path
-        # it falls back to asks it again: the engine re-raises it from its
-        # memo, so the mask path costs what the concept path alone does
+        # x's mask path meets the raising gap check, its only check, and
+        # the concept path it falls back to decides x by the bounds; the
+        # engine remembers both, so a second call makes no check, for x
+        # and for y, which raises both times
         kb = parse_kb(UNKNOWN_GAP_KB)
         counts = []
         for through_masks in (True, False):
@@ -402,7 +403,24 @@ class TestEntailMscExtension:
                 engine.extension(msc_approx(kb, "x", 2, Backend.ENTAIL,
                                             engine).concept)
             counts.append(stats.instance_checks - before)
-        assert counts == [7, 7]
+        assert counts == [1, 0]
+
+        def second_call(individual, depth):
+            """Both calls' answers on one engine, and the second's checks."""
+            engine = ExtensionEngine(kb, Backend.ENTAIL)
+            engine.name_extensions
+            stats = engine._reasoner.stats
+            answers = []
+            for _ in range(2):
+                before = stats.instance_checks
+                try:
+                    answers.append(msc_extension(kb, individual, depth, engine))
+                except UnsupportedNegation:
+                    answers.append(UnsupportedNegation)
+            return answers, stats.instance_checks - before
+
+        assert second_call("x", 2) == ([{"c", "x"}] * 2, 0)
+        assert second_call("y", 1) == ([UnsupportedNegation] * 2, 0)
 
     def test_raising_name_extensions_fill_no_memo(self):
         # a second call on the engine raises the same error, not KeyError

@@ -1,4 +1,5 @@
-"""The entail engine's conjunct-wise extensions against per-individual retrieval."""
+"""The entail engine's bounded, memoised extensions against per-individual
+retrieval."""
 
 import random
 from collections import deque
@@ -15,6 +16,7 @@ from alcsim.msc import msc_approx
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import TableauReasoner
+from test_msc import UNKNOWN_GAP_KB
 
 
 def outcome(compute):
@@ -77,14 +79,32 @@ class TestEngineOracle:
         assert stats.instance_checks == 1
 
     def test_conjunct_that_raises_alone_defers_to_retrieve(self):
-        # checked alone, P needs the negated at-least; refuting the whole
-        # concept takes not exists s.Top first and finds a model
+        # checked alone, P needs the negated at-least; the engine checks
+        # the whole concept, as retrieve does, and refuting it takes
+        # not exists s.Top first and finds a model
         kb = parse_kb("P := atleast 2 r\nQ(x)\n")
         c = parse_concept("exists s.Top and P")
         with pytest.raises(UnsupportedNegation):
             TableauReasoner(kb).instance_check("x", Atom("P"))
         assert TableauReasoner(kb).retrieve(c) == frozenset()
         assert ExtensionEngine(kb, Backend.ENTAIL).extension(c) == frozenset()
+
+    def test_a_raising_extension_is_not_searched_again(self):
+        # g lies between the bounds of y's depth-1 roll-up, and its check
+        # raises; the engine remembers that, so it raises again unsearched
+        kb = parse_kb(UNKNOWN_GAP_KB)
+        c = msc_approx(kb, "y", 1, Backend.ENTAIL).concept
+        assert str(c) == "L and exists s.H"
+        engine = ExtensionEngine(kb, Backend.ENTAIL)
+        engine.name_extensions
+        stats = engine._reasoner.stats
+        counts = []
+        for _ in range(3):
+            before = stats.instance_checks
+            with pytest.raises(UnsupportedNegation):
+                engine.extension(c)
+            counts.append(stats.instance_checks - before)
+        assert counts == [1, 0, 0]
 
 
 def plain_name_extensions(kb, backend):

@@ -17,7 +17,9 @@ answers every case, so two trees answer the very same inputs.  Per KB:
   mutation of it.  The answer is the serialised result, or the
   ``ParseError``'s line, column, kind and message;
 * ``consistent``: ``abox_consistent``;
-* per concept, ``sat``: ``is_satisfiable``; ``check <individual>``:
+* per concept, ``sat``: ``is_satisfiable``; ``subsumes``: ``subsumes``
+  of the concept by the next one in the list, cyclically, shown as
+  ``C <= D``; ``check <individual>``:
   ``instance_check``; ``retrieve``: ``retrieve``; ``bounds``: the
   individuals in ``TableauReasoner.bounds``' lower and upper bound (the
   precompleted ABox's and the witness's); ``extension``: the
@@ -204,10 +206,15 @@ def transcript(alcsim, cases) -> None:
               f"{counters(r)}")
         engine = alcsim.ExtensionEngine(kb, entail)
         canonical = alcsim.ExtensionEngine(kb)
-        for c in map(alcsim.parse_concept, concept_texts):
+        concepts = [alcsim.parse_concept(text) for text in concept_texts]
+        for i, c in enumerate(concepts):
             r = Reasoner(kb)
             print(f"{label} | sat | {c} | {show(lambda: r.is_satisfiable(c))}"
                   f" | {counters(r)}")
+            d = concepts[(i + 1) % len(concepts)]
+            r = Reasoner(kb)
+            print(f"{label} | subsumes | {c} <= {d} | "
+                  f"{show(lambda: r.subsumes(d, c))} | {counters(r)}")
             for a in individuals:
                 r = Reasoner(kb)
                 print(f"{label} | check {a} | {c} | "
