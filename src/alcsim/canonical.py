@@ -5,7 +5,10 @@ assumption: each constant denotes itself), roles hold exactly for the
 asserted pairs, and concept-name extensions are the told closure of the
 assertions: an individual carries every name reachable from its asserted
 names through top-level conjuncts of definitions.  Arbitrary concept
-expressions are then evaluated over this finite structure.
+expressions are then evaluated over this finite structure, each
+extension a bit mask over ``ABox.bits``: ``exists r.F`` is the
+``r``-predecessors of F (``ABox.images``), ``forall r.F`` the domain
+less the ``r``-predecessors of ``not F``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .model import (
+    ABox,
     And,
     AtLeast,
     Atom,
@@ -32,15 +36,8 @@ from .model import (
 
 @dataclass(frozen=True)
 class CanonicalModel:
-    domain: frozenset[str]
-    primitive_ext: Mapping[str, frozenset[str]]
-    # role -> source -> targets: the asserted role pairs, indexed by source
-    role_succ: Mapping[str, Mapping[str, frozenset[str]]]
-
-    def exists_ext(self, role: str, filler: frozenset[str]) -> frozenset[str]:
-        """Individuals with a ``role`` successor in ``filler``."""
-        return frozenset(x for x, ys in self.role_succ.get(role, {}).items()
-                         if not ys.isdisjoint(filler))
+    abox: ABox      # the domain, its bits and its role images
+    told: Mapping[str, int]     # concept name -> its told mask
 
 
 def _top_conjunct_names(c: ConceptExpr) -> frozenset[str]:
@@ -82,24 +79,16 @@ def told_closure(kb: KnowledgeBase) -> dict[str, frozenset[str]]:
 
 
 def build_canonical(kb: KnowledgeBase) -> CanonicalModel:
-    ext = {name: set() for name in kb.signature.concept_names}
+    bits = kb.abox.bits
+    told = dict.fromkeys(kb.signature.concept_names, 0)
     for a, names in told_closure(kb).items():
         for name in names:
-            ext[name].add(a)
-    role_succ: dict[str, dict[str, set[str]]] = {}
-    for role, source, target in kb.abox.role_assertions:
-        role_succ.setdefault(role, {}).setdefault(source, set()).add(target)
-    return CanonicalModel(
-        domain=kb.abox.individuals,
-        primitive_ext={name: frozenset(s) for name, s in ext.items()},
-        role_succ={r: {s: frozenset(ts) for s, ts in table.items()}
-                   for r, table in role_succ.items()},
-    )
+            told[name] |= bits[a]
+    return CanonicalModel(kb.abox, told)
 
 
 def eval_concept(model: CanonicalModel, tbox: TBox, c: ConceptExpr,
-                 names: dict[str, frozenset[str]] | None = None
-                 ) -> frozenset[str]:
+                 names: dict[str, int] | None = None) -> frozenset[str]:
     """Extension of ``c`` in the canonical model.
 
     A defined name denotes the union of its told extension and the
@@ -107,48 +96,45 @@ def eval_concept(model: CanonicalModel, tbox: TBox, c: ConceptExpr,
     memberships survive even when the closed-world definition check
     fails.  Value restrictions are vacuously satisfied by individuals
     without successors.  Each name is evaluated once per ``names``, a
-    memo valid for one model and TBox (``None``: a fresh one).
+    memo of masks valid for one model and TBox (``None``: a fresh one).
     """
-    return _eval(model, tbox, {} if names is None else names, c)
+    return model.abox.members(
+        eval_mask(model, tbox, {} if names is None else names, c))
 
 
-def _eval(model: CanonicalModel, tbox: TBox, names: dict[str, frozenset[str]],
-          c: ConceptExpr) -> frozenset[str]:
+def eval_mask(model: CanonicalModel, tbox: TBox, names: dict[str, int],
+              c: ConceptExpr) -> int:
+    """``eval_concept``'s extension of ``c`` as a mask, memo required."""
     if isinstance(c, Top):
-        return model.domain
+        return model.abox.everyone
     if isinstance(c, Bottom):
-        return frozenset()
+        return 0
     if isinstance(c, Atom):
         ext = names.get(c.name)
         if ext is None:
-            ext = model.primitive_ext.get(c.name, frozenset())
+            ext = model.told.get(c.name, 0)
             defn = tbox.get(c.name)
             if defn is not None and defn.kind is DefKind.EQUIV:
-                ext = ext | _eval(model, tbox, names, defn.body)
+                ext |= eval_mask(model, tbox, names, defn.body)
             names[c.name] = ext
         return ext
     if isinstance(c, Not):
-        return model.domain - _eval(model, tbox, names, c.arg)
-    if isinstance(c, And):
-        out = _eval(model, tbox, names, c.args[0])
+        return model.abox.everyone & ~eval_mask(model, tbox, names, c.arg)
+    if isinstance(c, (And, Or)):
+        out = eval_mask(model, tbox, names, c.args[0])
         for a in c.args[1:]:
-            out = out & _eval(model, tbox, names, a)
+            ext = eval_mask(model, tbox, names, a)
+            out = out & ext if isinstance(c, And) else out | ext
         return out
-    if isinstance(c, Or):
-        out = _eval(model, tbox, names, c.args[0])
-        for a in c.args[1:]:
-            out = out | _eval(model, tbox, names, a)
-        return out
-    if isinstance(c, Exists):
-        return model.exists_ext(c.role, _eval(model, tbox, names, c.filler))
-    if isinstance(c, Forall):
-        filler = _eval(model, tbox, names, c.filler)
-        succ = model.role_succ.get(c.role, {})
-        return model.domain - {x for x, ys in succ.items()
-                               if not ys <= filler}
+    if isinstance(c, (Exists, Forall)):     # forall r.F is not exists r.not F
+        flip = 0 if isinstance(c, Exists) else model.abox.everyone
+        filler = flip ^ eval_mask(model, tbox, names, c.filler)
+        images = model.abox.images.get(c.role)
+        return flip ^ (0 if images is None else images[1][filler])
     if isinstance(c, AtLeast):
-        succ = model.role_succ.get(c.role, {})
-        return frozenset(x for x in model.domain if len(succ.get(x, ())) >= c.n)
+        succ = model.abox.images.get(c.role, ({},))[0]
+        return sum(bit for bit in model.abox.bits.values()
+                   if succ.get(bit, 0).bit_count() >= c.n)
     raise TypeError(f"unexpected concept node: {c!r}")
 
 

@@ -306,6 +306,19 @@ def _name_levels(c: ConceptExpr, roles: set[str]) -> tuple[int, dict[str, int]]:
     return height, levels
 
 
+class _Images(dict):
+    """Mask -> its image under one role or its inverse, filled per bit."""
+
+    def __missing__(self, mask: int) -> int:
+        out, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            out |= self.get(low, 0)
+            rest ^= low
+        self[mask] = out
+        return out
+
+
 @dataclass(frozen=True)
 class ABox:
     concept_assertions: frozenset[tuple[str, str]]       # (concept, individual)
@@ -332,8 +345,31 @@ class ABox:
 
     @cached_property
     def bits(self) -> dict[str, int]:
-        """Each individual's bit, ``1 << i`` for the i-th in sorted order."""
+        """Each individual's bit, ``1 << i`` for the i-th in sorted order;
+        a set of individuals is a mask, the sum of their bits."""
         return {a: 1 << i for i, a in enumerate(sorted(self.individuals))}
+
+    @property
+    def everyone(self) -> int:
+        """The mask of every individual."""
+        return (1 << len(self.individuals)) - 1
+
+    def members(self, mask: int) -> frozenset[str]:
+        """The individuals whose bits are in ``mask``."""
+        return frozenset([a for a, bit in self.bits.items() if mask & bit])
+
+    @cached_property
+    def images(self) -> dict[str, tuple[_Images, _Images]]:
+        """Role -> the asserted successors and predecessors of a mask."""
+        bits, images = self.bits, {}
+        for role, source, target in self.role_assertions:
+            if role not in images:
+                images[role] = (_Images(), _Images())
+            succ, pred = images[role]
+            s, t = bits[source], bits[target]
+            succ[s] = succ.get(s, 0) | t
+            pred[t] = pred.get(t, 0) | s
+        return images
 
     @cached_property
     def depth(self) -> int:

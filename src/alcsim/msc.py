@@ -13,11 +13,11 @@ simple path in the role-assertion digraph, searched once per ABox.
 
 ``msc_approx`` builds the concept in normal form: a node with successors
 dedupes its parts and sorts them by ``str``, all that ``normalize`` does
-to a tree of names and existentials.  ``msc_extension`` evaluates the
-same tree straight into its extension on bit masks, as a similarity
-matrix needs it.  A node is the meet of its individual's names and of
-one ``exists R.filler`` per out-edge, whose extension among the node's
-candidates is first ``told``: the candidates with an asserted
+to a tree of names and existentials.  ``msc_mask`` evaluates the same
+tree straight into its extension, a mask over ``ABox.bits``, as a
+similarity matrix needs it.  A node is the meet of its individual's
+names and of one ``exists R.filler`` per out-edge, whose extension among
+the node's candidates is first ``told``: the candidates with an asserted
 ``R``-successor in the filler's extension.  On the canonical backend
 that is the answer.  On the entail backend it is a lower bound, and the
 ``gap``, the candidates it leaves out, goes to the reasoner's bounds and
@@ -87,7 +87,7 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     concept-name extensions across calls.
     """
     depth, engine = _checked(kb, individual, depth, backend, engine)
-    concept, _, height = _rollup(kb.abox, engine.name_extensions, individual,
+    concept, _, height = _rollup(kb.abox, engine.name_masks, individual,
                                  depth, kb.abox.bits[individual])
     assert height <= depth
     return MscResult(individual, depth, concept, backend)
@@ -96,8 +96,15 @@ def msc_approx(kb: KnowledgeBase, individual: str,
 def msc_extension(kb: KnowledgeBase, individual: str,
                   depth: int | None = None,
                   engine: ExtensionEngine | None = None) -> frozenset[str]:
+    """The members of ``msc_mask``."""
+    return kb.abox.members(msc_mask(kb, individual, depth, engine))
+
+
+def msc_mask(kb: KnowledgeBase, individual: str, depth: int | None = None,
+             engine: ExtensionEngine | None = None) -> int:
     """Extension of ``msc_approx(kb, individual, depth, backend).concept``,
-    where ``backend`` is the engine's (canonical when there is none).
+    where ``backend`` is the engine's (canonical when there is none), as a
+    mask over ``ABox.bits``.
 
     Evaluates the roll-up tree without building the concept: a node is
     the intersection of the extensions of the names that hold for its
@@ -111,40 +118,38 @@ def msc_extension(kb: KnowledgeBase, individual: str,
     ``R``-successors of the candidates that carry ``t``'s names, none when
     that is ``t`` alone, and a node whose candidates are down to its own
     individual is done.  Both are exact, as every individual is in its own
-    node's extension.  Extensions are bit masks over ``ABox.bits``; the
-    engine's ``rollup_masks`` keep the names' meets and role images across
-    calls.  Where an entail check raises, ``engine.extension`` of the
-    built concept decides, as it documents; the engine remembers the
-    raising check, so that path raises it again with no search.
+    node's extension.  ``engine.rollup_masks`` and ``ABox.images`` keep
+    the names' meets and the role images across calls.  Where an entail
+    check raises, ``engine.mask`` of the built concept decides, as it
+    documents; the engine remembers the raising check, so that path
+    raises it again with no search.
     """
     backend = Backend.CANONICAL if engine is None else engine.backend
     depth, engine = _checked(kb, individual, depth, backend, engine)
-    bits = kb.abox.bits
-    meets, images = engine.rollup_masks
     entail = None if backend is Backend.CANONICAL else engine
     try:
-        ext = _rollup_extension(kb.abox, meets, images, entail, individual,
-                                depth, bits[individual], (1 << len(bits)) - 1)
+        return _rollup_extension(kb.abox, engine.rollup_masks, entail,
+                                 individual, depth, kb.abox.bits[individual],
+                                 kb.abox.everyone)
     except AlcsimError:     # only an entail check raises
-        return engine.extension(
+        return engine.mask(
             msc_approx(kb, individual, depth, backend, engine).concept)
-    return frozenset(a for a, bit in bits.items() if ext & bit)
 
 
-def _rollup(abox: ABox, name_exts: dict[str, frozenset[str]], x: str,
+def _rollup(abox: ABox, name_masks: dict[str, int], x: str,
             d: int, visited: int) -> tuple[ConceptExpr, str, int]:
     """The roll-up of ``x`` at depth ``d`` in normal form, its ``str`` and
     its ``concept_depth``; parts are deduped and sorted by their text,
     which is injective on concepts of names, ``exists``, ``Top`` and
     ``and``."""
     parts = {name: (Atom(name), 0)
-             for name, ext in name_exts.items() if x in ext}
+             for name, ext in name_masks.items() if ext & abox.bits[x]}
     if d > 0:
         for role, targets in abox.successors.get(x, {}).items():
             for target in targets:
                 bit = abox.bits[target]
                 filler, text, height = (TOP, "Top", 0) if visited & bit else (
-                    _rollup(abox, name_exts, target, d - 1, visited | bit))
+                    _rollup(abox, name_masks, target, d - 1, visited | bit))
                 if isinstance(filler, And):
                     text = f"({text})"
                 parts.setdefault(f"exists {role}.{text}",
@@ -157,30 +162,26 @@ def _rollup(abox: ABox, name_exts: dict[str, frozenset[str]], x: str,
 
 
 def _rollup_extension(abox: ABox, meets: dict[str, int],
-                      images: dict[str, tuple[dict, dict]],
                       entail: ExtensionEngine | None, x: str, d: int,
                       visited: int, care: int) -> int:
     ext = meets[x] & care
     if d > 0:
         for role, targets in abox.successors.get(x, {}).items():
-            succ, pred = images[role]
+            succ, pred = abox.images[role]
             for target in targets:
                 bit = abox.bits[target]
                 need = succ[ext]
                 if not visited & bit:     # else the cut: the filler is Top
                     need &= meets[target]
                     if need != bit:
-                        need = _rollup_extension(abox, meets, images, entail,
-                                                 target, d - 1, visited | bit,
-                                                 need)
+                        need = _rollup_extension(abox, meets, entail, target,
+                                                 d - 1, visited | bit, need)
                 told = ext & pred[need]
                 if entail is not None and told != ext:   # the gap: check it
                     filler = TOP if visited & bit else _rollup(
-                        abox, entail.name_extensions, target, d - 1,
+                        abox, entail.name_masks, target, d - 1,
                         visited | bit)[0]
-                    gap = [a for a, b in abox.bits.items() if ext & ~told & b]
-                    told |= sum(abox.bits[a] for a in
-                                entail.instances(Exists(role, filler), gap))
+                    told |= entail.instances(Exists(role, filler), ext & ~told)
                 ext = told
                 if ext == abox.bits[x]:  # x stays in, whatever follows
                     return ext

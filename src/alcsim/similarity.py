@@ -12,20 +12,21 @@ approximations, by default at the ABox depth.
 
 Values are exact rationals; any rounding happens at the presentation
 layer only.  ``sim_pair`` computes every pair report on one extension
-engine: the MSC roll-ups share its concept-name extensions, uncounted,
-and the report counts the three extension computations for C, D and
-their conjunction, so the cost model is observable.
+engine: the MSC roll-ups share its concept-name masks, uncounted, and
+the report counts the three extension computations for C, D and their
+conjunction, so the cost model is observable.  Extensions are bit masks
+over ``ABox.bits``, and a cardinality is a ``bit_count``.
 
-A matrix over n items costs one extension per item and n(n+1)/2 set
+A matrix over n items costs one extension per item and n(n+1)/2 mask
 intersections, one per cell i <= j, the rest mirrored, and one
 ``Fraction`` per distinct count triple: on both backends
 ext(C and D) = ext(C) & ext(D).  Canonical evaluation of a conjunction
 is that intersection; under entailment, KB |= (C and D)(a) exactly when
 KB |= C(a) and KB |= D(a), and an inconsistent KB puts every individual
 on both sides.  An individual's extension is its MSC's, which both
-backends evaluate on bit masks without building the MSC concept: the
-entail backend builds only the ``exists`` parts that its told
-successors leave undecided (see ``msc`` and ``retrieval``).
+backends evaluate without building the MSC concept: the entail backend
+builds only the ``exists`` parts that its told successors leave
+undecided (see ``msc`` and ``retrieval``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence, Union
 
 from .errors import CardinalityViolation
 from .model import And, ConceptExpr, KnowledgeBase
-from .msc import msc_approx, msc_extension
+from .msc import msc_approx, msc_mask
 from .retrieval import Backend, ExtensionEngine
 
 Item = Union[ConceptExpr, str]  # a concept expression or an individual name
@@ -120,9 +121,7 @@ def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
     c, d = [next(rolled).concept if isinstance(item, str) else item
             for item in (x, y)]
     before = engine.computations
-    n_c = len(engine.extension(c))
-    n_d = len(engine.extension(d))
-    n_i = len(engine.extension(And((c, d))))
+    n_c, n_d, n_i = (engine.mask(e).bit_count() for e in (c, d, And((c, d))))
     return SimilarityReport(
         value=sim_formula(n_c, n_d, n_i),
         ext_c=n_c,
@@ -171,11 +170,12 @@ def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
         raise ValueError("items must be non-empty")
     engine = ExtensionEngine(kb, backend)
     formula = cache(sim_formula)    # each triple once
-    exts = [msc_extension(kb, item, depth, engine) if isinstance(item, str)
-            else engine.extension(item) for item in items]
+    exts = [msc_mask(kb, item, depth, engine) if isinstance(item, str)
+            else engine.mask(item) for item in items]
     matrix: list[list[Fraction]] = []
+    counts = [ext.bit_count() for ext in exts]
     for i, a in enumerate(exts):
         matrix.append([matrix[j][i] if j < i else
-                       formula(len(a), len(b), len(a & b))
+                       formula(counts[i], counts[j], (a & b).bit_count())
                        for j, b in enumerate(exts)])
     return matrix

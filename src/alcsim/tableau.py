@@ -404,7 +404,7 @@ class TableauReasoner:
         structure puts in the concept with id ``cid``, which the KB entails
         in it, and those the witness puts in it (all, with no witness),
         outside which the KB entails none."""
-        everyone = (1 << len(self.kb.abox.individuals)) - 1
+        everyone = self.kb.abox.everyone
         if self._precompleted is None:
             return everyone, everyone   # an inconsistent KB entails anything
         lower, upper = self._masks

@@ -31,6 +31,8 @@ def test_transcript_covers_every_case():
                    if f[1] in ("parse_kb", "parse_concept"))
     assert {f[1] for f in fields if f[1].startswith("extension")} == {
         "extension", "extension canonical"}
+    assert {f[1] for f in fields if f[1].startswith("retrieve")} == {
+        "retrieve", "retrieve canonical"}
     assert {f[1] for f in fields if f[1].startswith("sim_pair")} == {
         f"sim_pair {backend} {x}-{y}" for backend in ("canonical", "entail")
         for x in ("concept", "individual") for y in ("concept", "individual")}

@@ -60,6 +60,24 @@ def assert_successors_oracle(abox):
             assert isinstance(targets, tuple) and list(targets) == sorted(targets)
 
 
+def assert_images_oracle(abox):
+    """``ABox.images`` flattened bit by bit is ``role_assertions``, the
+    successors one way and the predecessors the other, and the image of
+    every individual's mask is the union of their images."""
+    bits = abox.bits
+    succs = {(role, a, b) for role, (succ, _) in abox.images.items()
+             for a, bit in bits.items() for b in abox.members(succ[bit])}
+    preds = {(role, a, b) for role, (_, pred) in abox.images.items()
+             for b, bit in bits.items() for a in abox.members(pred[bit])}
+    assert succs == preds == abox.role_assertions
+    for images in abox.images.values():
+        for image in images:
+            union = 0
+            for bit in bits.values():
+                union |= image[bit]
+            assert image[abox.everyone] == union
+
+
 def assert_not_only_above_atoms(c):
     if isinstance(c, Not):
         assert isinstance(c.arg, Atom)
@@ -404,6 +422,25 @@ class TestContainers:
     @pytest.mark.parametrize("seed", range(20))
     def test_successors_index_random_kbs(self, seed):
         assert_successors_oracle(random_kb(seed).abox)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_images_index_random_kbs(self, seed):
+        assert_images_oracle(random_kb(seed).abox)
+
+    def test_images_index_edge_cases(self):
+        assert EMPTY_ABOX.images == {}
+        assert EMPTY_ABOX.everyone == 0
+        assert EMPTY_ABOX.members(0) == frozenset()
+        loop = ABox.from_assertions([("C", "c")], [("R", "a", "a")])
+        assert loop.bits == {"a": 1, "c": 2}
+        assert loop.images == {"R": ({1: 1}, {1: 1})}
+        assert loop.images["R"][0][3] == loop.images["R"][1][3] == 1
+        assert loop.images["R"][1][2] == 0
+        assert loop.members(loop.everyone) == {"a", "c"}
+        assert_images_oracle(loop)
+        abox = ABox.from_assertions((), [("S", "a", "b"), ("R", "a", "c"),
+                                         ("R", "a", "b"), ("R", "b", "a")])
+        assert_images_oracle(abox)
 
     def test_successors_index_edge_cases(self):
         assert EMPTY_ABOX.successors == {}

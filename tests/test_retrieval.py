@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from alcsim.canonical import CanonicalModel, eval_concept, retrieve_canonical
 from alcsim.errors import AlcsimError, UnsupportedNegation
 from alcsim.gen import random_concept, random_kb, with_atleast
-from alcsim.model import Atom
+from alcsim.model import ABox, Atom
 from alcsim.msc import msc_approx
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
@@ -96,7 +96,7 @@ class TestEngineOracle:
         c = msc_approx(kb, "y", 1, Backend.ENTAIL).concept
         assert str(c) == "L and exists s.H"
         engine = ExtensionEngine(kb, Backend.ENTAIL)
-        engine.name_extensions
+        engine.name_masks
         stats = engine._reasoner.stats
         counts = []
         for _ in range(3):
@@ -108,9 +108,11 @@ class TestEngineOracle:
 
 
 def plain_name_extensions(kb, backend):
-    """Each concept name's extension, or error type, from a fresh engine."""
-    return {name: outcome(lambda: ExtensionEngine(kb, backend).extension(
-                Atom(name)))
+    """Each concept name's extension as a mask, or error type, from a fresh
+    engine's ``extension``."""
+    bits = kb.abox.bits
+    return {name: outcome(lambda: sum(bits[a] for a in ExtensionEngine(
+                kb, backend).extension(Atom(name))))
             for name in sorted(kb.signature.concept_names)}
 
 
@@ -123,14 +125,14 @@ def test_name_extensions_match_plain_path(source, backend, request):
     errors = [answer for answer in expected.values()
               if isinstance(answer, type)]
     engine = ExtensionEngine(kb, backend)
-    got = outcome(lambda: engine.name_extensions)
+    got = outcome(lambda: engine.name_masks)
     if errors:
         assert got == errors[0]
     else:
         assert got == expected
         assert list(got) == list(expected)      # names in sorted order
         assert engine.computations == len(expected)
-        assert engine.name_extensions is got    # computed once
+        assert engine.name_masks is got         # computed once
 
 
 # Three ABoxes whose checks meet a negated at-least or a clash in three
@@ -191,21 +193,21 @@ def witness_state(reasoner):
 
 
 def witness_model(reasoner, state, element):
-    """The witness state as a ``CanonicalModel``: names from the labels'
-    atoms, roles from the edges.  ``eval_concept``'s "told or body" rule is
-    exact on it, as a label holding a fully defined name holds its body."""
-    names, role_succ = {}, {}
+    """The witness state as a ``CanonicalModel``: an ABox of its elements
+    with the edges as role assertions, and told masks from the labels'
+    atoms.  ``eval_concept``'s "told or body" rule is exact on it, as a
+    label holding a fully defined name holds its body."""
+    abox = ABox(frozenset(), frozenset(
+        (role, element[nid], element[s]) for nid, node in state.nodes.items()
+        for role, succs in node.edges.items() for s in succs),
+        frozenset(element.values()))
+    told: dict[str, int] = {}
     for nid, node in state.nodes.items():
         for cid in node.label:
             if isinstance(reasoner.table.expr[cid], Atom):
-                names.setdefault(reasoner.table.parts[cid], set()).add(
-                    element[nid])
-        for role, succs in node.edges.items():
-            role_succ.setdefault(role, {})[element[nid]] = frozenset(
-                element[s] for s in succs)
-    return CanonicalModel(
-        frozenset(element.values()),
-        {name: frozenset(xs) for name, xs in names.items()}, role_succ)
+                name = reasoner.table.parts[cid]
+                told[name] = told.get(name, 0) | abox.bits[element[nid]]
+    return CanonicalModel(abox, told)
 
 
 def assert_label_lemma(kb):

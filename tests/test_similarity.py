@@ -282,7 +282,7 @@ class TestMatrixCost:
         # individual, and no MSC concept built or normalised (every
         # normalisation passes through model._norm)
         family_kb = load_fixture("family")
-        rollups = count_calls(monkeypatch, "msc_extension", similarity)
+        rollups = count_calls(monkeypatch, "msc_mask", similarity)
         msc_calls = count_calls(monkeypatch, "msc_approx", similarity)
         normalized = count_calls(monkeypatch, "_norm", model)
         searches = count_depth_searches(monkeypatch)
@@ -296,12 +296,15 @@ class TestMatrixCost:
         assert len(builds) == 1
 
     def test_one_extension_per_concept_name(self, family_kb, monkeypatch):
-        # every roll-up reads the engine's name extensions, computed once
-        calls = count_calls(monkeypatch, "extension",
-                            retrieval.ExtensionEngine)
+        # every roll-up reads the engine's name masks, computed once, and
+        # no extension is listed by name
+        calls = count_calls(monkeypatch, "mask", retrieval.ExtensionEngine)
+        listed = count_calls(monkeypatch, "extension",
+                             retrieval.ExtensionEngine)
         sim_matrix(family_kb, sorted(family_kb.individuals))
         names = sorted(family_kb.signature.concept_names)
         assert [concept for _, concept in calls] == [Atom(n) for n in names]
+        assert listed == []
 
     def test_one_fraction_per_distinct_triple(self, family_kb, monkeypatch):
         # cells with the same three counts share one computed value
@@ -315,7 +318,7 @@ class TestMatrixCost:
         # one path per individual on both backends: no MSC concept is built
         # where no instance check raises
         fathers_kb = load_fixture("fathers")
-        rollups = count_calls(monkeypatch, "msc_extension", similarity)
+        rollups = count_calls(monkeypatch, "msc_mask", similarity)
         msc_calls = count_calls(monkeypatch, "msc_approx", similarity, msc)
         searches = count_depth_searches(monkeypatch)
         individuals = sorted(fathers_kb.individuals)

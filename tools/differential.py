@@ -26,7 +26,8 @@ answers every case, so two trees answer the very same inputs.  Per KB:
   entail ``ExtensionEngine.extension``, one engine for all the KB's
   concepts, as ``sim_matrix`` uses it; ``extension canonical``: the same
   on one canonical engine, whose name memo fills in the order of the
-  concepts;
+  concepts; ``retrieve canonical``: ``retrieve_canonical``, a fresh
+  canonical model with no name memo;
 * ``matrix entail 1`` and ``matrix entail auto``: the entail
   ``sim_matrix`` of all individuals at depth 1 and at depth auto;
 * ``sim_pair <backend> <kinds>``: the ``SimilarityReport`` of ``sim_pair``
@@ -49,11 +50,12 @@ but ``extension`` gets a fresh reasoner.
 
 To compare a parent commit with the working tree:
 
-    git worktree add /tmp/alcsim-parent HEAD~1
+    mkdir /tmp/alcsim-parent
+    git archive HEAD~1 | tar -x -C /tmp/alcsim-parent
     python3 tools/differential.py --src /tmp/alcsim-parent > parent.txt
     python3 tools/differential.py --src . > change.txt
     diff parent.txt change.txt
-    git worktree remove /tmp/alcsim-parent
+    rm -r /tmp/alcsim-parent
 """
 
 from __future__ import annotations
@@ -231,6 +233,8 @@ def transcript(alcsim, cases) -> None:
                   f"{counters(engine._reasoner)}")
             print(f"{label} | extension canonical | {c} | "
                   f"{show(lambda: canonical.extension(c))} | -")
+            print(f"{label} | retrieve canonical | {c} | "
+                  f"{show(lambda: alcsim.retrieve_canonical(kb, c))} | -")
         for name in ("1", "auto"):
             matrix = show(lambda: alcsim.sim_matrix(kb, individuals,
                                                     DEPTHS[name], entail))

@@ -3,6 +3,18 @@
     python3 tools/paired_bench.py --parent DIR --change DIR \
         --workload family_matrix --pairs 10 --out BENCH_19.json
 
+Make both checkouts the same way, with ``git archive``, just before the
+round::
+
+    mkdir parent change
+    git archive HEAD~1 | tar -x -C parent
+    git archive HEAD | tar -x -C change
+
+``kb_churn``'s ``peak_rss_mb`` has read 1.2-1.4% higher in some checkout
+directories than in others that hold the very same files, for a reason
+not found.  Before reading a difference of that size, run the parent
+against a second extraction of the parent.
+
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, one
 process at a time, for ``BENCHMARK.json``'s ``run_seconds`` (read from the
 change checkout); the side that runs first alternates from pair to pair,
