@@ -8,6 +8,9 @@ produced by ``str()`` is the same concrete syntax the parser accepts, so
 The transformations in this module (negation normal form, unfolding
 against an acyclic TBox, normalization, depth) are pure functions and
 never mutate their inputs.
+
+Below the public API an individual is its bit in ``ABox.bits``, and
+``ABox.images`` is the one index of the role assertions.
 """
 
 from __future__ import annotations
@@ -335,15 +338,6 @@ class ABox:
         return cls(cas, ras, inds)
 
     @cached_property
-    def successors(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        """Asserted successors, source -> role -> targets, in sorted order."""
-        index: dict[str, dict[str, list[str]]] = {}
-        for role, source, target in sorted(self.role_assertions):
-            index.setdefault(source, {}).setdefault(role, []).append(target)
-        return {source: {role: tuple(targets) for role, targets in out.items()}
-                for source, out in index.items()}
-
-    @cached_property
     def bits(self) -> dict[str, int]:
         """Each individual's bit, ``1 << i`` for the i-th in sorted order;
         a set of individuals is a mask, the sum of their bits."""
@@ -360,7 +354,8 @@ class ABox:
 
     @cached_property
     def images(self) -> dict[str, tuple[_Images, _Images]]:
-        """Role -> the asserted successors and predecessors of a mask."""
+        """Role -> the asserted successors and predecessors of a mask, roles
+        in sorted order: the one role index, which every walk reads."""
         bits, images = self.bits, {}
         for role, source, target in self.role_assertions:
             if role not in images:
@@ -369,41 +364,43 @@ class ABox:
             s, t = bits[source], bits[target]
             succ[s] = succ.get(s, 0) | t
             pred[t] = pred.get(t, 0) | s
-        return images
+        return {role: images[role] for role in sorted(images)}
 
     @cached_property
     def depth(self) -> int:
         """Edge count of the longest simple directed path between individuals.
 
         Parallel role assertions between the same pair collapse to a single
-        edge.  The depth-first search stops once a path reaches the
-        simple-path bound: a path visits each individual with a role edge at
-        most once.
+        edge.  The depth-first search keeps its own stack and path mask,
+        tries successors lowest bit first, and stops once a path reaches
+        the simple-path bound: each individual with a role edge, once.
         """
-        adjacency = {
-            source: sorted({t for ts in out.values() for t in ts} - {source})
-            for source, out in self.successors.items()
-        }
-        bound = len({x for s, ts in adjacency.items() if ts for x in (s, *ts)}) - 1
-        best = 0
+        adjacency, covered = {}, 0
+        for bit in self.bits.values():
+            out = 0
+            for succ, _ in self.images.values():
+                out |= succ.get(bit, 0)
+            if out & ~bit:
+                adjacency[bit] = out & ~bit
+                covered |= out | bit
+        best, bound = 0, covered.bit_count() - 1
         for start in adjacency:
-            best = _longest_path(adjacency, start, 0, {start}, best, bound)
+            # the path's nodes, and the successors each has yet to try
+            path, nodes, todo = start, [start], [adjacency[start]]
+            while todo and best < bound:
+                rest = todo[-1] & ~path
+                if rest:
+                    nxt = rest & -rest
+                    todo[-1] ^= nxt
+                    nodes.append(nxt)
+                    todo.append(adjacency.get(nxt, 0))
+                    path |= nxt
+                    if len(nodes) > best + 1:
+                        best = len(nodes) - 1
+                else:
+                    todo.pop()
+                    path ^= nodes.pop()
         return best
-
-
-def _longest_path(adjacency: dict[str, list[str]], node: str, length: int,
-                  seen: set[str], best: int, bound: int) -> int:
-    """The longer of ``best`` and the simple paths that extend ``seen``,
-    a path of ``length`` edges ending at ``node``; the search stops once
-    one reaches ``bound``."""
-    if length > best:
-        best = length
-    for nxt in adjacency.get(node, ()):
-        if nxt not in seen and best < bound:
-            seen.add(nxt)
-            best = _longest_path(adjacency, nxt, length + 1, seen, best, bound)
-            seen.remove(nxt)
-    return best
 
 
 EMPTY_ABOX = ABox.from_assertions((), ())

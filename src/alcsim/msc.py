@@ -10,6 +10,8 @@ mutually inverse role assertions cannot blow the concept up.
 
 The default depth bound is the ABox depth: the length of the longest
 simple path in the role-assertion digraph, searched once per ABox.
+Both walks take an individual as its bit and read its out-edges from
+``ABox.images``: roles in sorted order, targets lowest bit (name) first.
 
 ``msc_approx`` builds the concept in normal form: a node with successors
 dedupes its parts and sorts them by ``str``, all that ``normalize`` does
@@ -87,8 +89,8 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     concept-name extensions across calls.
     """
     depth, engine = _checked(kb, individual, depth, backend, engine)
-    concept, _, height = _rollup(kb.abox, engine.name_masks, individual,
-                                 depth, kb.abox.bits[individual])
+    bit = kb.abox.bits[individual]
+    concept, _, height = _rollup(kb.abox, engine.name_masks, bit, depth, bit)
     assert height <= depth
     return MscResult(individual, depth, concept, backend)
 
@@ -118,38 +120,39 @@ def msc_mask(kb: KnowledgeBase, individual: str, depth: int | None = None,
     ``R``-successors of the candidates that carry ``t``'s names, none when
     that is ``t`` alone, and a node whose candidates are down to its own
     individual is done.  Both are exact, as every individual is in its own
-    node's extension.  ``engine.rollup_masks`` and ``ABox.images`` keep
-    the names' meets and the role images across calls.  Where an entail
-    check raises, ``engine.mask`` of the built concept decides, as it
-    documents; the engine remembers the raising check, so that path
+    node's extension.  ``engine.rollup_masks``, by bit, and ``ABox.images``
+    keep the names' meets and the role images across calls.  Where an
+    entail check raises, ``engine.mask`` of the built concept decides, as
+    it documents; the engine remembers the raising check, so that path
     raises it again with no search.
     """
     backend = Backend.CANONICAL if engine is None else engine.backend
     depth, engine = _checked(kb, individual, depth, backend, engine)
     entail = None if backend is Backend.CANONICAL else engine
     try:
-        return _rollup_extension(kb.abox, engine.rollup_masks, entail,
-                                 individual, depth, kb.abox.bits[individual],
-                                 kb.abox.everyone)
+        bit = kb.abox.bits[individual]
+        return _rollup_extension(kb.abox, engine.rollup_masks, entail, bit,
+                                 depth, bit, kb.abox.everyone)
     except AlcsimError:     # only an entail check raises
         return engine.mask(
             msc_approx(kb, individual, depth, backend, engine).concept)
 
 
-def _rollup(abox: ABox, name_masks: dict[str, int], x: str,
+def _rollup(abox: ABox, name_masks: dict[str, int], x: int,
             d: int, visited: int) -> tuple[ConceptExpr, str, int]:
-    """The roll-up of ``x`` at depth ``d`` in normal form, its ``str`` and
-    its ``concept_depth``; parts are deduped and sorted by their text,
-    which is injective on concepts of names, ``exists``, ``Top`` and
-    ``and``."""
+    """The roll-up of the individual with bit ``x`` at depth ``d`` in normal
+    form, its ``str`` and its ``concept_depth``; parts are deduped and
+    sorted by their text, which is injective on concepts of names,
+    ``exists``, ``Top`` and ``and``."""
     parts = {name: (Atom(name), 0)
-             for name, ext in name_masks.items() if ext & abox.bits[x]}
+             for name, ext in name_masks.items() if ext & x}
     if d > 0:
-        for role, targets in abox.successors.get(x, {}).items():
-            for target in targets:
-                bit = abox.bits[target]
+        for role, (succ, _) in abox.images.items():
+            out = succ.get(x, 0)
+            while out:      # each successor, lowest bit first
+                out ^= (bit := out & -out)
                 filler, text, height = (TOP, "Top", 0) if visited & bit else (
-                    _rollup(abox, name_masks, target, d - 1, visited | bit))
+                    _rollup(abox, name_masks, bit, d - 1, visited | bit))
                 if isinstance(filler, And):
                     text = f"({text})"
                 parts.setdefault(f"exists {role}.{text}",
@@ -161,28 +164,27 @@ def _rollup(abox: ABox, name_masks: dict[str, int], x: str,
             max(parts[t][1] for t in texts))
 
 
-def _rollup_extension(abox: ABox, meets: dict[str, int],
-                      entail: ExtensionEngine | None, x: str, d: int,
+def _rollup_extension(abox: ABox, meets: dict[int, int],
+                      entail: ExtensionEngine | None, x: int, d: int,
                       visited: int, care: int) -> int:
     ext = meets[x] & care
     if d > 0:
-        for role, targets in abox.successors.get(x, {}).items():
-            succ, pred = abox.images[role]
-            for target in targets:
-                bit = abox.bits[target]
+        for role, (succ, pred) in abox.images.items():
+            out = succ.get(x, 0)
+            while out:
+                out ^= (bit := out & -out)
                 need = succ[ext]
                 if not visited & bit:     # else the cut: the filler is Top
-                    need &= meets[target]
+                    need &= meets[bit]
                     if need != bit:
-                        need = _rollup_extension(abox, meets, entail, target,
+                        need = _rollup_extension(abox, meets, entail, bit,
                                                  d - 1, visited | bit, need)
                 told = ext & pred[need]
                 if entail is not None and told != ext:   # the gap: check it
                     filler = TOP if visited & bit else _rollup(
-                        abox, entail.name_masks, target, d - 1,
-                        visited | bit)[0]
+                        abox, entail.name_masks, bit, d - 1, visited | bit)[0]
                     told |= entail.instances(Exists(role, filler), ext & ~told)
                 ext = told
-                if ext == abox.bits[x]:  # x stays in, whatever follows
+                if ext == x:    # x stays in, whatever follows
                     return ext
     return ext

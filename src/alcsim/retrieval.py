@@ -19,9 +19,10 @@ needs no reasoner).  :meth:`TableauReasoner.bounds` puts C's instances
 between two masks: the individuals the precompleted ABox's structure
 puts in C are instances, and those outside C in the witness, a model,
 are not.  Every individual between them is one instance check,
-remembered per (concept, individual) for the engine's lifetime, as is a
-check that raises.  ``msc.msc_mask`` decides an MSC roll-up's
-told ``exists`` edges on bit masks and calls
+:meth:`TableauReasoner.entails` on its bit, remembered per (concept,
+bit) for the engine's lifetime, as is a check that raises.
+``msc.msc_mask`` decides an MSC roll-up's told ``exists`` edges on bit
+masks, with the names' meets keyed by bit, and calls
 :meth:`ExtensionEngine.instances` for the rest.
 :meth:`TableauReasoner.retrieve`, one check per individual, is the
 reference.  The engine makes the same whole-concept check as
@@ -62,7 +63,7 @@ class ExtensionEngine:
         default=None, init=False, repr=False)
     # name -> extension mask, the eval_mask memo of the canonical model
     _names: dict = field(default_factory=dict, init=False, repr=False)
-    # entail: concept id -> [entailed mask, refuted mask, individual -> error]
+    # entail: concept id -> [entailed mask, refuted mask, bit -> error]
     _checks: dict[int, list] = field(
         default_factory=dict, init=False, repr=False)
 
@@ -84,11 +85,11 @@ class ExtensionEngine:
                 for name in sorted(self.kb.signature.concept_names)}
 
     @cached_property
-    def rollup_masks(self) -> dict[str, int]:
-        """Individual -> the meet of the name masks that hold for it."""
+    def rollup_masks(self) -> dict[int, int]:
+        """Individual's bit -> the meet of the name masks that hold for it."""
         masks, abox = self.name_masks.values(), self.kb.abox
-        return {a: reduce(int.__and__, [m for m in masks if m & bit],
-                          abox.everyone) for a, bit in abox.bits.items()}
+        return {bit: reduce(int.__and__, [m for m in masks if m & bit],
+                            abox.everyone) for bit in abox.bits.values()}
 
     @cached_property
     def canonical_model(self) -> CanonicalModel:
@@ -100,8 +101,8 @@ class ExtensionEngine:
     def instances(self, c: ConceptExpr, candidates: int) -> int:
         """The members of the mask ``candidates`` that the KB entails in ``c``,
         a mask (entail backend only): the reasoner's bounds decide all but
-        those between them, each one instance check in name order, memoised
-        per engine; one that raised raises again with no search."""
+        those between them, each one instance check in name (bit) order,
+        memoised per engine; one that raised raises again with no search."""
         reasoner = self._reasoner = self._reasoner or TableauReasoner(self.kb)
         cid = reasoner.table.id(c)
         known = self._checks.get(cid)
@@ -109,13 +110,13 @@ class ExtensionEngine:
             lower, upper = reasoner.bounds(cid)
             known = self._checks[cid] = [lower, ~upper, {}]
         undecided = candidates & ~(known[0] | known[1])
-        for a in sorted(self.kb.abox.members(undecided)):
-            if a not in known[2]:
+        while undecided:
+            undecided ^= (bit := undecided & -undecided)
+            if bit not in known[2]:
                 try:
-                    entailed = reasoner.check_instances(cid, [a], {})[a]
-                    known[0 if entailed else 1] |= self.kb.abox.bits[a]
+                    known[0 if reasoner.entails(cid, bit) else 1] |= bit
                     continue
                 except UnsupportedNegation as error:  # all a search raises
-                    known[2][a] = str(error)
-            raise UnsupportedNegation(known[2][a])
+                    known[2][bit] = str(error)
+            raise UnsupportedNegation(known[2][bit])
         return candidates & known[0]

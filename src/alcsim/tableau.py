@@ -36,12 +36,14 @@ at-least makes fresh successors.  Branches share nodes copy-on-write: a
 branch copies a node on its first write to it, so it costs the nodes it
 touches, not the graph.
 
-ABox checks start from the precompleted ABox, its deterministic rules
-saturated once per reasoner; if that clashes, the KB is inconsistent and
-entails every instance.  An open, complete and unmarked state reached
-from it, the witness, is a model of the KB.  Evaluated on both states,
-a concept bounds its retrieval (:meth:`TableauReasoner.bounds`), and
-only the individuals between the bounds need a search.
+ABox checks start from the precompleted ABox (node i is the individual
+with bit ``1 << i``, its edges ``ABox.images``), its deterministic rules
+saturated once per reasoner; if that clashes, the KB is inconsistent
+and entails every instance.  One search from it decides consistency,
+and its open, complete and unmarked state, the witness, is a model of
+the KB.  On both states a concept bounds its retrieval
+(:meth:`TableauReasoner.bounds`), and each individual between the
+bounds is one search (:meth:`TableauReasoner.entails`).
 """
 
 from __future__ import annotations
@@ -360,7 +362,7 @@ class TableauReasoner:
             self._add(state, nid, self.table.id(c), queue)
         except _Clash:
             return False
-        return self._open(state, queue)
+        return self._open(self._run(state, queue))
 
     def subsumes(self, d: ConceptExpr, c: ConceptExpr) -> bool:
         """True iff ``d`` subsumes ``c`` (every instance of c is one of d)."""
@@ -370,34 +372,36 @@ class TableauReasoner:
         return self.subsumes(c, d) and self.subsumes(d, c)
 
     def abox_consistent(self) -> bool:
-        self.stats.satisfiability_calls += 1
-        if self._precompleted is None:
-            return False
-        return self._open(self._precompleted[0].copy(), deque())
+        return self._open(self._witness)
 
     def instance_check(self, individual: str, c: ConceptExpr) -> bool:
         """Decide whether the KB entails membership of the individual in ``c``."""
-        return self.check_instances(self.table.id(c), [individual],
-                                    {})[individual]
+        bit = self.kb.abox.bits.get(individual)
+        if bit is None:
+            raise UnknownIndividual(individual)
+        return self.entails(self.table.id(c), bit)
 
     def retrieve(self, c: ConceptExpr) -> frozenset[str]:
         """All individuals whose membership in ``c`` is entailed."""
-        known = self.check_instances(self.table.id(c),
-                                     sorted(self.kb.abox.individuals), {})
-        return frozenset(a for a, yes in known.items() if yes)
+        cid = self.table.id(c)
+        return frozenset([a for a, bit in self.kb.abox.bits.items()
+                          if self.entails(cid, bit)])
 
-    def check_instances(self, cid: int, individuals: list[str],
-                        known: dict[str, bool]) -> dict[str, bool]:
-        """Enter in ``known``, in order, whether the KB entails each of
-        ``individuals`` in the concept with id ``cid`` in :attr:`table`."""
+    def entails(self, cid: int, bit: int) -> bool:
+        """One instance check: whether every branch closes once the negation
+        of the concept with id ``cid`` in :attr:`table` joins the label of
+        the individual with ``bit`` in ``ABox.bits``."""
         goal = self.table.negation(cid)
-        for a in individuals:
-            if a not in self.kb.abox.individuals:
-                raise UnknownIndividual(a)
-            self.stats.instance_checks += 1
-            self.stats.satisfiability_calls += 1
-            known[a] = self._entailed(a, goal)
-        return known
+        self.stats.instance_checks += 1
+        self.stats.satisfiability_calls += 1
+        if self._precompleted is None:
+            return True                 # an inconsistent KB entails anything
+        state, queue = self._precompleted.copy(), deque()
+        try:
+            self._add(state, bit.bit_length() - 1, goal, queue)
+        except _Clash:
+            return True
+        return not self._open(self._run(state, queue))
 
     def bounds(self, cid: int) -> tuple[int, int]:
         """Masks over ``ABox.bits``: the individuals the precompleted ABox's
@@ -411,53 +415,49 @@ class TableauReasoner:
         return (lower.mask(cid) & everyone,
                 everyone if upper is None else upper.mask(cid) & everyone)
 
-    def _entailed(self, individual: str, goal: int) -> bool:
-        """Whether every branch closes once ``goal`` joins the label."""
-        if self._precompleted is None:
-            return True                 # an inconsistent KB entails anything
-        completed, node_of = self._precompleted
-        state, queue = completed.copy(), deque()
-        try:
-            self._add(state, node_of[individual], goal, queue)
-        except _Clash:
-            return True
-        return not self._open(state, queue)
-
     @cached_property
     def _masks(self) -> tuple[_Masks, _Masks | None]:
         """The masks of the precompleted ABox of a consistent KB, and of the
-        witness, a model of the KB: the open completion of that ABox
-        (``None`` if the search closes or finds only marked completions)."""
-        completed = self._precompleted[0]
-        self.stats.satisfiability_calls += 1
-        state = self._run(completed.copy(), deque())
-        return _Masks(self.table, completed, exact=False), (
-            None if state is None or state.mark is not None
-            else _Masks(self.table, state, exact=True))
+        witness if it is unmarked (else ``None``)."""
+        found = self._witness
+        return _Masks(self.table, self._precompleted, exact=False), (
+            None if found is None or found.mark is not None
+            else _Masks(self.table, found, exact=True))
 
     # -- state construction -------------------------------------------------
 
     @cached_property
-    def _precompleted(self) -> tuple[_State, dict[str, int]] | None:
+    def _witness(self) -> _State | None:
+        """What the search from the precompleted ABox finds, once per
+        reasoner as one satisfiability call: the witness, else a marked
+        state (consistency unknown), else ``None`` (the KB is inconsistent)."""
+        self.stats.satisfiability_calls += 1
+        if self._precompleted is None:
+            return None
+        return self._run(self._precompleted.copy(), deque())
+
+    @cached_property
+    def _precompleted(self) -> _State | None:
         """The ABox with its deterministic rules saturated, built once;
-        ``None`` when that clashes, as the KB is inconsistent."""
-        state = _State(nodes={})
-        queue: _Queue = deque()
-        node_of: dict[str, int] = {}
-        for name in sorted(self.kb.abox.individuals):
-            node_of[name] = self._fresh_node(state)
-        for source, out in self.kb.abox.successors.items():
-            state.nodes[node_of[source]].edges.update(
-                (role, [node_of[t] for t in targets])
-                for role, targets in out.items())
-        for concept, individual in sorted(self.kb.abox.concept_assertions):
-            self._add(state, node_of[individual], self.table.id(Atom(concept)),
-                      queue)
+        ``None`` when that clashes, as the KB is inconsistent.  Node i is
+        the individual with bit ``1 << i`` in ``ABox.bits``, with its edges
+        from ``ABox.images``."""
+        abox, state, queue = self.kb.abox, _State(nodes={}), deque()
+        for bit in abox.bits.values():
+            edges = state.nodes[self._fresh_node(state)].edges
+            for role, (succ, _) in abox.images.items():
+                out = succ.get(bit, 0)
+                while out:      # each target, lowest bit (name) first
+                    out ^= (t := out & -out)
+                    edges.setdefault(role, []).append(t.bit_length() - 1)
+        for concept, individual in sorted(abox.concept_assertions):
+            self._add(state, abox.bits[individual].bit_length() - 1,
+                      self.table.id(Atom(concept)), queue)
         try:
             self._saturate(state, queue)
         except _Clash:
             return None
-        return state, node_of
+        return state
 
     def _fresh_node(self, state: _State) -> int:
         nid = len(state.nodes)      # nodes are never removed
@@ -476,13 +476,10 @@ class TableauReasoner:
 
     # -- search -------------------------------------------------------------
 
-    def _open(self, state: _State, queue: _Queue) -> bool:
-        """Whether some branch from ``state`` ends open and unmarked.
-
-        False if every branch closes; if neither, no answer is sound, and
-        the mark's ``UnsupportedNegation`` is raised.
-        """
-        found = self._run(state, queue)
+    def _open(self, found: _State | None) -> bool:
+        """Whether ``found``, what :meth:`_run` returned, is open and
+        unmarked: False for ``None``, as every branch closed; a marked state
+        answers nothing and raises its mark's ``UnsupportedNegation``."""
         if found is not None and found.mark is not None:
             raise UnsupportedNegation(found.mark)
         return found is not None

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,8 +212,8 @@ def oracle_concepts(kb, rng, extra=()):
     names = sorted(kb.signature.concept_names)
     asserted = sorted(kb.signature.role_names)
     roles = [*asserted, "unasserted"]
-    above = 1 + max([len(out.get(role, ())) for out in
-                     kb.abox.successors.values() for role in roles] or [0])
+    above = 1 + max(Counter((role, source) for role, source, _ in
+                            kb.abox.role_assertions).values(), default=0)
     concepts = [random_concept(rng, names, roles, 3) for _ in range(6)]
     for role in roles:
         concepts += [AtLeast(above, role), AtLeast(1, role),

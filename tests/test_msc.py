@@ -89,6 +89,14 @@ class TestAboxDepth:
             reached += depth == len(linked) - 1
         assert 10 < reached < 50  # 27 of 60
 
+    def test_long_chain_needs_no_recursion(self):
+        # the search keeps its own stack: 1,499 edges deep, past Python's
+        # default recursion limit
+        kb = parse_kb("".join(f"r(a{i:04}, a{i + 1:04})\n"
+                              for i in range(1499)))
+        assert len(kb.individuals) == 1500
+        assert abox_depth(kb) == 1499
+
 
 class TestMscApprox:
     def test_depth_zero_claudia(self, family_kb):
@@ -181,8 +189,8 @@ def plain_roll_up(kb, individual, depth, name_exts):
     def visit(x, d, path):
         parts = [Atom(name) for name, ext in name_exts.items() if x in ext]
         if d > 0:
-            for role, targets in kb.abox.successors.get(x, {}).items():
-                for t in targets:
+            for role, source, t in sorted(kb.abox.role_assertions):
+                if source == x:
                     parts.append(Exists(role, Top() if t in path else
                                         visit(t, d - 1, path | {t})))
         return make_and(parts)

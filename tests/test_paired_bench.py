@@ -33,6 +33,15 @@ def test_tree_without_git_is_named_by_its_sources(tmp_path):
     assert paired_bench.tree_of(tmp_path) not in (first, renamed)
 
 
+def test_source_size_counts_the_package_sources(tmp_path):
+    write(tmp_path / "src" / "alcsim" / "a.py", "x = 1\ny = 2\n")
+    write(tmp_path / "src" / "alcsim" / "sub" / "b.py", "z = 3")
+    write(tmp_path / "src" / "alcsim" / "notes.txt", "not source\n")
+    write(tmp_path / "src" / "other.py", "outside the package\n")
+    write(tmp_path / "tools" / "t.py", "outside src\n")
+    assert paired_bench.source_size(tmp_path) == {"lines": 2, "bytes": 17}
+
+
 def test_git_clone_root_is_named_by_its_commit(tmp_path):
     write(tmp_path / "src" / "a.py", "x = 1\n")
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]

@@ -2,7 +2,6 @@
 retrieval."""
 
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -182,13 +181,13 @@ def test_precompletion_fallback(text):
 
 
 def witness_state(reasoner):
-    """The state the reasoner's witness masks come from, by a second run
-    of its search, and each node's element: named nodes as their
-    individuals and anonymous ones as ``#<id>``, which no name spells."""
-    completed, node_of = reasoner._precompleted
-    state = reasoner._run(completed.copy(), deque())
+    """The state the reasoner's witness masks come from, and each node's
+    element: node i, for i below the number of individuals, as the
+    individual with bit ``1 << i``, and anonymous ones as ``#<id>``, which
+    no name spells."""
+    state = reasoner._witness
     element = {nid: f"#{nid}" for nid in state.nodes}
-    element.update((nid, a) for a, nid in node_of.items())
+    element.update(enumerate(reasoner.kb.abox.bits))
     return state, element
 
 

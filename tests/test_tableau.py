@@ -204,6 +204,54 @@ class TestAboxReasoning:
         with pytest.raises(UnsupportedNegation):
             instance_check(family_kb, "Claudia", Atom("Sibling"))
 
+    def test_consistency_and_bounds_share_one_search(self, family_kb):
+        reasoner = TableauReasoner(family_kb)
+        assert reasoner.abox_consistent()
+        reasoner.bounds(reasoner.table.id(Atom("Female")))
+        assert reasoner.stats.satisfiability_calls == 1
+        fresh = TableauReasoner(family_kb)
+        fresh.bounds(fresh.table.id(Atom("Female")))
+        assert fresh.stats == reasoner.stats
+        assert fresh.abox_consistent() and fresh.stats == reasoner.stats
+
+    def test_clashing_precompletion_counts_one_call(self):
+        reasoner = TableauReasoner(parse_kb("D := not C\nC(a)\nD(a)\n"))
+        assert not reasoner.abox_consistent()
+        assert reasoner._precompleted is None
+        assert reasoner.stats.satisfiability_calls == 1
+
+    def test_marked_search_raises_and_gives_no_witness(self):
+        reasoner = TableauReasoner(parse_kb("A := not atleast 2 r\nA(a)\n"))
+        with pytest.raises(UnsupportedNegation):
+            reasoner.abox_consistent()
+        assert reasoner._masks[1] is None
+        assert reasoner.stats.satisfiability_calls == 1
+
+
+class TestPrecompleted:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_individual_edges_are_the_role_assertions(self, seed):
+        # node i is the individual with bit 1 << i; its edges to individuals
+        # are its role assertions, targets in name order and before any
+        # anonymous successor; images that other reads filled first (of
+        # masks, and empty ones) change nothing
+        kb = random_kb(seed)
+        abox = kb.abox
+        for succ, pred in abox.images.values():
+            for bit in (*abox.bits.values(), abox.everyone):
+                succ[bit], pred[bit]
+        completed = TableauReasoner(kb)._precompleted
+        if completed is None:
+            return
+        names, flat = list(abox.bits), []
+        for nid, a in enumerate(names):
+            for role, targets in completed.nodes[nid].edges.items():
+                named = [t for t in targets if t < len(names)]
+                assert targets and named == sorted(named) == targets[:len(named)]
+                flat += [(role, a, names[t]) for t in named]
+        assert len(flat) == len(abox.role_assertions)
+        assert set(flat) == abox.role_assertions
+
 
 def reversed_args(c):
     """``c`` with the arguments of every ``And`` and ``Or`` reversed."""
@@ -360,9 +408,10 @@ class TestCopyOnWrite:
     def test_writes_leave_shared_states_unchanged(self, fathers_kb):
         reasoner = TableauReasoner(fathers_kb)
         concept = reasoner.table.id     # labels hold interned concept ids
-        completed, node_of = reasoner._precompleted
+        completed = reasoner._precompleted
         precompleted = label_and_edges(completed)
-        vito, leonardo = node_of["Vito"], node_of["Leonardo"]
+        bits = fathers_kb.abox.bits     # node i is bit 1 << i
+        vito, leonardo = (bits[a].bit_length() - 1 for a in ("Vito", "Leonardo"))
         parent = completed.copy()
         queue = deque()
         reasoner._add(parent, vito, concept(Exists("hasChild", Atom("Male"))),

@@ -30,7 +30,10 @@ run is better than every parent run).  It also holds each run's metrics
 and failed-op counts, and names both trees: by commit where a side is the
 root of a git clone, else by ``src-sha256:`` and 16 hex digits over the
 sorted paths and contents of its ``src/**/*.py``, and by both, joined by
-``+``, where a clone's ``src/`` differs from its commit.  After the runs it
+``+``, where a clone's ``src/`` differs from its commit, and gives the
+lines and bytes of each side's ``src/alcsim/**/*.py``, the source that
+every benchmark process compiles and so what ``setup_s`` and
+``peak_rss_mb`` meter.  After the runs it
 prints one line per metric on stdout: both medians, their ratio, the pairs
 the change won, and which verdicts hold.
 """
@@ -95,6 +98,14 @@ def sources_digest(checkout: Path) -> str:
         digest.update(f"{path.relative_to(checkout).as_posix()}\0{content}\n"
                       .encode())
     return "src-sha256:" + digest.hexdigest()[:16]
+
+
+def source_size(checkout: Path) -> dict:
+    """The lines and bytes of ``checkout``'s ``src/alcsim/**/*.py``."""
+    sources = [path.read_bytes()
+               for path in checkout.glob("src/alcsim/**/*.py")]
+    return {"lines": sum(text.count(b"\n") for text in sources),
+            "bytes": sum(map(len, sources))}
 
 
 def spread(values: list[float]) -> dict:
@@ -176,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "workload": args.workload, "pairs": args.pairs, "seconds": seconds,
         "commits": {side: tree_of(checkouts[side]) for side in SIDES},
+        "source": {side: source_size(checkouts[side]) for side in SIDES},
         "all_correct": all(run[side]["correct"] for run in runs
                            for side in SIDES),
         "fail_ratio": {side: sum(run[side]["failed"] for run in runs)
