@@ -13,6 +13,12 @@ class UnsupportedNegation(AlcsimError):
     approximation.
     """
 
+    @classmethod
+    def of_atleast(cls, n: int, role: str) -> "UnsupportedNegation":
+        """The error for negating ``atleast n role``."""
+        return cls(f"cannot negate 'atleast {n} {role}': "
+                   "no at-most restriction in the constructor set")
+
 
 class CyclicTBox(AlcsimError):
     """A concept definition is (directly or indirectly) self-referential."""

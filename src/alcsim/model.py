@@ -484,10 +484,7 @@ def _negate_once(c: ConceptExpr) -> tuple[ConceptExpr, ...]:
         if c.n == 1:
             # no R-successor at all: forall R.Bottom
             return (Forall(c.role, BOTTOM),)
-        raise UnsupportedNegation(
-            f"cannot negate 'atleast {c.n} {c.role}': "
-            "no at-most restriction in the constructor set"
-        )
+        raise UnsupportedNegation.of_atleast(c.n, c.role)
     raise TypeError(f"unexpected concept node: {c!r}")
 
 

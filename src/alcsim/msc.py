@@ -13,18 +13,22 @@ simple path in the role-assertion digraph, searched once per ABox.
 Both walks take an individual as its bit and read its out-edges from
 ``ABox.images``: roles in sorted order, targets lowest bit (name) first.
 
-``msc_approx`` builds the concept in normal form: a node with successors
-dedupes its parts and sorts them by ``str``, all that ``normalize`` does
-to a tree of names and existentials.  ``msc_mask`` evaluates the same
-tree straight into its extension, a mask over ``ABox.bits``, as a
-similarity matrix needs it.  A node is the meet of its individual's
-names and of one ``exists R.filler`` per out-edge, whose extension among
-the node's candidates is first ``told``: the candidates with an asserted
-``R``-successor in the filler's extension.  On the canonical backend
-that is the answer.  On the entail backend it is a lower bound, and the
-``gap``, the candidates it leaves out, goes to the reasoner's bounds and
-instance checks (``ExtensionEngine.instances``); only then is the
-filler's concept built.
+The roll-up is built on concept ids: it interns its names, each
+``exists R.filler`` and the conjunction of a node's parts straight into
+the engine's :class:`~alcsim.tableau.ConceptTable`, in normal form: a
+node with successors dedupes its parts and sorts them by their text,
+all that ``normalize`` does to a tree of names and existentials.
+``msc_approx`` returns the table's concept for the root's id.
+``msc_mask`` evaluates the same tree straight into its extension, a mask
+over ``ABox.bits``, as a similarity matrix needs it.  A node is the meet
+of its individual's names and of one ``exists R.filler`` per out-edge,
+whose extension among the node's candidates is first ``told``: the
+candidates with an asserted ``R``-successor in the filler's extension.
+On the canonical backend that is the answer.  On the entail backend it
+is a lower bound, and the ``gap``, the candidates it leaves out, goes to
+the reasoner's bounds and instance checks (``ExtensionEngine.instances``)
+as the id of ``exists R.filler``, which only then is rolled up into the
+reasoner's table; no concept is built.
 """
 
 from __future__ import annotations
@@ -32,17 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlcsimError, UnknownIndividual
-from .model import (
-    ABox,
-    And,
-    ConceptExpr,
-    Atom,
-    Exists,
-    KnowledgeBase,
-    TOP,
-    make_and,
-)
+from .model import ABox, ConceptExpr, KnowledgeBase
 from .retrieval import Backend, ExtensionEngine
+from .tableau import _TOP_ID, ConceptTable
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,10 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     concept-name extensions across calls.
     """
     depth, engine = _checked(kb, individual, depth, backend, engine)
-    bit = kb.abox.bits[individual]
-    concept, _, height = _rollup(kb.abox, engine.name_masks, bit, depth, bit)
+    bit, names = kb.abox.bits[individual], engine.name_masks
+    cid, _, height = _rollup(engine.table, kb.abox, names, bit, depth, bit)
     assert height <= depth
-    return MscResult(individual, depth, concept, backend)
+    return MscResult(individual, depth, engine.table.concept(cid), backend)
 
 
 def msc_extension(kb: KnowledgeBase, individual: str,
@@ -113,7 +109,7 @@ def msc_mask(kb: KnowledgeBase, individual: str, depth: int | None = None,
     individual and of one ``exists R.filler`` extension per out-edge.
     Both backends ignore the order and repeats of a conjunction's parts.
     Canonical ``exists`` is the told extension; entail ``exists`` adds
-    the gap's members by ``engine.instances`` on the filler's concept.
+    the gap's members by ``engine.instances`` on its id.
 
     A node's extension is computed within ``care``, the candidates still
     in question.  An edge ``R`` to ``t`` asks only about the
@@ -138,30 +134,31 @@ def msc_mask(kb: KnowledgeBase, individual: str, depth: int | None = None,
             msc_approx(kb, individual, depth, backend, engine).concept)
 
 
-def _rollup(abox: ABox, name_masks: dict[str, int], x: int,
-            d: int, visited: int) -> tuple[ConceptExpr, str, int]:
-    """The roll-up of the individual with bit ``x`` at depth ``d`` in normal
-    form, its ``str`` and its ``concept_depth``; parts are deduped and
-    sorted by their text, which is injective on concepts of names,
+def _rollup(table: ConceptTable, abox: ABox, name_masks: dict[str, int],
+            x: int, d: int, visited: int) -> tuple[int, str, int]:
+    """The id in ``table`` of the roll-up of the individual with bit ``x``
+    at depth ``d`` in normal form, its text as a filler (in parentheses
+    if it is a conjunction) and its ``concept_depth``; parts are deduped
+    and sorted by their text, which is injective on concepts of names,
     ``exists``, ``Top`` and ``and``."""
-    parts = {name: (Atom(name), 0)
+    parts = {name: (table.name(name), 0)
              for name, ext in name_masks.items() if ext & x}
     if d > 0:
         for role, (succ, _) in abox.images.items():
             out = succ.get(x, 0)
             while out:      # each successor, lowest bit first
                 out ^= (bit := out & -out)
-                filler, text, height = (TOP, "Top", 0) if visited & bit else (
-                    _rollup(abox, name_masks, bit, d - 1, visited | bit))
-                if isinstance(filler, And):
-                    text = f"({text})"
-                parts.setdefault(f"exists {role}.{text}",
-                                 (Exists(role, filler), height + 1))
-    if not parts:
-        return TOP, "Top", 0
+                filler, text, height = (
+                    (_TOP_ID, "Top", 0) if visited & bit else
+                    _rollup(table, abox, name_masks, bit, d - 1, visited | bit))
+                text = f"exists {role}.{text}"
+                if text not in parts:
+                    parts[text] = (table.exists(role, filler), height + 1)
     texts = sorted(parts)     # normalize's order
-    return (make_and(parts[t][0] for t in texts), " and ".join(texts),
-            max(parts[t][1] for t in texts))
+    text = " and ".join(texts) or "Top"
+    return (table.meet(tuple(parts[t][0] for t in texts)),
+            f"({text})" if len(texts) > 1 else text,
+            max((parts[t][1] for t in texts), default=0))
 
 
 def _rollup_extension(abox: ABox, meets: dict[int, int],
@@ -181,9 +178,12 @@ def _rollup_extension(abox: ABox, meets: dict[int, int],
                                                  d - 1, visited | bit, need)
                 told = ext & pred[need]
                 if entail is not None and told != ext:   # the gap: check it
-                    filler = TOP if visited & bit else _rollup(
-                        abox, entail.name_masks, bit, d - 1, visited | bit)[0]
-                    told |= entail.instances(Exists(role, filler), ext & ~told)
+                    table = entail.table
+                    filler = _TOP_ID if visited & bit else _rollup(
+                        table, abox, entail.name_masks, bit, d - 1,
+                        visited | bit)[0]
+                    told |= entail.instances(table.exists(role, filler),
+                                             ext & ~told)
                 ext = told
                 if ext == x:    # x stays in, whatever follows
                     return ext

@@ -14,16 +14,18 @@ the names' meets for ``msc.msc_mask``, each a cached property that
 keeps nothing if its build raises.
 
 An entail extension is one call of :meth:`ExtensionEngine.instances`
-on the whole concept, with every individual as a candidate (``Top``
-needs no reasoner).  :meth:`TableauReasoner.bounds` puts C's instances
-between two masks: the individuals the precompleted ABox's structure
-puts in C are instances, and those outside C in the witness, a model,
-are not.  Every individual between them is one instance check,
+on the whole concept, interned once as an id in the reasoner's
+:class:`~alcsim.tableau.ConceptTable` (:attr:`ExtensionEngine.table`),
+with every individual as a candidate (``Top`` needs no reasoner).
+:meth:`TableauReasoner.bounds` puts C's instances between two masks:
+the individuals the precompleted ABox's structure puts in C are
+instances, and those outside C in the witness, a model, are not.  Every individual between them is one instance check,
 :meth:`TableauReasoner.entails` on its bit, remembered per (concept,
 bit) for the engine's lifetime, as is a check that raises.
 ``msc.msc_mask`` decides an MSC roll-up's told ``exists`` edges on bit
 masks, with the names' meets keyed by bit, and calls
-:meth:`ExtensionEngine.instances` for the rest.
+:meth:`ExtensionEngine.instances` for the rest, on the id of the
+``exists`` that the roll-up interned into the same table.
 :meth:`TableauReasoner.retrieve`, one check per individual, is the
 reference.  The engine makes the same whole-concept check as
 ``retrieve`` on a subset of the individuals, so it raises only where
@@ -39,7 +41,7 @@ from functools import cached_property, reduce
 from .canonical import CanonicalModel, build_canonical, eval_mask
 from .errors import UnsupportedNegation
 from .model import Atom, ConceptExpr, KnowledgeBase, Top
-from .tableau import TableauReasoner
+from .tableau import ConceptTable, TableauReasoner
 
 
 class Backend(Enum):
@@ -76,7 +78,18 @@ class ExtensionEngine:
         if self.backend is Backend.CANONICAL:
             return eval_mask(self.canonical_model, self.kb.tbox, self._names, c)
         everyone = self.kb.abox.everyone
-        return everyone if isinstance(c, Top) else self.instances(c, everyone)
+        return (everyone if isinstance(c, Top)
+                else self.instances(self.table.id(c), everyone))
+
+    @cached_property
+    def table(self) -> ConceptTable:
+        """Where the engine interns concepts: on the entail backend its
+        reasoner's table, on the canonical one a table of its own, which
+        only ``msc.msc_approx`` reads; either is built on first use."""
+        if self.backend is Backend.CANONICAL:
+            return ConceptTable(self.kb.tbox)
+        self._reasoner = self._reasoner or TableauReasoner(self.kb)
+        return self._reasoner.table
 
     @cached_property
     def name_masks(self) -> dict[str, int]:
@@ -98,13 +111,13 @@ class ExtensionEngine:
             raise ValueError("only a canonical engine has a canonical model")
         return build_canonical(self.kb)
 
-    def instances(self, c: ConceptExpr, candidates: int) -> int:
-        """The members of the mask ``candidates`` that the KB entails in ``c``,
-        a mask (entail backend only): the reasoner's bounds decide all but
-        those between them, each one instance check in name (bit) order,
-        memoised per engine; one that raised raises again with no search."""
-        reasoner = self._reasoner = self._reasoner or TableauReasoner(self.kb)
-        cid = reasoner.table.id(c)
+    def instances(self, cid: int, candidates: int) -> int:
+        """The members of the mask ``candidates`` that the KB entails in the
+        concept with id ``cid`` in :attr:`table`, a mask (entail backend
+        only): the reasoner's bounds decide all but those between them,
+        each one instance check in name (bit) order, memoised per engine;
+        one that raised raises again with no search."""
+        reasoner = self._reasoner     # made with the table that gave cid
         known = self._checks.get(cid)
         if known is None:
             lower, upper = reasoner.bounds(cid)

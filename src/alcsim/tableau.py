@@ -22,6 +22,10 @@ Each reasoner interns every concept it meets once, in its
 :class:`ConceptTable`, as a dense integer id held by labels, queue and
 open disjunctions, so the clash test builds and hashes no concept.  A
 check takes its concept by id and derives the negated goal from it.
+The search reasons on ids alone: a rule pushes a negation inward from
+its argument's kind and parts, and the roll-up of ``msc`` interns its
+names, ``exists`` and conjunctions straight into the table.  A concept
+is built only when one is read (:meth:`ConceptTable.concept`).
 
 Interning simplifies by the laws of ``Top`` and ``Bottom``, as Horrocks
 & Patel-Schneider (1999, *Optimizing description logic subsumption*) do
@@ -69,7 +73,6 @@ from .model import (
     TBox,
     TOP,
     Top,
-    _negate_once,
 )
 
 
@@ -98,24 +101,32 @@ _TOP_ID, _BOTTOM_ID = 0, 1
 class ConceptTable:
     """The concepts one reasoner has met, each interned once as an id.
 
-    ``kind[i]``, ``parts[i]`` and ``expr[i]`` describe id ``i``.  Its
-    parts are the arg ids of ``And``/``Or``, ``(role, filler id)`` of
+    ``kind[i]`` and ``parts[i]`` describe id ``i``.  Its parts are the
+    arg ids of ``And``/``Or``, ``(role, filler id)`` of
     ``Exists``/``Forall``, the arg id of ``Not``, ``(n, role)`` of
     ``AtLeast``, the name of an ``Atom``, and ``()`` for ``Top`` and
     ``Bottom``.  Concepts equal once simplified get one id, and
-    ``expr[i]`` is made of its parts' own concepts: the simplified form.
+    :meth:`concept` gives an id's simplified form.  The table keeps the
+    concept that :meth:`id` walked for each id it made; any other id's
+    concept is made from its parts on first read.
+
+    An interned ``And`` or ``Or`` has no ``Top`` or ``Bottom`` part, an
+    ``Exists`` no ``Bottom`` filler and a ``Forall`` no ``Top`` filler.
+    The ids that :meth:`name`, :meth:`exists` and :meth:`meet` intern
+    directly, and that :meth:`adds` pushes negation on, keep that, so no
+    law of ``Top`` or ``Bottom`` applies to them.
     """
 
     def __init__(self, tbox: TBox):
         self.tbox = tbox
         self.kind: list[int] = []
         self.parts: list = []
-        self.expr: list[ConceptExpr] = []
+        self._concepts: list[ConceptExpr | None] = []
         self._clash: list[tuple[int, ...] | None] = []
         self._adds: list[tuple[int, ...] | None] = []
         self._ids: dict[tuple, int] = {}
-        self.id(TOP)
-        self.id(BOTTOM)
+        self._intern(_TOP, (), TOP)
+        self._intern(_BOTTOM, (), BOTTOM)
 
     def id(self, c: ConceptExpr) -> int:
         """The id of ``c``, interning it and its subconcepts if new.
@@ -169,32 +180,67 @@ class ConceptTable:
             else:
                 parts = ()
             if entered is not None and entered != simplified:
-                c = None        # made anew from its simplified parts
+                c = None        # made from its simplified parts on read
             done.append(self._intern(kind, parts, c))
         return done[0]
 
-    def _intern(self, kind: int, parts, c: ConceptExpr | None) -> int:
-        """The id of the concept ``c`` of ``kind`` with ``parts``; with
-        ``c`` None, a new id's concept is made from its parts."""
+    def _intern(self, kind: int, parts, c: ConceptExpr | None = None) -> int:
+        """The id of the concept of ``kind`` with ``parts``; a new id keeps
+        ``c``, its concept if the caller walked one."""
         key = (kind, parts)
         cid = self._ids.get(key)
         if cid is None:
-            cid = self._ids[key] = len(self.expr)
+            cid = self._ids[key] = len(self.kind)
             self.kind.append(kind)
             self.parts.append(parts)
-            self.expr.append(self._made(kind, parts) if c is None else c)
+            self._concepts.append(c)
             self._clash.append(None)
             self._adds.append(None)
         return cid
 
-    def _made(self, kind: int, parts) -> ConceptExpr:
-        """The concept of ``kind`` made of the concepts of its parts."""
-        expr = self.expr
-        if kind == _AND or kind == _OR:
-            return (And if kind == _AND else Or)(tuple(expr[p] for p in parts))
-        if kind == _NOT:
-            return Not(expr[parts])
-        return (Exists if kind == _EXISTS else Forall)(parts[0], expr[parts[1]])
+    def name(self, name: str) -> int:
+        """The id of the concept name ``name``."""
+        return self._intern(_ATOM, name)
+
+    def exists(self, role: str, filler: int) -> int:
+        """The id of ``exists role.F`` for the concept F with id ``filler``,
+        which must not be ``Bottom``."""
+        return self._intern(_EXISTS, (role, filler))
+
+    def meet(self, parts: tuple[int, ...]) -> int:
+        """The id of the conjunction of the concepts with ids ``parts``,
+        none ``Top`` or ``Bottom``: ``Top`` for none, the part for one."""
+        if len(parts) > 1:
+            return self._intern(_AND, parts)
+        return parts[0] if parts else _TOP_ID
+
+    def concept(self, cid: int) -> ConceptExpr:
+        """The concept of id ``cid``, simplified.  One made from its parts'
+        own concepts, with a stack of its own, is kept for later reads."""
+        made, kind, parts = self._concepts, self.kind, self.parts
+        stack = [cid]
+        while stack:
+            i = stack[-1]
+            if made[i] is not None:
+                stack.pop()
+                continue
+            k, p = kind[i], parts[i]
+            inner = (p if k == _AND or k == _OR else (p,) if k == _NOT
+                     else (p[1],) if k == _EXISTS or k == _FORALL else ())
+            missing = [q for q in inner if made[q] is None]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            if k == _AND or k == _OR:
+                made[i] = (And if k == _AND else Or)(tuple(made[q] for q in p))
+            elif k == _NOT:
+                made[i] = Not(made[p])
+            elif k == _EXISTS or k == _FORALL:
+                made[i] = (Exists if k == _EXISTS else Forall)(p[0], made[p[1]])
+            else:       # a name interned by name()
+                made[i] = Atom(p)
+        return made[cid]
 
     def negation(self, cid: int) -> int:
         """The id of ``not c`` for the concept ``c`` with id ``cid``."""
@@ -202,7 +248,7 @@ class ConceptTable:
             return _BOTTOM_ID
         if cid == _BOTTOM_ID:
             return _TOP_ID
-        return self._intern(_NOT, cid, None)
+        return self._intern(_NOT, cid)
 
     def clash_keys(self, cid: int) -> tuple[int, ...]:
         """The ids whose presence in a label clashes with ``cid``."""
@@ -219,8 +265,9 @@ class ConceptTable:
 
         A name adds its unfolding, a negated name the negation of its
         unfolding, and any other negation its conjuncts pushed one
-        constructor in.  A negated at-least that cannot be pushed raises
-        on every call; the rule that meets it marks its branch.
+        constructor in (see :meth:`_pushed`).  A negated at-least that
+        cannot be pushed raises on every call; the rule that meets it
+        marks its branch.
         """
         adds = self._adds[cid]
         if adds is None:
@@ -232,9 +279,33 @@ class ConceptTable:
                 body = self.tbox.unfolding(self.parts[parts])
                 adds = () if body is None else (self.negation(self.id(body)),)
             else:
-                adds = tuple(self.id(d) for d in _negate_once(self.expr[parts]))
+                adds = self._pushed(parts)
             self._adds[cid] = adds
         return adds
+
+    def _pushed(self, cid: int) -> tuple[int, ...]:
+        """The ids of the conjuncts equivalent to ``not c``, for the concept
+        ``c`` with id ``cid``, not a name, negation pushed one constructor
+        in: ``not not C`` is C; ``not (C1 and C2)`` is ``not C1 or not
+        C2``, and ``not (C1 or C2)`` the conjuncts ``not C1``, ``not C2``;
+        ``exists`` and ``forall`` swap, negating the filler; ``not atleast
+        1 r`` is ``forall r.Bottom``.  ``c``'s kind and parts decide, as
+        ``model._negate_once`` decides on the concept, and the ids are
+        those, made in the same order, that interning its answer gives."""
+        kind, parts = self.kind[cid], self.parts[cid]
+        if kind == _NOT:
+            return (parts,)
+        if kind == _AND:
+            return (self._intern(_OR, tuple(map(self.negation, parts))),)
+        if kind == _OR:
+            return tuple(map(self.negation, parts))
+        if kind == _EXISTS or kind == _FORALL:
+            return (self._intern(_FORALL if kind == _EXISTS else _EXISTS,
+                                 (parts[0], self.negation(parts[1]))),)
+        n, role = parts             # atleast n r
+        if n == 1:
+            return (self._intern(_FORALL, (role, _BOTTOM_ID)),)
+        raise UnsupportedNegation.of_atleast(n, role)
 
 
 @dataclass
@@ -452,7 +523,7 @@ class TableauReasoner:
                     edges.setdefault(role, []).append(t.bit_length() - 1)
         for concept, individual in sorted(abox.concept_assertions):
             self._add(state, abox.bits[individual].bit_length() - 1,
-                      self.table.id(Atom(concept)), queue)
+                      self.table.name(concept), queue)
         try:
             self._saturate(state, queue)
         except _Clash:

@@ -376,6 +376,42 @@ class TestModuleEntryPoint:
         assert (proc.returncode, proc.stderr) == (code, "")
 
 
+class TestDeepChain:
+    """``msc`` and ``sim`` on a 1,000-individual ``r`` chain, run as a
+    shell runs them, with the interpreter's whole stack: the roll-up
+    recurses once per level and answers at depth 980 (995 still raises
+    RecursionError); one that recursed twice per level, or a concept made
+    on read by recursion, would not."""
+
+    @pytest.fixture(scope="class")
+    def chain_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("kbs") / "chain.dlkb"
+        path.write_text("".join(f"r(i{k}, i{k + 1})\n" for k in range(999)))
+        return str(path)
+
+    @staticmethod
+    def shell(*argv):
+        src = Path(alcsim.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-m", "alcsim.cli", *argv],
+                              cwd=src, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout.splitlines()
+
+    def test_msc_at_depth_980(self, chain_path):
+        header, concept, extension = self.shell("msc", chain_path, "i0",
+                                                "--depth", "980")
+        assert header == "MSC(i0) at depth 980:"
+        assert concept == "  " + "exists r." * 980 + "Top"
+        assert extension == "extension (20): " + ", ".join(
+            sorted(f"i{k}" for k in range(20)))
+
+    def test_sim_at_depth_900(self, chain_path):
+        out = self.shell("sim", chain_path, "i0", "i1", "--depth", "900")
+        assert out[:2] == ["value: 1.0000", "ext: (100, 100, 100)"]
+        assert "msc_depth: 900" in out
+
+
 class TestArgparserReuse:
     @pytest.fixture
     def parsers_built(self, monkeypatch):

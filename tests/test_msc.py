@@ -8,6 +8,7 @@ from alcsim.canonical import retrieve_canonical
 from alcsim.errors import AlcsimError, UnknownIndividual, UnsupportedNegation
 from alcsim.gen import KbShape, random_kb, with_atleast
 from alcsim.model import (
+    And,
     Atom,
     Exists,
     Top,
@@ -249,6 +250,62 @@ class TestNormalFormRollUp:
                                 continue
                             parts |= subconcepts(concept)
                 assert len({str(c) for c in parts}) == len(parts), seed
+
+
+def expr_roll_up(abox, name_masks, x, d, visited):
+    """The roll-up of the individual with bit ``x`` at depth ``d`` built as
+    a concept tree, with its ``str`` and its ``concept_depth``: the plain
+    path for ``msc._rollup``, which interns the same concept on ids."""
+    parts = {name: (Atom(name), 0)
+             for name, ext in name_masks.items() if ext & x}
+    if d > 0:
+        for role, (succ, _) in abox.images.items():
+            out = succ.get(x, 0)
+            while out:      # each successor, lowest bit first
+                out ^= (bit := out & -out)
+                filler, text, height = (Top(), "Top", 0) if visited & bit else (
+                    expr_roll_up(abox, name_masks, bit, d - 1, visited | bit))
+                if isinstance(filler, And):
+                    text = f"({text})"
+                parts.setdefault(f"exists {role}.{text}",
+                                 (Exists(role, filler), height + 1))
+    if not parts:
+        return Top(), "Top", 0
+    texts = sorted(parts)
+    return (make_and(parts[t][0] for t in texts), " and ".join(texts),
+            max(parts[t][1] for t in texts))
+
+
+def assert_matches_expr_roll_up(kb):
+    """``msc_approx`` on both backends, at depths 0-3 and auto, equals the
+    concept tree built by ``expr_roll_up`` from the engine's name masks."""
+    for backend in Backend:
+        engine = ExtensionEngine(kb, backend)
+        try:
+            names = engine.name_masks
+        except UnsupportedNegation:
+            continue    # msc_approx raises on this KB and backend
+        for individual in sorted(kb.individuals):
+            bit = kb.abox.bits[individual]
+            for depth in (0, 1, 2, 3, None):
+                result = msc_approx(kb, individual, depth, backend, engine)
+                concept, text, height = expr_roll_up(kb.abox, names, bit,
+                                                     result.depth, bit)
+                assert result.concept == concept, (individual, depth)
+                assert str(result.concept) == text
+                assert concept_depth(result.concept) == height
+
+
+class TestRollUpOnIds:
+    @pytest.mark.parametrize("fixture", ["family_kb", "fathers_kb"])
+    def test_fixtures(self, fixture, request):
+        assert_matches_expr_roll_up(request.getfixturevalue(fixture))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), atleast=st.booleans())
+    def test_random_kbs(self, seed, atleast):
+        assert_matches_expr_roll_up(with_atleast(seed)[0] if atleast
+                                    else random_kb(seed))
 
 
 def concept_path_extension(kb, individual, depth):

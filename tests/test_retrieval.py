@@ -203,7 +203,7 @@ def witness_model(reasoner, state, element):
     told: dict[str, int] = {}
     for nid, node in state.nodes.items():
         for cid in node.label:
-            if isinstance(reasoner.table.expr[cid], Atom):
+            if isinstance(reasoner.table.concept(cid), Atom):
                 name = reasoner.table.parts[cid]
                 told[name] = told.get(name, 0) | abox.bits[element[nid]]
     return CanonicalModel(abox, told)
@@ -220,13 +220,17 @@ def assert_label_lemma(kb):
     masks = reasoner._masks[1]
     state, element = witness_state(reasoner)
     model = witness_model(reasoner, state, element)
+    table = reasoner.table
     for nid, node in state.nodes.items():
         for cid in node.label:
-            assert masks.mask(cid) >> nid & 1, str(reasoner.table.expr[cid])
-    for cid, expr in enumerate(reasoner.table.expr):
+            assert masks.mask(cid) >> nid & 1, str(table.concept(cid))
+    cid = 0
+    while cid < len(table.kind):    # with the ids the masks intern
+        expr = table.concept(cid)
         expected = eval_concept(model, kb.tbox, expr)
         assert {element[nid] for nid in state.nodes
                 if masks.mask(cid) >> nid & 1} == expected, str(expr)
+        cid += 1
 
 
 def kb_and_concepts(seed, atleast):

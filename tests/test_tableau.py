@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import deque
 
@@ -31,7 +32,7 @@ from alcsim.model import (
     _negate_once,
     nnf,
 )
-from alcsim.msc import msc_extension
+from alcsim.msc import msc_approx, msc_extension
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import (
@@ -356,9 +357,13 @@ class TestDeterminismAndStats:
         assert self.entail_matrix_pass() == [10, 16, 2, 13]
 
     def test_entail_matrix_interns_each_goal_once(self, monkeypatch):
-        # each concept an extension asks about is interned once per ask,
-        # and its checks derive their goal from its id with no walk: 188
-        # walks when each check interned its own goal
+        # the walks left are each name mask's Atom (36) and each
+        # definition body a rule unfolds (23): a table interns its Top and
+        # Bottom, a check its goal, the roll-up its names, fillers and gap
+        # concepts, and a rule a pushed negation, all on ids.  146 walks
+        # when the roll-up built each gap concept, a push walked
+        # _negate_once's answer and each table walked Top and Bottom, 188
+        # when each check also interned its own goal
         walks = []
         original = ConceptTable.id
 
@@ -368,7 +373,7 @@ class TestDeterminismAndStats:
 
         monkeypatch.setattr(ConceptTable, "id", counted)
         assert self.entail_matrix_pass() == [10, 16, 2, 13]
-        assert len(walks) == 146
+        assert len(walks) == 59
 
     def test_bodies_evaluated_once_per_reasoner(self):
         # the bounds of every concept meet D; its body, the one role lookup
@@ -442,48 +447,105 @@ def chain_at_the_limit(levels):
     return body
 
 
+def table_inputs(seed, atleast):
+    """A ``random_kb`` or ``with_atleast`` KB, and concepts over it: 20
+    drawn ones, and the cases that the laws of ``Top`` and ``Bottom``
+    simplify."""
+    kb, concepts = with_atleast(seed) if atleast else (random_kb(seed), [])
+    names = sorted(kb.signature.concept_names)
+    roles = sorted(kb.signature.role_names) or ["r"]
+    role = roles[0]
+    rng = random.Random(seed)
+    concepts += [random_concept(rng, names, roles, 2) for _ in range(20)]
+    concepts += [Not(Top()), Not(Bottom()), Exists(role, Bottom()),
+                 Forall(role, Top()), And((A, Bottom())), Or((Top(), A)),
+                 And((Top(), A, Top())), Or((Bottom(), A, B)),
+                 Not(AtLeast(1, role)), And((Top(), AtLeast(2, role)))]
+    return kb, concepts
+
+
+def twin(table):
+    """A copy of ``table`` that interns apart from it."""
+    out = copy.copy(table)
+    vars(out).update((key, copy.copy(value))
+                     for key, value in vars(table).items()
+                     if isinstance(value, (list, dict)))
+    return out
+
+
+def outcome_text(compute):
+    """A computation's value, or the message of the UnsupportedNegation it
+    raised."""
+    try:
+        return compute()
+    except UnsupportedNegation as error:
+        return str(error)
+
+
 class TestConceptTable:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), atleast=st.booleans())
     def test_interning_is_sound(self, seed, atleast):
         # interning simplifies, so an id's concept is equivalent to the
         # concepts that get the id, not equal to them
-        kb, concepts = with_atleast(seed) if atleast else (random_kb(seed), [])
-        names = sorted(kb.signature.concept_names)
-        roles = sorted(kb.signature.role_names) or ["r"]
-        role = roles[0]
-        rng = random.Random(seed)
-        concepts += [random_concept(rng, names, roles, 2) for _ in range(20)]
-        concepts += [Not(Top()), Not(Bottom()), Exists(role, Bottom()),
-                     Forall(role, Top()), And((A, Bottom())), Or((Top(), A)),
-                     And((Top(), A, Top())), Or((Bottom(), A, B)),
-                     Not(AtLeast(1, role)), And((Top(), AtLeast(2, role)))]
+        kb, concepts = table_inputs(seed, atleast)
         reasoner = TableauReasoner(kb)
         table = reasoner.table
         model = build_canonical(kb)
         for c in concepts:
             cid = table.id(c)
-            simplified = table.expr[cid]
+            simplified = table.concept(cid)
             assert reasoner.equivalent(simplified, c), str(c)
             assert (eval_concept(model, kb.tbox, simplified)
                     == eval_concept(model, kb.tbox, c)), str(c)
             # an equal concept built apart gets the same id
             assert table.id(parse_concept(str(c))) == cid
-        for cid, c in enumerate(list(table.expr)):   # every subconcept too
+        for cid in range(len(table.kind)):   # every subconcept too
+            c = table.concept(cid)
             assert table.id(c) == cid
             assert table.id(Not(c)) in table.clash_keys(cid), str(c)
             # made of its parts' own concepts, with no law left to apply
             parts = table.parts[cid]
             if isinstance(c, (And, Or)):
-                assert c.args == tuple(table.expr[p] for p in parts)
+                assert c.args == tuple(table.concept(p) for p in parts)
                 assert not {Top(), Bottom()} & set(c.args), str(c)
             elif isinstance(c, Not):
-                assert c.arg == table.expr[parts]
+                assert c.arg == table.concept(parts)
                 assert c.arg not in (Top(), Bottom()), str(c)
             elif isinstance(c, (Exists, Forall)):
-                assert c.filler == table.expr[parts[1]]
+                assert c.filler == table.concept(parts[1])
                 trivial = Bottom() if isinstance(c, Exists) else Top()
                 assert c.filler != trivial, str(c)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), atleast=st.booleans())
+    def test_id_paths_match_the_concept_paths(self, seed, atleast):
+        # ids interned by a walk, by the roll-up and by pushing negation;
+        # each id's concept, made on read, interns back to it, and a
+        # negation pushed on ids makes the ids, in the order, that
+        # interning _negate_once of the argument's concept makes
+        kb, concepts = table_inputs(seed, atleast)
+        engine = ExtensionEngine(kb)        # canonical: a table of its own
+        table = engine.table
+        for c in concepts:
+            table.id(c)
+        for individual in sorted(kb.individuals):
+            for depth in (0, 1, 2):
+                msc_approx(kb, individual, depth, engine=engine)
+        for cid in range(len(table.kind)):
+            c = table.concept(cid)
+            assert table.id(c) == cid, str(c)
+            negation = table.negation(cid)
+            if isinstance(c, Atom) or not isinstance(table.concept(negation),
+                                                      Not):
+                continue        # a name's rule unfolds; not Top is Bottom
+            plain = twin(table)
+            expected = outcome_text(lambda: tuple(
+                plain.id(d) for d in _negate_once(plain.concept(cid))))
+            assert outcome_text(lambda: table.adds(negation)) == expected
+            assert (table.kind, table.parts) == (plain.kind, plain.parts)
+        for cid in range(len(table.kind)):      # the pushed ids too
+            assert table.id(table.concept(cid)) == cid
 
     def test_rule_additions_come_from_the_model(self):
         # the Atom and Not rules add what TBox.unfolding and _negate_once say
@@ -499,7 +561,7 @@ class TestConceptTable:
             negated = () if body is None else (table.id(Not(body)),)
             assert table.adds(table.id(Not(Atom(name)))) == negated
             if body is None or not isinstance(
-                    table.expr[table.id(Not(body))], Not):
+                    table.concept(table.id(Not(body))), Not):
                 continue        # T's not Bottom is Top, and has no rule
             try:
                 pushed = tuple(table.id(d) for d in _negate_once(body))

@@ -48,6 +48,11 @@ exception's type and message, then the ``ReasonerStats`` counters
 reasoner that answered, or ``-`` where no reasoner answers.  Each case
 but ``extension`` gets a fresh reasoner.
 
+``tools/differential.sha256`` holds the sha256 of the transcript of
+``--src . --seeds 150``, and CI checks it, so a change to any answer or
+counter shows.  A change that alters lines on purpose updates the digest
+and lists the changed lines by kind and count.
+
 To compare a parent commit with the working tree:
 
     mkdir /tmp/alcsim-parent
