@@ -8,13 +8,7 @@ semantic similarity between concepts and individuals.
 
 from importlib import resources
 
-from .canonical import (
-    CanonicalModel,
-    build_canonical,
-    eval_concept,
-    retrieve_canonical,
-    told_closure,
-)
+from .canonical import CanonicalModel, build_canonical, told_closure
 from .cluster import Dendrogram, cluster_matrix, render_dendrogram
 from .errors import (
     AlcsimError,
@@ -42,35 +36,14 @@ from .model import (
     Signature,
     TBox,
     Top,
-    concept_depth,
     make_and,
     make_or,
-    nnf,
-    normalize,
-    unfold,
 )
-from .msc import MscResult, abox_depth, msc_approx, msc_extension
+from .msc import MscResult, msc_approx
 from .parser import ErrorKind, ParseError, parse_concept, parse_kb, serialize
 from .retrieval import Backend, ExtensionEngine
-from .similarity import (
-    SimilarityReport,
-    sim_concepts,
-    sim_formula,
-    sim_individual_concept,
-    sim_individuals,
-    sim_matrix,
-    sim_pair,
-)
-from .tableau import (
-    ReasonerStats,
-    TableauReasoner,
-    abox_consistent,
-    equivalent,
-    instance_check,
-    is_satisfiable,
-    retrieve_entail,
-    subsumes,
-)
+from .similarity import SimilarityReport, sim_formula, sim_matrix, sim_pair
+from .tableau import ReasonerStats, TableauReasoner, subsumes
 
 __version__ = "0.1.0"
 

@@ -87,24 +87,17 @@ def build_canonical(kb: KnowledgeBase) -> CanonicalModel:
     return CanonicalModel(kb.abox, told)
 
 
-def eval_concept(model: CanonicalModel, tbox: TBox, c: ConceptExpr,
-                 names: dict[str, int] | None = None) -> frozenset[str]:
-    """Extension of ``c`` in the canonical model.
+def eval_mask(model: CanonicalModel, tbox: TBox, names: dict[str, int],
+              c: ConceptExpr) -> int:
+    """Extension of ``c`` in the canonical model, a mask over ``ABox.bits``.
 
     A defined name denotes the union of its told extension and the
     evaluation of its definition body (for full definitions), so asserted
     memberships survive even when the closed-world definition check
     fails.  Value restrictions are vacuously satisfied by individuals
     without successors.  Each name is evaluated once per ``names``, a
-    memo of masks valid for one model and TBox (``None``: a fresh one).
+    memo of masks valid for one model and TBox.
     """
-    return model.abox.members(
-        eval_mask(model, tbox, {} if names is None else names, c))
-
-
-def eval_mask(model: CanonicalModel, tbox: TBox, names: dict[str, int],
-              c: ConceptExpr) -> int:
-    """``eval_concept``'s extension of ``c`` as a mask, memo required."""
     if isinstance(c, Top):
         return model.abox.everyone
     if isinstance(c, Bottom):
@@ -136,8 +129,3 @@ def eval_mask(model: CanonicalModel, tbox: TBox, names: dict[str, int],
         return sum(bit for bit in model.abox.bits.values()
                    if succ.get(bit, 0).bit_count() >= c.n)
     raise TypeError(f"unexpected concept node: {c!r}")
-
-
-def retrieve_canonical(kb: KnowledgeBase, c: ConceptExpr) -> frozenset[str]:
-    """Individuals in the canonical extension of ``c``."""
-    return eval_concept(build_canonical(kb), kb.tbox, c)

@@ -1,13 +1,11 @@
-"""Concept ASTs, knowledge-base containers, and syntactic transformations.
+"""Concept ASTs and knowledge-base containers.
 
 Concept expressions are immutable trees built from the usual ALC
 constructors plus an unqualified at-least restriction.  The textual form
 produced by ``str()`` is the same concrete syntax the parser accepts, so
-``parse_concept(str(c)) == c`` holds for every tree.
-
-The transformations in this module (negation normal form, unfolding
-against an acyclic TBox, normalization, depth) are pure functions and
-never mutate their inputs.
+``parse_concept(str(c)) == c`` holds for every tree.  A TBox unfolds a
+defined name one step at a time (:meth:`TBox.unfolding`), as the
+reasoners read it.
 
 Below the public API an individual is its bit in ``ABox.bits``, and
 ``ABox.images`` is the one index of the role assertions.
@@ -19,12 +17,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .errors import CyclicTBox, DefinitionTooDeep, UnsupportedNegation
+from .errors import CyclicTBox, DefinitionTooDeep
 
 # Deepest nesting a defined name may reach when fully unfolded: one level
-# per constructor and one per definition step.  ``eval_concept`` and
-# ``unfold`` recurse once or twice per level, so at this depth they stay
-# inside Python's default recursion limit.
+# per constructor and one per definition step.  ``canonical.eval_mask`` and
+# ``tableau._Masks.mask`` recurse once per level, through definition
+# bodies too, so at this depth they stay inside Python's default recursion
+# limit.
 MAX_UNFOLDED_DEPTH = 400
 
 
@@ -174,22 +173,6 @@ def make_or(args) -> ConceptExpr:
     return Or(args)
 
 
-def concept_names_in(c: ConceptExpr) -> frozenset[str]:
-    """All concept names occurring anywhere in the expression."""
-    if isinstance(c, Atom):
-        return frozenset((c.name,))
-    if isinstance(c, Not):
-        return concept_names_in(c.arg)
-    if isinstance(c, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for a in c.args:
-            out |= concept_names_in(a)
-        return out
-    if isinstance(c, (Exists, Forall)):
-        return concept_names_in(c.filler)
-    return frozenset()
-
-
 # ---------------------------------------------------------------------------
 # TBox / ABox / KnowledgeBase
 # ---------------------------------------------------------------------------
@@ -203,6 +186,15 @@ class DefKind(Enum):
 class Definition:
     kind: DefKind
     body: ConceptExpr
+
+
+def marker_name(name: str) -> str:
+    """Fresh primitive marker for a partially defined name.
+
+    ``*`` is not a legal name character, so markers can never collide
+    with user-written names (and never round-trip through the parser).
+    """
+    return name + "*"
 
 
 @dataclass(frozen=True)
@@ -431,186 +423,3 @@ class KnowledgeBase:
     @property
     def individuals(self) -> frozenset[str]:
         return self.abox.individuals
-
-
-# ---------------------------------------------------------------------------
-# Negation normal form
-# ---------------------------------------------------------------------------
-
-def nnf(c: ConceptExpr) -> ConceptExpr:
-    """Push negation down to concept names.
-
-    The result is equivalent to ``c`` and contains ``Not`` only directly
-    above ``Atom``.  ``not atleast 1 R`` rewrites to ``forall R.Bottom``;
-    for n >= 2 there is no expressible rewriting and
-    :class:`UnsupportedNegation` is raised.
-    """
-    if isinstance(c, Not):
-        if isinstance(c.arg, Atom):
-            return c
-        return make_and(nnf(a) for a in _negate_once(c.arg))
-    if isinstance(c, And):
-        return And(tuple(nnf(a) for a in c.args))
-    if isinstance(c, Or):
-        return Or(tuple(nnf(a) for a in c.args))
-    if isinstance(c, Exists):
-        return Exists(c.role, nnf(c.filler))
-    if isinstance(c, Forall):
-        return Forall(c.role, nnf(c.filler))
-    return c
-
-
-def _negate_once(c: ConceptExpr) -> tuple[ConceptExpr, ...]:
-    """Conjuncts equivalent to ``not c``, negation pushed one constructor in.
-
-    ``c`` must not be an ``Atom``: a negated name is a literal for
-    :func:`nnf` and a definition lookup for the tableau.
-    """
-    if isinstance(c, Top):
-        return (BOTTOM,)
-    if isinstance(c, Bottom):
-        return (TOP,)
-    if isinstance(c, Not):
-        return (c.arg,)
-    if isinstance(c, And):
-        return (Or(tuple(Not(a) for a in c.args)),)
-    if isinstance(c, Or):
-        return tuple(Not(a) for a in c.args)
-    if isinstance(c, Exists):
-        return (Forall(c.role, Not(c.filler)),)
-    if isinstance(c, Forall):
-        return (Exists(c.role, Not(c.filler)),)
-    if isinstance(c, AtLeast):
-        if c.n == 1:
-            # no R-successor at all: forall R.Bottom
-            return (Forall(c.role, BOTTOM),)
-        raise UnsupportedNegation.of_atleast(c.n, c.role)
-    raise TypeError(f"unexpected concept node: {c!r}")
-
-
-# ---------------------------------------------------------------------------
-# Unfolding
-# ---------------------------------------------------------------------------
-
-def marker_name(name: str) -> str:
-    """Fresh primitive marker for a partially defined name.
-
-    ``*`` is not a legal name character, so markers can never collide
-    with user-written names (and never round-trip through the parser).
-    """
-    return name + "*"
-
-
-def unfold(c: ConceptExpr, tbox: TBox) -> ConceptExpr:
-    """Expand every defined name occurring in ``c``.
-
-    Full definitions are replaced by their bodies; a partial definition
-    ``N <= D`` becomes ``N* and D`` where ``N*`` is the primitive marker
-    for ``N``.  The result mentions only primitive atoms and markers.
-    """
-    return _unfold(c, tbox, ())
-
-
-def _unfold(c: ConceptExpr, tbox: TBox, path: tuple[str, ...]) -> ConceptExpr:
-    if isinstance(c, Atom):
-        body = tbox.unfolding(c.name)
-        if body is None:
-            return c
-        if c.name in path:
-            start = path.index(c.name)
-            raise CyclicTBox(path[start:] + (c.name,))
-        return _unfold(body, tbox, path + (c.name,))
-    if isinstance(c, Not):
-        return Not(_unfold(c.arg, tbox, path))
-    if isinstance(c, And):
-        return And(tuple(_unfold(a, tbox, path) for a in c.args))
-    if isinstance(c, Or):
-        return Or(tuple(_unfold(a, tbox, path) for a in c.args))
-    if isinstance(c, Exists):
-        return Exists(c.role, _unfold(c.filler, tbox, path))
-    if isinstance(c, Forall):
-        return Forall(c.role, _unfold(c.filler, tbox, path))
-    return c
-
-
-# ---------------------------------------------------------------------------
-# Normalization
-# ---------------------------------------------------------------------------
-
-def normalize(c: ConceptExpr) -> ConceptExpr:
-    """Rewrite ``c`` into an equivalent canonical form.
-
-    Applies, bottom-up: NNF, flattening of nested conjunctions and
-    disjunctions, merging of same-role value restrictions
-    (``forall R.C1 and forall R.C2`` -> ``forall R.(C1 and C2)``),
-    unit/absorbing element removal for Top and Bottom, deduplication of
-    equal siblings, and a deterministic lexicographic ordering of
-    conjuncts and disjuncts.
-    """
-    return _norm(nnf(c))
-
-
-def _norm(c: ConceptExpr) -> ConceptExpr:
-    if isinstance(c, And):
-        flat: list[ConceptExpr] = []
-        for a in c.args:
-            na = _norm(a)
-            if isinstance(na, And):
-                flat.extend(na.args)
-            else:
-                flat.append(na)
-        # merge all value restrictions on the same role
-        foralls: dict[str, list[ConceptExpr]] = {}
-        rest: list[ConceptExpr] = []
-        for a in flat:
-            if isinstance(a, Forall):
-                foralls.setdefault(a.role, []).append(a.filler)
-            else:
-                rest.append(a)
-        for role, fillers in foralls.items():
-            if len(fillers) == 1:
-                rest.append(Forall(role, fillers[0]))
-            else:
-                rest.append(Forall(role, _norm(And(tuple(fillers)))))
-        if any(isinstance(a, Bottom) for a in rest):
-            return BOTTOM
-        rest = [a for a in rest if not isinstance(a, Top)]
-        rest = list(dict.fromkeys(rest))
-        rest.sort(key=str)
-        return make_and(rest)
-    if isinstance(c, Or):
-        flat = []
-        for a in c.args:
-            na = _norm(a)
-            if isinstance(na, Or):
-                flat.extend(na.args)
-            else:
-                flat.append(na)
-        if any(isinstance(a, Top) for a in flat):
-            return TOP
-        flat = [a for a in flat if not isinstance(a, Bottom)]
-        flat = list(dict.fromkeys(flat))
-        flat.sort(key=str)
-        return make_or(flat)
-    if isinstance(c, Exists):
-        return Exists(c.role, _norm(c.filler))
-    if isinstance(c, Forall):
-        return Forall(c.role, _norm(c.filler))
-    return c
-
-
-# ---------------------------------------------------------------------------
-# Depth
-# ---------------------------------------------------------------------------
-
-def concept_depth(c: ConceptExpr) -> int:
-    """Maximal nesting of role restrictions."""
-    if isinstance(c, Not):
-        return concept_depth(c.arg)
-    if isinstance(c, (And, Or)):
-        return max(concept_depth(a) for a in c.args)
-    if isinstance(c, (Exists, Forall)):
-        return 1 + concept_depth(c.filler)
-    if isinstance(c, AtLeast):
-        return 1
-    return 0

@@ -16,8 +16,8 @@ Both walks take an individual as its bit and read its out-edges from
 The roll-up is built on concept ids: it interns its names, each
 ``exists R.filler`` and the conjunction of a node's parts straight into
 the engine's :class:`~alcsim.tableau.ConceptTable`, in normal form: a
-node with successors dedupes its parts and sorts them by their text,
-all that ``normalize`` does to a tree of names and existentials.
+node with successors dedupes its parts and sorts them by their text, so
+equal trees of names and existentials get one id.
 ``msc_approx`` returns the table's concept for the root's id.
 ``msc_mask`` evaluates the same tree straight into its extension, a mask
 over ``ABox.bits``, as a similarity matrix needs it.  A node is the meet
@@ -49,18 +49,13 @@ class MscResult:
     backend: Backend
 
 
-def abox_depth(kb: KnowledgeBase) -> int:
-    """``ABox.depth``, searched once per ABox."""
-    return kb.abox.depth
-
-
 def _checked(kb: KnowledgeBase, individual: str, depth: int | None,
              backend: Backend,
              engine: ExtensionEngine | None) -> tuple[int, ExtensionEngine]:
     if individual not in kb.abox.individuals:
         raise UnknownIndividual(individual)
     if depth is None:       # resolved here only
-        depth = abox_depth(kb)
+        depth = kb.abox.depth
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if engine is None:
@@ -89,13 +84,6 @@ def msc_approx(kb: KnowledgeBase, individual: str,
     cid, _, height = _rollup(engine.table, kb.abox, names, bit, depth, bit)
     assert height <= depth
     return MscResult(individual, depth, engine.table.concept(cid), backend)
-
-
-def msc_extension(kb: KnowledgeBase, individual: str,
-                  depth: int | None = None,
-                  engine: ExtensionEngine | None = None) -> frozenset[str]:
-    """The members of ``msc_mask``."""
-    return kb.abox.members(msc_mask(kb, individual, depth, engine))
 
 
 def msc_mask(kb: KnowledgeBase, individual: str, depth: int | None = None,
@@ -138,7 +126,7 @@ def _rollup(table: ConceptTable, abox: ABox, name_masks: dict[str, int],
             x: int, d: int, visited: int) -> tuple[int, str, int]:
     """The id in ``table`` of the roll-up of the individual with bit ``x``
     at depth ``d`` in normal form, its text as a filler (in parentheses
-    if it is a conjunction) and its ``concept_depth``; parts are deduped
+    if it is a conjunction) and its nesting of ``exists``; parts are deduped
     and sorted by their text, which is injective on concepts of names,
     ``exists``, ``Top`` and ``and``."""
     parts = {name: (table.name(name), 0)
@@ -154,7 +142,7 @@ def _rollup(table: ConceptTable, abox: ABox, name_masks: dict[str, int],
                 text = f"exists {role}.{text}"
                 if text not in parts:
                     parts[text] = (table.exists(role, filler), height + 1)
-    texts = sorted(parts)     # normalize's order
+    texts = sorted(parts)
     text = " and ".join(texts) or "Top"
     return (table.meet(tuple(parts[t][0] for t in texts)),
             f"({text})" if len(texts) > 1 else text,

@@ -63,8 +63,8 @@ from .model import (
 KEYWORDS = {"not", "and", "or", "exists", "forall", "atleast", "Top", "Bottom"}
 
 # Nesting levels of ``(``, ``not``, ``exists`` and ``forall`` in one concept.
-# At this depth the parser and every later recursive traversal (``nnf``,
-# ``normalize``, ``eval_concept``, the tableau) stay well inside Python's
+# At this depth the parser and every later recursive traversal
+# (``canonical.eval_mask``, the tableau's masks) stay well inside Python's
 # default recursion limit.
 MAX_NESTING = 100
 
@@ -336,10 +336,6 @@ def parse_kb(text: str) -> KnowledgeBase:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def serialize_concept(c: ConceptExpr) -> str:
-    return str(c)
-
-
 def serialize_kb(kb: KnowledgeBase) -> str:
     """Canonical text for a knowledge base.
 
@@ -360,7 +356,7 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 def serialize(x) -> str:
     """Serialize a concept expression or a knowledge base."""
     if isinstance(x, ConceptExpr):
-        return serialize_concept(x)
+        return str(x)
     if isinstance(x, KnowledgeBase):
         return serialize_kb(x)
     raise TypeError(f"cannot serialize {type(x).__name__}")

@@ -19,7 +19,8 @@ on the whole concept, interned once as an id in the reasoner's
 with every individual as a candidate (``Top`` needs no reasoner).
 :meth:`TableauReasoner.bounds` puts C's instances between two masks:
 the individuals the precompleted ABox's structure puts in C are
-instances, and those outside C in the witness, a model, are not.  Every individual between them is one instance check,
+instances, and those outside C in the witness, a model, are not.  Every
+individual between them is one instance check,
 :meth:`TableauReasoner.entails` on its bit, remembered per (concept,
 bit) for the engine's lifetime, as is a check that raises.
 ``msc.msc_mask`` decides an MSC roll-up's told ``exists`` edges on bit

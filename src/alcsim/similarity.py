@@ -134,27 +134,6 @@ def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
     )
 
 
-def sim_concepts(kb: KnowledgeBase, c: ConceptExpr, d: ConceptExpr,
-                 backend: Backend = Backend.CANONICAL) -> SimilarityReport:
-    """Similarity of two concept descriptions over the knowledge base."""
-    return sim_pair(kb, c, d, None, backend)
-
-
-def sim_individual_concept(kb: KnowledgeBase, individual: str, c: ConceptExpr,
-                           depth: int | None = None,
-                           backend: Backend = Backend.CANONICAL
-                           ) -> SimilarityReport:
-    """Similarity of an individual (via its MSC approximation) and a concept."""
-    return sim_pair(kb, individual, c, depth, backend)
-
-
-def sim_individuals(kb: KnowledgeBase, a: str, b: str,
-                    depth: int | None = None,
-                    backend: Backend = Backend.CANONICAL) -> SimilarityReport:
-    """Similarity of two individuals via their MSC approximations."""
-    return sim_pair(kb, a, b, depth, backend)
-
-
 def sim_matrix(kb: KnowledgeBase, items: Sequence[Item],
                depth: int | None = None,
                backend: Backend = Backend.CANONICAL) -> list[list[Fraction]]:

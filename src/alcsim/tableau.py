@@ -290,8 +290,9 @@ class ConceptTable:
         C2``, and ``not (C1 or C2)`` the conjuncts ``not C1``, ``not C2``;
         ``exists`` and ``forall`` swap, negating the filler; ``not atleast
         1 r`` is ``forall r.Bottom``.  ``c``'s kind and parts decide, as
-        ``model._negate_once`` decides on the concept, and the ids are
-        those, made in the same order, that interning its answer gives."""
+        the oracle ``negate_once`` in ``tests/oracles.py`` decides on the
+        concept, and the ids are those, made in the same order, that
+        interning its answer gives."""
         kind, parts = self.kind[cid], self.parts[cid]
         if kind == _NOT:
             return (parts,)
@@ -352,8 +353,8 @@ _Queue = deque  # of (node id, concept id) pairs awaiting rule application
 class _Masks:
     """The nodes of one state in each concept id, as bit masks (node ``i``
     is bit ``1 << i``), each id evaluated once, recursing once per level
-    as ``eval_concept`` does.  A node is in a concept if its label holds
-    it or the structure puts it there: ``Top``; ``And``, every part;
+    as ``canonical.eval_mask`` does.  A node is in a concept if its label
+    holds it or the structure puts it there: ``Top``; ``And``, every part;
     ``Or``, some part; ``exists r.F``, an ``r``-edge into F; a name, its
     unfolding (for ``N <= D``, ``N* and D``, whose marker only N's
     unfolding adds).  ``not``, ``forall``, ``atleast`` and ``Bottom`` are
@@ -688,30 +689,6 @@ class TableauReasoner:
                 self._add(state, succ, parts[d][1], queue)
 
 
-# ---------------------------------------------------------------------------
-# One-shot conveniences
-# ---------------------------------------------------------------------------
-
-def is_satisfiable(c: ConceptExpr, tbox: TBox) -> bool:
-    return TableauReasoner.for_tbox(tbox).is_satisfiable(c)
-
-
 def subsumes(d: ConceptExpr, c: ConceptExpr, tbox: TBox) -> bool:
     """True iff ``d`` subsumes ``c`` w.r.t. the TBox."""
     return TableauReasoner.for_tbox(tbox).subsumes(d, c)
-
-
-def equivalent(c: ConceptExpr, d: ConceptExpr, tbox: TBox) -> bool:
-    return TableauReasoner.for_tbox(tbox).equivalent(c, d)
-
-
-def abox_consistent(kb: KnowledgeBase) -> bool:
-    return TableauReasoner(kb).abox_consistent()
-
-
-def instance_check(kb: KnowledgeBase, individual: str, c: ConceptExpr) -> bool:
-    return TableauReasoner(kb).instance_check(individual, c)
-
-
-def retrieve_entail(kb: KnowledgeBase, c: ConceptExpr) -> frozenset[str]:
-    return TableauReasoner(kb).retrieve(c)

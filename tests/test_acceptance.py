@@ -9,14 +9,14 @@ import random
 import time
 from fractions import Fraction
 
-from alcsim.canonical import retrieve_canonical
 from alcsim.cli import main
 from alcsim.gen import KbShape, random_concept, random_kb
 from alcsim.model import And, Atom, Or, Top
 from alcsim.msc import msc_approx
 from alcsim.retrieval import Backend
-from alcsim.similarity import sim_concepts, sim_formula, sim_individual_concept, sim_individuals
-from alcsim.tableau import TableauReasoner, abox_consistent, retrieve_entail
+from alcsim.similarity import sim_formula, sim_pair
+from alcsim.tableau import TableauReasoner
+from oracles import eval_concept, normalize, retrieve_canonical
 
 
 def ok(n: int, detail: str) -> None:
@@ -25,8 +25,8 @@ def ok(n: int, detail: str) -> None:
 
 def test_criterion_1_family_concept_similarity(family_kb, capsys, tmp_path):
     started = time.perf_counter()
-    report = sim_concepts(family_kb, Atom("Grandparent"), Atom("Father"),
-                          Backend.CANONICAL)
+    report = sim_pair(family_kb, Atom("Grandparent"), Atom("Father"),
+                      backend=Backend.CANONICAL)
     elapsed = time.perf_counter() - started
     assert (report.ext_c, report.ext_d, report.ext_i) == (2, 3, 2)
     assert report.value == Fraction(2, 3)
@@ -56,7 +56,7 @@ def test_criterion_2_formula_value():
 def test_criterion_3_individual_similarity(family_kb):
     # The bundled family fixture is arranged so the individual-level
     # worked value reproduces exactly at the default depth bound.
-    report = sim_individuals(family_kb, "Claudia", "Tiziana")
+    report = sim_pair(family_kb, "Claudia", "Tiziana")
     assert (report.ext_c, report.ext_d) == (2, 1)
     assert report.ext_i == 1
     assert report.value == Fraction(1, 2)
@@ -105,9 +105,9 @@ def test_criterion_5_measure_properties():
         c = random_concept(rng, names, ("r", "s"), 3)
         d = random_concept(rng, names, ("r", "s"), 3)
 
-        forward = sim_concepts(kb, c, d)
-        backward = sim_concepts(kb, d, c)
-        self_sim = sim_concepts(kb, c, c)
+        forward = sim_pair(kb, c, d)
+        backward = sim_pair(kb, d, c)
+        self_sim = sim_pair(kb, c, c)
         if not (0 <= forward.value <= 1):
             violations += 1
         if forward.value != backward.value:
@@ -121,7 +121,7 @@ def test_criterion_5_measure_properties():
             # equivalent rewritings must score 1
             equivalents += 1
             for variant in (And((c, Top())), Or((c, c))):
-                if sim_concepts(kb, c, variant).value != 1:
+                if sim_pair(kb, c, variant).value != 1:
                     violations += 1
         if ext_c and ext_d and not (ext_c & ext_d):
             disjoints += 1
@@ -140,15 +140,15 @@ def test_criterion_5_measure_properties():
 
 
 def test_criterion_6_cost_accounting(family_kb, fathers_kb):
-    pair = sim_concepts(family_kb, Atom("Woman"), Atom("Parent"))
+    pair = sim_pair(family_kb, Atom("Woman"), Atom("Parent"))
     assert pair.extension_computations == 3
     assert pair.msc_computations == 0
 
-    one = sim_individual_concept(family_kb, "Claudia", Atom("Woman"), depth=1)
+    one = sim_pair(family_kb, "Claudia", Atom("Woman"), depth=1)
     assert one.extension_computations == 3
     assert one.msc_computations == 1
 
-    two = sim_individuals(family_kb, "Claudia", "Vito", depth=1)
+    two = sim_pair(family_kb, "Claudia", "Vito", depth=1)
     assert two.extension_computations == 3
     assert two.msc_computations == 2
 
@@ -159,9 +159,9 @@ def test_criterion_6_cost_accounting(family_kb, fathers_kb):
         names = sorted(kb.signature.concept_names)
         c = random_concept(rng, names, ("r", "s"), 2)
         d = random_concept(rng, names, ("r", "s"), 2)
-        assert sim_concepts(kb, c, d).extension_computations == 3
-    entail = sim_concepts(fathers_kb, Atom("Father"), Atom("Parent"),
-                          Backend.ENTAIL)
+        assert sim_pair(kb, c, d).extension_computations == 3
+    entail = sim_pair(fathers_kb, Atom("Father"), Atom("Parent"),
+                      backend=Backend.ENTAIL)
     assert entail.extension_computations == 3
     ok(6, "3 extension computations per pair; 1 and 2 MSC computations "
           "for the derived forms")
@@ -195,7 +195,7 @@ def test_criterion_8_cross_backend_coherence():
     kbs = containments = subsumption_checks = 0
     for seed in range(200):
         kb = random_kb(seed, shape)
-        assert abox_consistent(kb)
+        assert TableauReasoner(kb).abox_consistent()
         kbs += 1
         names = sorted(kb.signature.concept_names)
         concepts = [
@@ -203,7 +203,7 @@ def test_criterion_8_cross_backend_coherence():
             for _ in range(3)
         ]
         for c in concepts:
-            assert retrieve_entail(kb, c) <= retrieve_canonical(kb, c)
+            assert TableauReasoner(kb).retrieve(c) <= retrieve_canonical(kb, c)
             containments += 1
         reasoner = TableauReasoner(kb)
         for c in concepts:
@@ -218,10 +218,8 @@ def test_criterion_8_cross_backend_coherence():
 
 
 def test_criterion_9_normalization_soundness():
-    from alcsim.model import normalize
-    from alcsim.tableau import equivalent
     from alcsim.model import TBox
-    from alcsim.canonical import build_canonical, eval_concept
+    from alcsim.canonical import build_canonical
 
     rng = random.Random(99)
     empty = TBox({})
@@ -233,7 +231,7 @@ def test_criterion_9_normalization_soundness():
         for _ in range(4):
             c = random_concept(rng, names, ("r", "s"), 3)
             normalized = normalize(c)
-            assert equivalent(c, normalized, empty)
+            assert TableauReasoner.for_tbox(empty).equivalent(c, normalized)
             assert (eval_concept(model, kb.tbox, c)
                     == eval_concept(model, kb.tbox, normalized))
             checked += 1
@@ -247,7 +245,7 @@ def test_criterion_10_brute_force_similarity_oracle():
     compared = 0
     for seed in range(120):
         kb = random_kb(seed, KbShape(individuals=6, role_assertions=7))
-        if not abox_consistent(kb):
+        if not TableauReasoner(kb).abox_consistent():
             continue
         names = sorted(kb.signature.concept_names)
         c = random_concept(rng, names, ("r", "s"), 2)
@@ -263,7 +261,7 @@ def test_criterion_10_brute_force_similarity_oracle():
             ext_i += in_c and in_d
         expected = sim_formula(ext_c, ext_d, ext_i)
 
-        report = sim_concepts(kb, c, d, Backend.ENTAIL)
+        report = sim_pair(kb, c, d, backend=Backend.ENTAIL)
         assert report.value == expected
         assert (report.ext_c, report.ext_d, report.ext_i) == (ext_c, ext_d, ext_i)
         compared += 1

@@ -5,12 +5,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import (
-    build_canonical,
-    eval_concept,
-    retrieve_canonical,
-    told_closure,
-)
+from alcsim.canonical import build_canonical, told_closure
 from alcsim.gen import KbShape, random_concept, random_kb, with_atleast
 from alcsim.model import (
     And,
@@ -24,16 +19,16 @@ from alcsim.model import (
     Or,
     Top,
     make_and,
-    normalize,
 )
 from alcsim.parser import parse_kb
-from alcsim.tableau import retrieve_entail
+from alcsim.tableau import TableauReasoner
+from oracles import eval_concept, normalize, retrieve_canonical
 
 
 class PlainModel:
     """The canonical model over ``frozenset``s: the domain, each name's told
     extension and each role's successors by source, with the set evaluator
-    that ``eval_concept`` follows on masks, as the oracle of the masks."""
+    that ``eval_mask`` follows on masks, as the oracle of the masks."""
 
     def __init__(self, kb):
         self.tbox, self.domain, self.names = kb.tbox, kb.individuals, {}
@@ -289,4 +284,4 @@ class TestProperties:
             names = sorted(kb.signature.concept_names)
             for _ in range(3):
                 c = random_concept(rng, names, ("r", "s"), 2, el_only=True)
-                assert retrieve_entail(kb, c) <= retrieve_canonical(kb, c)
+                assert TableauReasoner(kb).retrieve(c) <= retrieve_canonical(kb, c)

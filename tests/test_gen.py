@@ -4,7 +4,7 @@ import pytest
 
 from alcsim.errors import InvalidShape
 from alcsim.gen import KbShape, random_kb, with_atleast
-from alcsim.parser import parse_kb, serialize_concept, serialize_kb
+from alcsim.parser import parse_kb, serialize_kb
 
 
 def test_same_seed_same_kb():
@@ -86,7 +86,7 @@ def test_shape_at_the_edge_of_its_pools_generates(fields):
 
 def with_atleast_text(seed):
     kb, concepts = with_atleast(seed)
-    return "\n".join([serialize_kb(kb), *map(serialize_concept, concepts)])
+    return "\n".join([serialize_kb(kb), *map(str, concepts)])
 
 
 # sha256 over seeds 0-49 of each draw's text, each followed by a NUL byte

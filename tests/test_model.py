@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import retrieve_canonical
+from alcsim.canonical import build_canonical, eval_mask
 from alcsim.errors import CyclicTBox, DefinitionTooDeep, UnsupportedNegation
 from alcsim.gen import random_concept, random_kb, with_atleast
 from alcsim.model import (
@@ -26,14 +26,16 @@ from alcsim.model import (
     Or,
     TBox,
     Top,
+)
+from alcsim.parser import parse_concept
+from alcsim.tableau import TableauReasoner
+from oracles import (
     concept_depth,
     concept_names_in,
     nnf,
     normalize,
-    unfold,
+    retrieve_canonical,
 )
-from alcsim.parser import parse_concept
-from alcsim.tableau import equivalent
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 R, S = "R", "S"
@@ -122,42 +124,26 @@ class TestNnf:
         assert retrieve_canonical(kb, normal) == retrieve_canonical(kb, c)
 
 
-class TestUnfold:
+class TestUnfolding:
     def test_equiv_definition_expands(self):
         tbox = TBox({"Woman": Definition(DefKind.EQUIV,
                                          And((Atom("Human"), Atom("Female"))))})
-        assert unfold(Atom("Woman"), tbox) == And((Atom("Human"), Atom("Female")))
+        assert tbox.unfolding("Woman") == And((Atom("Human"), Atom("Female")))
 
-    def test_primitives_are_fixed_points(self):
-        assert unfold(Atom("P"), TBox({})) == Atom("P")
+    def test_primitives_do_not_unfold(self):
+        assert TBox({}).unfolding("P") is None
 
     def test_partial_definition_gets_marker(self):
         tbox = TBox({"Male": Definition(DefKind.SUBSUMED, Atom("Person"))})
-        assert unfold(Atom("Male"), tbox) == And((Atom("Male*"), Atom("Person")))
+        assert tbox.unfolding("Male") == And((Atom("Male*"), Atom("Person")))
 
-    def test_recursive_expansion(self):
+    def test_one_step_deep(self):
         tbox = TBox({
             "Woman": Definition(DefKind.EQUIV, And((Atom("Human"), Atom("Female")))),
             "Mother": Definition(DefKind.EQUIV,
                                  And((Atom("Woman"), Exists("HasChild", Top())))),
         })
-        unfolded = unfold(Atom("Mother"), tbox)
-        assert "Woman" not in concept_names_in(unfolded)
-        assert "Mother" not in concept_names_in(unfolded)
-
-    def test_no_defined_names_remain(self, family_kb):
-        for name in family_kb.tbox.definitions:
-            unfolded = unfold(Atom(name), family_kb.tbox)
-            remaining = concept_names_in(unfolded) & set(family_kb.tbox.definitions)
-            assert not remaining
-
-    def test_cycle_detected(self):
-        tbox = TBox({
-            "A": Definition(DefKind.EQUIV, Exists(R, Atom("B"))),
-            "B": Definition(DefKind.EQUIV, And((Atom("A"), Atom("C")))),
-        })
-        with pytest.raises(CyclicTBox):
-            unfold(Atom("A"), tbox)
+        assert concept_names_in(tbox.unfolding("Mother")) == {"Woman"}
 
 
 class TestAcyclicity:
@@ -181,36 +167,34 @@ class TestAcyclicity:
 class TestUnfoldedDepth:
     @staticmethod
     def nested_and(levels):
-        # the deepest shape per level: unfold recurses twice per And
+        # one And per level, each over the level below and a leaf
         body = B
         for _ in range(levels):
             body = And((body, C))
         return body
 
-    def test_deepest_allowed_definition_unfolds_and_evaluates(self):
-        # D is one level, its body's Ands and their leaves the rest
+    def test_deepest_allowed_definition_evaluates(self):
+        # D is one level, its body's Ands and their leaves the rest;
+        # eval_mask recurses once per level, through D's body
         body = self.nested_and(MAX_UNFOLDED_DEPTH - 2)
         tbox = TBox({"D": Definition(DefKind.EQUIV, body)})
         abox = ABox.from_assertions({("B", "x"), ("C", "x")}, ())
         kb = KnowledgeBase.assemble(tbox, abox)
-        # (test_deepest_allowed_unfoldings_compare compares whole trees)
-        assert unfold(Atom("D"), tbox).args[1] == C
-        assert retrieve_canonical(kb, Atom("D")) == {"x"}
+        model = build_canonical(kb)
+        assert eval_mask(model, tbox, {}, Atom("D")) == abox.bits["x"]
+        assert eval_mask(model, tbox, {}, body) == abox.bits["x"]
 
     def test_deepest_allowed_definition_prints(self):
         body = self.nested_and(MAX_UNFOLDED_DEPTH - 2)
-        unfolded = unfold(Atom("D"), TBox({"D": Definition(DefKind.EQUIV, body)}))
         opened = MAX_UNFOLDED_DEPTH - 3
-        assert str(unfolded) == "(" * opened + "B and C" + ") and C" * opened
+        assert str(body) == "(" * opened + "B and C" + ") and C" * opened
 
-    def test_deepest_allowed_unfoldings_compare(self):
+    def test_deepest_allowed_bodies_compare(self):
         # two trees built apart, so == walks every level
-        unfolded = [unfold(Atom("D"), TBox({"D": Definition(
-            DefKind.EQUIV, self.nested_and(MAX_UNFOLDED_DEPTH - 2))}))
-            for _ in range(2)]
-        assert unfolded[0] is not unfolded[1]
-        assert unfolded[0] == unfolded[1]
-        assert hash(unfolded[0]) == hash(unfolded[1])
+        bodies = [self.nested_and(MAX_UNFOLDED_DEPTH - 2) for _ in range(2)]
+        assert bodies[0] is not bodies[1]
+        assert bodies[0] == bodies[1]
+        assert hash(bodies[0]) == hash(bodies[1])
 
     def test_one_level_more_is_a_typed_error(self):
         body = self.nested_and(MAX_UNFOLDED_DEPTH - 1)
@@ -261,11 +245,21 @@ class TestNormalize:
         # random concepts up to depth 3 over a 4-name signature
         empty = TBox({})
         for c in rand_concepts(60, seed=22):
-            assert equivalent(c, normalize(c), empty)
+            assert TableauReasoner.for_tbox(empty).equivalent(c, normalize(c))
 
     def test_atleast_kept(self):
         c = Exists(R, AtLeast(2, "HasChild"))
         assert normalize(c) == c
+
+
+class TestConceptNamesIn:
+    def test_names_under_every_constructor(self):
+        c = And((Not(A), Exists(R, B), Forall(S, Or((C, Top()))),
+                 AtLeast(2, R), Bottom()))
+        assert concept_names_in(c) == {"A", "B", "C"}
+
+    def test_no_names(self):
+        assert concept_names_in(Or((Top(), AtLeast(1, R)))) == frozenset()
 
 
 class TestConceptDepth:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import retrieve_canonical
 from alcsim.errors import AlcsimError, UnknownIndividual, UnsupportedNegation
 from alcsim.gen import KbShape, random_kb, with_atleast
 from alcsim.model import (
@@ -12,15 +11,19 @@ from alcsim.model import (
     Atom,
     Exists,
     Top,
-    concept_depth,
-    concept_names_in,
     make_and,
-    normalize,
 )
-from alcsim.msc import abox_depth, msc_approx, msc_extension
+from alcsim.msc import msc_approx
 from alcsim.parser import parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import TableauReasoner
+from oracles import (
+    concept_depth,
+    concept_names_in,
+    msc_extension,
+    normalize,
+    retrieve_canonical,
+)
 
 
 def longest_path_oracle(kb):
@@ -52,30 +55,30 @@ def longest_path_oracle(kb):
 class TestAboxDepth:
     def test_chain(self):
         kb = parse_kb("R(a, b)\nR(b, c)\n")
-        assert abox_depth(kb) == 2
+        assert kb.abox.depth == 2
 
     def test_empty_role_graph(self):
         kb = parse_kb("C(a)\n")
-        assert abox_depth(kb) == 0
+        assert kb.abox.depth == 0
 
     def test_cycle_counts_once(self):
         kb = parse_kb("R(a, b)\nR(b, a)\n")
-        assert abox_depth(kb) == 1
+        assert kb.abox.depth == 1
 
     def test_parallel_roles_collapse(self):
         kb = parse_kb("R(a, b)\nS(a, b)\n")
-        assert abox_depth(kb) == 1
+        assert kb.abox.depth == 1
 
     def test_family_matches_oracle(self, family_kb, fathers_kb):
         for kb in (family_kb, fathers_kb):
-            assert abox_depth(kb) == longest_path_oracle(kb)
+            assert kb.abox.depth == longest_path_oracle(kb)
 
     def test_random_kbs_match_oracle(self):
         kbs = [*(random_kb(seed, KbShape(individuals=7, role_assertions=10))
                  for seed in range(40)),
                *map(random_kb, range(50))]
         for kb in kbs:
-            assert abox_depth(kb) == longest_path_oracle(kb)
+            assert kb.abox.depth == longest_path_oracle(kb)
 
     def test_dense_digraphs_match_oracle(self):
         # the search stops at the simple-path bound (individuals with an
@@ -83,7 +86,7 @@ class TestAboxDepth:
         reached = 0
         for seed in range(60):
             kb = random_digraph(seed, 8, 6 + seed % 20)
-            depth = abox_depth(kb)
+            depth = kb.abox.depth
             assert depth == longest_path_oracle(kb), seed
             linked = {x for _, s, t in kb.abox.role_assertions if s != t
                       for x in (s, t)}
@@ -96,7 +99,7 @@ class TestAboxDepth:
         kb = parse_kb("".join(f"r(a{i:04}, a{i + 1:04})\n"
                               for i in range(1499)))
         assert len(kb.individuals) == 1500
-        assert abox_depth(kb) == 1499
+        assert kb.abox.depth == 1499
 
 
 class TestMscApprox:
@@ -131,7 +134,7 @@ class TestMscApprox:
 
     def test_default_depth_is_abox_depth(self, family_kb):
         result = msc_approx(family_kb, "Claudia")
-        assert result.depth == abox_depth(family_kb)
+        assert result.depth == family_kb.abox.depth
 
     def test_self_membership_all_individuals(self, family_kb):
         for individual in sorted(family_kb.individuals):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import CanonicalModel, eval_concept, retrieve_canonical
+from alcsim.canonical import CanonicalModel
 from alcsim.errors import AlcsimError, UnsupportedNegation
 from alcsim.gen import random_concept, random_kb, with_atleast
 from alcsim.model import ABox, Atom
@@ -15,6 +15,7 @@ from alcsim.msc import msc_approx
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import TableauReasoner
+from oracles import eval_concept, retrieve_canonical
 from test_msc import UNKNOWN_GAP_KB
 
 

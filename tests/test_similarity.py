@@ -5,22 +5,14 @@ from fractions import Fraction
 import pytest
 
 from alcsim import load_fixture, model, msc, retrieval, similarity
-from alcsim.canonical import retrieve_canonical
 from alcsim.errors import CardinalityViolation
 from alcsim.gen import KbShape, random_concept, random_kb
 from alcsim.model import And, Atom, Bottom, Not, Or, Top
 from alcsim.parser import parse_kb
 from alcsim.retrieval import Backend
-from alcsim.similarity import (
-    SimilarityReport,
-    sim_concepts,
-    sim_formula,
-    sim_individual_concept,
-    sim_individuals,
-    sim_matrix,
-    sim_pair,
-)
-from alcsim.tableau import TableauReasoner, abox_consistent
+from alcsim.similarity import SimilarityReport, sim_formula, sim_matrix, sim_pair
+from alcsim.tableau import TableauReasoner
+from oracles import retrieve_canonical
 
 
 class TestSimFormula:
@@ -75,7 +67,7 @@ class TestSimFormula:
 
 class TestSimConcepts:
     def test_grandparent_father(self, family_kb):
-        report = sim_concepts(family_kb, Atom("Grandparent"), Atom("Father"))
+        report = sim_pair(family_kb, Atom("Grandparent"), Atom("Father"))
         assert report.value == Fraction(2, 3)
         assert (report.ext_c, report.ext_d, report.ext_i) == (2, 3, 2)
         assert report.backend is Backend.CANONICAL
@@ -84,17 +76,17 @@ class TestSimConcepts:
 
     def test_identity_is_one(self, family_kb):
         for name in ("Woman", "Father", "Sibling"):
-            assert sim_concepts(family_kb, Atom(name), Atom(name)).value == 1
+            assert sim_pair(family_kb, Atom(name), Atom(name)).value == 1
 
     def test_complement_is_zero(self, family_kb):
-        report = sim_concepts(family_kb, Atom("Woman"), Not(Atom("Woman")))
+        report = sim_pair(family_kb, Atom("Woman"), Not(Atom("Woman")))
         assert report.value == 0
 
     def test_report_invariants(self, family_kb):
         names = ["Woman", "Parent", "Father", "Sibling", "Niece", "Uncle"]
         for left in names:
             for right in names:
-                report = sim_concepts(family_kb, Atom(left), Atom(right))
+                report = sim_pair(family_kb, Atom(left), Atom(right))
                 assert report.ext_i <= min(report.ext_c, report.ext_d)
                 assert (report.value == 0) == (report.ext_i == 0)
                 assert (report.value == 1) == (
@@ -102,8 +94,8 @@ class TestSimConcepts:
                 )
 
     def test_entail_backend(self, fathers_kb):
-        report = sim_concepts(fathers_kb, Atom("Father"), Atom("Parent"),
-                              Backend.ENTAIL)
+        report = sim_pair(fathers_kb, Atom("Father"), Atom("Parent"),
+                          backend=Backend.ENTAIL)
         assert report.backend is Backend.ENTAIL
         assert report.extension_computations == 3
         # only Leonardo's fatherhood is entailed
@@ -113,7 +105,7 @@ class TestSimConcepts:
 
 class TestSimIndividuals:
     def test_claudia_tiziana_half(self, family_kb):
-        report = sim_individuals(family_kb, "Claudia", "Tiziana")
+        report = sim_pair(family_kb, "Claudia", "Tiziana")
         assert report.value == Fraction(1, 2)
         assert (report.ext_c, report.ext_d, report.ext_i) == (2, 1, 1)
         assert report.msc_computations == 2
@@ -122,25 +114,25 @@ class TestSimIndividuals:
 
     def test_self_similarity_is_one(self, family_kb):
         for individual in ("Claudia", "Antonio", "Nicola"):
-            assert sim_individuals(family_kb, individual, individual).value == 1
+            assert sim_pair(family_kb, individual, individual).value == 1
 
     def test_disconnected_components_are_dissimilar(self):
         kb = parse_kb("A(a)\nR(a, c)\nB(b)\nS(b, d)\n")
-        report = sim_individuals(kb, "a", "b")
+        report = sim_pair(kb, "a", "b")
         assert report.value == 0
 
     def test_individual_concept(self, family_kb):
-        report = sim_individual_concept(family_kb, "Claudia", Atom("Woman"))
+        report = sim_pair(family_kb, "Claudia", Atom("Woman"))
         assert report.ext_d == 4
         assert report.msc_computations == 1
         assert report.ext_i >= 1  # Claudia is in both extensions
 
     def test_individual_vs_top_when_msc_is_top(self, family_kb):
-        report = sim_individual_concept(family_kb, "Nicola", Top())
+        report = sim_pair(family_kb, "Nicola", Top())
         assert report.value == 1
 
     def test_individual_vs_bottom_is_zero(self, family_kb):
-        report = sim_individual_concept(family_kb, "Claudia", Bottom())
+        report = sim_pair(family_kb, "Claudia", Bottom())
         assert report.value == 0
 
 
@@ -178,7 +170,7 @@ class TestSimPairAndMatrix:
         # exists r.(B and exists r.Top), the cut at b back to a, and d has
         # no successor.  So no larger bound may stand in for depth auto.
         kb = parse_kb("B(b)\nr(a, b)\nr(b, a)\nB(d)\nr(c, d)\n")
-        assert msc.abox_depth(kb) == 1
+        assert kb.abox.depth == 1
         assert sim_matrix(kb, ["a", "c"], None, backend)[0][1] == 1
         assert sim_matrix(kb, ["a", "c"], 3, backend)[0][1] == Fraction(1, 2)
 
@@ -279,19 +271,16 @@ def count_depth_searches(monkeypatch) -> list:
 class TestMatrixCost:
     def test_one_msc_per_individual_and_one_depth(self, monkeypatch):
         # canonical: one roll-up evaluated straight into its extension per
-        # individual, and no MSC concept built or normalised (every
-        # normalisation passes through model._norm)
+        # individual, and no MSC concept built
         family_kb = load_fixture("family")
         rollups = count_calls(monkeypatch, "msc_mask", similarity)
         msc_calls = count_calls(monkeypatch, "msc_approx", similarity)
-        normalized = count_calls(monkeypatch, "_norm", model)
         searches = count_depth_searches(monkeypatch)
         builds = count_calls(monkeypatch, "build_canonical", retrieval)
         individuals = sorted(family_kb.individuals)
         sim_matrix(family_kb, individuals)
         assert len(rollups) == len(individuals)
         assert msc_calls == []
-        assert normalized == []
         assert len(searches) <= 1
         assert len(builds) == 1
 
@@ -336,7 +325,7 @@ class TestMatrixCost:
     def test_individual_pair_searches_depth_once(self, monkeypatch):
         family_kb = load_fixture("family")
         searches = count_depth_searches(monkeypatch)
-        report = sim_individuals(family_kb, "Claudia", "Tiziana")
+        report = sim_pair(family_kb, "Claudia", "Tiziana")
         assert len(searches) == 1
         assert report.msc_depth == 10
 
@@ -348,17 +337,17 @@ class TestMatrixCost:
         individuals = sorted(kb.individuals)
         sim_matrix(kb, individuals)
         sim_matrix(kb, individuals, backend=Backend.ENTAIL)
-        report = sim_individuals(kb, individuals[0], individuals[-1])
+        report = sim_pair(kb, individuals[0], individuals[-1])
         result = msc.msc_approx(kb, individuals[0])
-        msc.msc_extension(kb, individuals[-1])
+        msc.msc_mask(kb, individuals[-1])
         assert searches == [kb.abox]
-        assert report.msc_depth == result.depth == msc.abox_depth(kb)
+        assert report.msc_depth == result.depth == kb.abox.depth
 
     def test_individual_pair_builds_one_canonical_model(self, family_kb,
                                                          monkeypatch):
         # both MSC roll-ups and the three extensions share one engine
         builds = count_calls(monkeypatch, "build_canonical", retrieval)
-        report = sim_individuals(family_kb, "Claudia", "Tiziana")
+        report = sim_pair(family_kb, "Claudia", "Tiziana")
         assert len(builds) == 1
         assert report.value == Fraction(1, 2)
         assert report.extension_computations == 3
@@ -437,14 +426,14 @@ class TestPairOracle:
 
 class TestJsonReport:
     def test_round_trip(self, family_kb):
-        report = sim_concepts(family_kb, Atom("Grandparent"), Atom("Father"))
+        report = sim_pair(family_kb, Atom("Grandparent"), Atom("Father"))
         data = json.loads(json.dumps(report.to_json_dict()))
         assert SimilarityReport.from_json_dict(data) == report
         assert data["value"] == pytest.approx(2 / 3)
         assert data["value_exact"] == "2/3"
 
     def test_round_trip_with_depth(self, family_kb):
-        report = sim_individuals(family_kb, "Claudia", "Vito", depth=2)
+        report = sim_pair(family_kb, "Claudia", "Vito", depth=2)
         data = json.loads(json.dumps(report.to_json_dict()))
         assert SimilarityReport.from_json_dict(data) == report
 
@@ -463,21 +452,21 @@ def measure_cases(seeds, per_kb=3):
 class TestMeasureProperties:
     def test_range_and_symmetry(self):
         for kb, c, d in measure_cases(range(40)):
-            forward = sim_concepts(kb, c, d)
-            backward = sim_concepts(kb, d, c)
+            forward = sim_pair(kb, c, d)
+            backward = sim_pair(kb, d, c)
             assert 0 <= forward.value <= 1
             assert forward.value == backward.value
 
     def test_self_maximality(self):
         for kb, c, d in measure_cases(range(30)):
-            assert sim_concepts(kb, c, d).value <= sim_concepts(kb, c, c).value
+            assert sim_pair(kb, c, d).value <= sim_pair(kb, c, c).value
 
     def test_equivalent_variants_give_one(self):
         for kb, c, _ in measure_cases(range(30), per_kb=1):
             if not retrieve_canonical(kb, c):
                 continue
             for variant in (And((c, Top())), Or((c, c))):
-                assert sim_concepts(kb, c, variant).value == 1
+                assert sim_pair(kb, c, variant).value == 1
 
     def test_disjoint_extensions_give_zero(self):
         found = 0
@@ -486,7 +475,7 @@ class TestMeasureProperties:
             ext_d = retrieve_canonical(kb, d)
             if ext_c and ext_d and not (ext_c & ext_d):
                 found += 1
-                assert sim_concepts(kb, c, d).value == 0
+                assert sim_pair(kb, c, d).value == 0
         assert found > 3
 
     def test_subsumption_form(self):
@@ -496,7 +485,7 @@ class TestMeasureProperties:
             ext_d = retrieve_canonical(kb, d)
             if ext_c and ext_c <= ext_d:
                 found += 1
-                value = sim_concepts(kb, c, d).value
+                value = sim_pair(kb, c, d).value
                 assert value == Fraction(len(ext_c), len(ext_d))
         assert found > 3
 
@@ -514,17 +503,17 @@ class TestBruteForceOracle:
             ext_i += in_c and in_d
         return sim_formula(ext_c, ext_d, ext_i)
 
-    def test_agrees_with_sim_concepts(self):
+    def test_agrees_with_sim_pair(self):
         rng = random.Random(512)
         compared = 0
         for seed in range(40):
             kb = random_kb(seed, KbShape(individuals=5, role_assertions=6))
-            if not abox_consistent(kb):
+            if not TableauReasoner(kb).abox_consistent():
                 continue
             names = sorted(kb.signature.concept_names)
             c = random_concept(rng, names, ("r", "s"), 2)
             d = random_concept(rng, names, ("r", "s"), 2)
-            report = sim_concepts(kb, c, d, Backend.ENTAIL)
+            report = sim_pair(kb, c, d, backend=Backend.ENTAIL)
             assert report.value == self.naive_sim(kb, c, d)
             compared += 1
         assert compared > 20

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import build_canonical, eval_concept, retrieve_canonical
+from alcsim.canonical import build_canonical
 from alcsim.errors import (
     DefinitionTooDeep,
     UnknownIndividual,
@@ -29,21 +29,17 @@ from alcsim.model import (
     Or,
     TBox,
     Top,
-    _negate_once,
-    nnf,
 )
-from alcsim.msc import msc_approx, msc_extension
+from alcsim.msc import msc_approx
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
-from alcsim.tableau import (
-    ConceptTable,
-    TableauReasoner,
-    abox_consistent,
-    equivalent,
-    instance_check,
-    is_satisfiable,
-    retrieve_entail,
-    subsumes,
+from alcsim.tableau import ConceptTable, TableauReasoner, subsumes
+from oracles import (
+    eval_concept,
+    msc_extension,
+    negate_once,
+    nnf,
+    retrieve_canonical,
 )
 
 A, B = Atom("A"), Atom("B")
@@ -62,36 +58,38 @@ class CountingDict(dict):
 
 class TestSatisfiability:
     def test_direct_clash(self):
-        assert not is_satisfiable(And((A, Not(A))), EMPTY)
+        assert not TableauReasoner.for_tbox(EMPTY).is_satisfiable(And((A, Not(A))))
 
     def test_propagation_clash(self):
-        assert not is_satisfiable(And((Exists("R", A), Forall("R", Not(A)))), EMPTY)
+        c = And((Exists("R", A), Forall("R", Not(A))))
+        assert not TableauReasoner.for_tbox(EMPTY).is_satisfiable(c)
 
     def test_father_is_satisfiable(self, fathers_kb):
         # witnessed by a two-element model: {x: Male, Person; y: Person}
-        assert is_satisfiable(Atom("Father"), fathers_kb.tbox)
+        assert TableauReasoner.for_tbox(fathers_kb.tbox).is_satisfiable(Atom("Father"))
 
     def test_bottom_unsatisfiable(self):
-        assert not is_satisfiable(Bottom(), EMPTY)
-        assert is_satisfiable(Top(), EMPTY)
+        assert not TableauReasoner.for_tbox(EMPTY).is_satisfiable(Bottom())
+        assert TableauReasoner.for_tbox(EMPTY).is_satisfiable(Top())
 
     def test_disjunction_explores_both_branches(self):
-        assert is_satisfiable(And((Or((A, B)), Not(A))), EMPTY)
-        assert not is_satisfiable(And((Or((A, A)), Not(A))), EMPTY)
+        assert TableauReasoner.for_tbox(EMPTY).is_satisfiable(And((Or((A, B)), Not(A))))
+        assert not TableauReasoner.for_tbox(EMPTY).is_satisfiable(And((Or((A, A)), Not(A))))
 
     def test_atleast_creates_distinct_successors(self):
-        assert is_satisfiable(AtLeast(3, "R"), EMPTY)
-        assert not is_satisfiable(And((AtLeast(2, "R"), Forall("R", Bottom()))), EMPTY)
-        assert not is_satisfiable(And((AtLeast(1, "R"), Not(AtLeast(1, "R")))), EMPTY)
+        assert TableauReasoner.for_tbox(EMPTY).is_satisfiable(AtLeast(3, "R"))
+        for c in (And((AtLeast(2, "R"), Forall("R", Bottom()))),
+                  And((AtLeast(1, "R"), Not(AtLeast(1, "R"))))):
+            assert not TableauReasoner.for_tbox(EMPTY).is_satisfiable(c)
 
     def test_unsupported_negation_propagates(self):
         with pytest.raises(UnsupportedNegation):
-            is_satisfiable(Not(AtLeast(2, "R")), EMPTY)
+            TableauReasoner.for_tbox(EMPTY).is_satisfiable(Not(AtLeast(2, "R")))
 
     def test_unsupported_negation_message_matches_nnf(self):
         c = Not(AtLeast(2, "R"))
         with pytest.raises(UnsupportedNegation) as lazy:
-            is_satisfiable(c, EMPTY)
+            TableauReasoner.for_tbox(EMPTY).is_satisfiable(c)
         with pytest.raises(UnsupportedNegation) as eager:
             nnf(c)
         assert str(lazy.value) == str(eager.value)
@@ -101,7 +99,8 @@ class TestSatisfiability:
             import random
             rng = random.Random(seed)
             c = random_concept(rng, ("A", "B", "C"), ("R", "S"), 2)
-            assert is_satisfiable(c, EMPTY) == (not subsumes(Bottom(), c, EMPTY))
+            assert TableauReasoner.for_tbox(EMPTY).is_satisfiable(c) == (
+                not subsumes(Bottom(), c, EMPTY))
 
 
 class TestSubsumption:
@@ -132,59 +131,60 @@ class TestEquivalence:
     def test_value_restriction_merge_rule(self):
         lhs = And((Forall("R", Atom("C1")), Forall("R", Atom("C2"))))
         rhs = Forall("R", And((Atom("C1"), Atom("C2"))))
-        assert equivalent(lhs, rhs, EMPTY)
+        assert TableauReasoner.for_tbox(EMPTY).equivalent(lhs, rhs)
 
     def test_reflexive(self):
-        assert equivalent(A, A, EMPTY)
+        assert TableauReasoner.for_tbox(EMPTY).equivalent(A, A)
 
     def test_distinct_primitives_differ(self):
-        assert not equivalent(A, B, EMPTY)
+        assert not TableauReasoner.for_tbox(EMPTY).equivalent(A, B)
 
 
 class TestAboxReasoning:
     def test_direct_clash_inconsistent(self):
         from alcsim.parser import parse_kb
         kb = parse_kb("D := not C\nC(a)\nD(a)\n")
-        assert not abox_consistent(kb)
+        assert not TableauReasoner(kb).abox_consistent()
 
     def test_empty_abox_consistent(self):
         from alcsim.model import EMPTY_ABOX, KnowledgeBase
         kb = KnowledgeBase.assemble(EMPTY, EMPTY_ABOX)
-        assert abox_consistent(kb)
+        assert TableauReasoner(kb).abox_consistent()
 
     def test_family_consistent(self, family_kb):
-        assert abox_consistent(family_kb)
+        assert TableauReasoner(family_kb).abox_consistent()
 
     def test_instance_check_leonardo_is_father(self, fathers_kb):
         # needs Male <= Person to close
-        assert instance_check(fathers_kb, "Leonardo", Atom("Father"))
+        assert TableauReasoner(fathers_kb).instance_check("Leonardo", Atom("Father"))
 
     def test_instance_check_negative(self, fathers_kb):
-        assert not instance_check(fathers_kb, "Vito", Atom("Father"))
+        assert not TableauReasoner(fathers_kb).instance_check("Vito", Atom("Father"))
 
     def test_top_and_bottom_instances(self, fathers_kb):
-        assert instance_check(fathers_kb, "Vito", Top())
-        assert not instance_check(fathers_kb, "Vito", Bottom())
+        assert TableauReasoner(fathers_kb).instance_check("Vito", Top())
+        assert not TableauReasoner(fathers_kb).instance_check("Vito", Bottom())
 
     def test_unknown_individual(self, fathers_kb):
         with pytest.raises(UnknownIndividual):
-            instance_check(fathers_kb, "Nobody", Top())
+            TableauReasoner(fathers_kb).instance_check("Nobody", Top())
 
     def test_retrieval(self, family_kb):
-        fathers = retrieve_entail(family_kb, Atom("Father"))
+        fathers = TableauReasoner(family_kb).retrieve(Atom("Father"))
         assert fathers == {"Leonardo", "Antonio", "AntonioB"}
-        assert retrieve_entail(family_kb, Bottom()) == frozenset()
-        assert retrieve_entail(family_kb, Top()) == family_kb.individuals
+        assert TableauReasoner(family_kb).retrieve(Bottom()) == frozenset()
+        assert TableauReasoner(family_kb).retrieve(Top()) == family_kb.individuals
 
     def test_retrieval_monotone_under_conjunction(self, family_kb):
-        narrow = retrieve_entail(family_kb, And((Atom("Father"), Atom("Grandparent"))))
-        assert narrow <= retrieve_entail(family_kb, Atom("Father"))
+        narrow = TableauReasoner(family_kb).retrieve(
+            And((Atom("Father"), Atom("Grandparent"))))
+        assert narrow <= TableauReasoner(family_kb).retrieve(Atom("Father"))
 
     def test_atleast_membership_needs_canonical_backend(self, family_kb):
         # refuting an at-least goal would need its negation, which is a
         # hard error; counting memberships are a closed-world question
         with pytest.raises(UnsupportedNegation):
-            instance_check(family_kb, "Giovanna", AtLeast(2, "HasChild"))
+            TableauReasoner(family_kb).instance_check("Giovanna", AtLeast(2, "HasChild"))
         counted = retrieve_canonical(family_kb, AtLeast(2, "HasChild"))
         assert "Giovanna" in counted
         assert "Maria" not in counted
@@ -203,7 +203,7 @@ class TestAboxReasoning:
         # Sibling unfolds to a body containing 'atleast 2 HasChild'; the
         # refutation needs its negation, which is unsupported by design
         with pytest.raises(UnsupportedNegation):
-            instance_check(family_kb, "Claudia", Atom("Sibling"))
+            TableauReasoner(family_kb).instance_check("Claudia", Atom("Sibling"))
 
     def test_consistency_and_bounds_share_one_search(self, family_kb):
         reasoner = TableauReasoner(family_kb)
@@ -362,7 +362,7 @@ class TestDeterminismAndStats:
         # Bottom, a check its goal, the roll-up its names, fillers and gap
         # concepts, and a rule a pushed negation, all on ids.  146 walks
         # when the roll-up built each gap concept, a push walked
-        # _negate_once's answer and each table walked Top and Bottom, 188
+        # negate_once's answer and each table walked Top and Bottom, 188
         # when each check also interned its own goal
         walks = []
         original = ConceptTable.id
@@ -523,7 +523,7 @@ class TestConceptTable:
         # ids interned by a walk, by the roll-up and by pushing negation;
         # each id's concept, made on read, interns back to it, and a
         # negation pushed on ids makes the ids, in the order, that
-        # interning _negate_once of the argument's concept makes
+        # interning negate_once of the argument's concept makes
         kb, concepts = table_inputs(seed, atleast)
         engine = ExtensionEngine(kb)        # canonical: a table of its own
         table = engine.table
@@ -541,14 +541,14 @@ class TestConceptTable:
                 continue        # a name's rule unfolds; not Top is Bottom
             plain = twin(table)
             expected = outcome_text(lambda: tuple(
-                plain.id(d) for d in _negate_once(plain.concept(cid))))
+                plain.id(d) for d in negate_once(plain.concept(cid))))
             assert outcome_text(lambda: table.adds(negation)) == expected
             assert (table.kind, table.parts) == (plain.kind, plain.parts)
         for cid in range(len(table.kind)):      # the pushed ids too
             assert table.id(table.concept(cid)) == cid
 
     def test_rule_additions_come_from_the_model(self):
-        # the Atom and Not rules add what TBox.unfolding and _negate_once say
+        # the Atom and Not rules add what TBox.unfolding and negate_once say
         kb = parse_kb("Male <= Person\nP := A and exists r.Male\nQ := A or not B\n"
                       "R := forall r.(Q and Top)\nS := not P\nT := Bottom\n"
                       "U := atleast 1 r\nV := atleast 2 r\nW <= atleast 3 r\n")
@@ -564,7 +564,7 @@ class TestConceptTable:
                     table.concept(table.id(Not(body))), Not):
                 continue        # T's not Bottom is Top, and has no rule
             try:
-                pushed = tuple(table.id(d) for d in _negate_once(body))
+                pushed = tuple(table.id(d) for d in negate_once(body))
             except UnsupportedNegation:
                 # raised on every call; the tableau marks the branch instead
                 for _ in range(2):

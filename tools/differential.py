@@ -26,8 +26,8 @@ answers every case, so two trees answer the very same inputs.  Per KB:
   entail ``ExtensionEngine.extension``, one engine for all the KB's
   concepts, as ``sim_matrix`` uses it; ``extension canonical``: the same
   on one canonical engine, whose name memo fills in the order of the
-  concepts; ``retrieve canonical``: ``retrieve_canonical``, a fresh
-  canonical model with no name memo;
+  concepts; ``retrieve canonical``: ``extension`` on a fresh canonical
+  engine per concept, a fresh canonical model with no name memo;
 * ``matrix entail 1`` and ``matrix entail auto``: the entail
   ``sim_matrix`` of all individuals at depth 1 and at depth auto;
 * ``sim_pair <backend> <kinds>``: the ``SimilarityReport`` of ``sim_pair``
@@ -35,9 +35,10 @@ answers every case, so two trees answer the very same inputs.  Per KB:
   four orders concept-concept, concept-individual, individual-concept and
   individual-individual, at depth auto on the canonical backend and at
   depth 1 on the entail one;
-* ``abox_depth``: ``abox_depth``;
+* ``abox_depth``: ``ABox.depth``;
 * per individual and depth 0, 1, 2 and auto, ``msc_approx``: the
-  canonical ``msc_approx`` concept; ``msc_extension``: ``msc_extension``;
+  canonical ``msc_approx`` concept; ``msc_extension``: the individuals in
+  the canonical ``msc.msc_mask``;
 * ``matrix canonical auto``: the canonical ``sim_matrix`` of all
   individuals at depth auto; ``cluster <linkage>``: ``cluster_matrix`` of
   that matrix under each linkage.
@@ -239,7 +240,8 @@ def transcript(alcsim, cases) -> None:
             print(f"{label} | extension canonical | {c} | "
                   f"{show(lambda: canonical.extension(c))} | -")
             print(f"{label} | retrieve canonical | {c} | "
-                  f"{show(lambda: alcsim.retrieve_canonical(kb, c))} | -")
+                  f"{show(lambda: alcsim.ExtensionEngine(kb).extension(c))}"
+                  " | -")
         for name in ("1", "auto"):
             matrix = show(lambda: alcsim.sim_matrix(kb, individuals,
                                                     DEPTHS[name], entail))
@@ -264,13 +266,13 @@ def sim_pairs(alcsim, label, kb, concept_texts, individuals) -> None:
 
 def roll_ups(alcsim, label, kb, individuals) -> None:
     """Print the canonical roll-up, matrix and clustering cases of ``kb``."""
-    print(f"{label} | abox_depth | - | {show(lambda: alcsim.abox_depth(kb))}"
-          " | -")
+    print(f"{label} | abox_depth | - | {show(lambda: kb.abox.depth)} | -")
     for a in individuals:
         for name, depth in DEPTHS.items():
             concept = show(lambda: alcsim.msc_approx(kb, a, depth).concept)
             print(f"{label} | msc_approx {a} {name} | - | {concept} | -")
-            ext = show(lambda: alcsim.msc_extension(kb, a, depth))
+            ext = show(lambda: kb.abox.members(
+                alcsim.msc.msc_mask(kb, a, depth)))
             print(f"{label} | msc_extension {a} {name} | - | {ext} | -")
     matrix = alcsim.sim_matrix(kb, individuals)
     print(f"{label} | matrix canonical auto | - | {show(lambda: matrix)} | -")
