@@ -8,7 +8,7 @@ semantic similarity between concepts and individuals.
 
 from importlib import resources
 
-from .canonical import CanonicalModel, build_canonical, told_closure
+from .canonical import CanonicalModel, build_canonical
 from .cluster import Dendrogram, cluster_matrix, render_dendrogram
 from .errors import (
     AlcsimError,

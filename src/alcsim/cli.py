@@ -142,15 +142,14 @@ def cmd_msc(args: argparse.Namespace) -> int:
     kb = _load(args.kb)
     if args.individual not in kb.individuals:
         raise CliError(f"unknown individual {args.individual!r}")
-    backend = Backend(args.backend)
-    engine = ExtensionEngine(kb, backend)
-    result = msc_approx(kb, args.individual, args.depth, backend, engine)
+    engine = ExtensionEngine(kb, Backend(args.backend))
+    result = msc_approx(kb, args.individual, args.depth, engine)
     members = sorted(engine.extension(result.concept))
     if args.format == "json":
         print(json.dumps({
             "individual": result.individual,
             "depth": result.depth,
-            "backend": backend.value,
+            "backend": engine.backend.value,
             "concept": str(result.concept),
             "members": members,
             "cardinality": len(members),

@@ -20,8 +20,8 @@ from functools import cached_property
 from .errors import CyclicTBox, DefinitionTooDeep
 
 # Deepest nesting a defined name may reach when fully unfolded: one level
-# per constructor and one per definition step.  ``canonical.eval_mask`` and
-# ``tableau._Masks.mask`` recurse once per level, through definition
+# per constructor and one per definition step.  ``CanonicalModel.mask``
+# and ``tableau._Masks.mask`` recurse once per level, through definition
 # bodies too, so at this depth they stay inside Python's default recursion
 # limit.
 MAX_UNFOLDED_DEPTH = 400
@@ -202,9 +202,6 @@ class TBox:
     """Named concept definitions.  Each name is defined at most once."""
 
     definitions: dict[str, Definition] = field(default_factory=dict)
-
-    def get(self, name: str) -> Definition | None:
-        return self.definitions.get(name)
 
     def unfolding(self, name: str) -> ConceptExpr | None:
         """What a defined name unfolds to one step deep; ``None`` if primitive.

@@ -46,11 +46,9 @@ class MscResult:
     individual: str
     depth: int
     concept: ConceptExpr
-    backend: Backend
 
 
 def _checked(kb: KnowledgeBase, individual: str, depth: int | None,
-             backend: Backend,
              engine: ExtensionEngine | None) -> tuple[int, ExtensionEngine]:
     if individual not in kb.abox.individuals:
         raise UnknownIndividual(individual)
@@ -59,38 +57,33 @@ def _checked(kb: KnowledgeBase, individual: str, depth: int | None,
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if engine is None:
-        engine = ExtensionEngine(kb, backend)
+        engine = ExtensionEngine(kb)
     elif engine.kb != kb:
         raise ValueError("the engine was built for another KB")
-    elif engine.backend is not backend:
-        raise ValueError(f"a {engine.backend.value} engine cannot compute "
-                         f"a {backend.value} MSC")
     return depth, engine
 
 
-def msc_approx(kb: KnowledgeBase, individual: str,
-               depth: int | None = None,
-               backend: Backend = Backend.CANONICAL,
+def msc_approx(kb: KnowledgeBase, individual: str, depth: int | None = None,
                engine: ExtensionEngine | None = None) -> MscResult:
     """Most-specific-concept approximation of ``individual`` up to ``depth``.
 
     ``depth=None`` uses the ABox depth.  The individual always belongs to
-    the retrieval of the returned concept under the chosen backend.  An
-    ``engine``, which must be for this KB and that backend, shares its
-    concept-name extensions across calls.
+    the retrieval of the returned concept under the engine's backend
+    (canonical when there is none).  An ``engine``, which must be for this
+    KB, shares its concept-name extensions across calls.
     """
-    depth, engine = _checked(kb, individual, depth, backend, engine)
+    depth, engine = _checked(kb, individual, depth, engine)
     bit, names = kb.abox.bits[individual], engine.name_masks
     cid, _, height = _rollup(engine.table, kb.abox, names, bit, depth, bit)
     assert height <= depth
-    return MscResult(individual, depth, engine.table.concept(cid), backend)
+    return MscResult(individual, depth, engine.table.concept(cid))
 
 
 def msc_mask(kb: KnowledgeBase, individual: str, depth: int | None = None,
              engine: ExtensionEngine | None = None) -> int:
-    """Extension of ``msc_approx(kb, individual, depth, backend).concept``,
-    where ``backend`` is the engine's (canonical when there is none), as a
-    mask over ``ABox.bits``.
+    """Extension of ``msc_approx(kb, individual, depth, engine).concept``
+    under the engine's backend (canonical when there is none), as a mask
+    over ``ABox.bits``.
 
     Evaluates the roll-up tree without building the concept: a node is
     the intersection of the extensions of the names that hold for its
@@ -110,16 +103,14 @@ def msc_mask(kb: KnowledgeBase, individual: str, depth: int | None = None,
     it documents; the engine remembers the raising check, so that path
     raises it again with no search.
     """
-    backend = Backend.CANONICAL if engine is None else engine.backend
-    depth, engine = _checked(kb, individual, depth, backend, engine)
-    entail = None if backend is Backend.CANONICAL else engine
+    depth, engine = _checked(kb, individual, depth, engine)
+    entail = None if engine.backend is Backend.CANONICAL else engine
     try:
         bit = kb.abox.bits[individual]
         return _rollup_extension(kb.abox, engine.rollup_masks, entail, bit,
                                  depth, bit, kb.abox.everyone)
     except AlcsimError:     # only an entail check raises
-        return engine.mask(
-            msc_approx(kb, individual, depth, backend, engine).concept)
+        return engine.mask(msc_approx(kb, individual, depth, engine).concept)
 
 
 def _rollup(table: ConceptTable, abox: ABox, name_masks: dict[str, int],

@@ -64,7 +64,7 @@ KEYWORDS = {"not", "and", "or", "exists", "forall", "atleast", "Top", "Bottom"}
 
 # Nesting levels of ``(``, ``not``, ``exists`` and ``forall`` in one concept.
 # At this depth the parser and every later recursive traversal
-# (``canonical.eval_mask``, the tableau's masks) stay well inside Python's
+# (``CanonicalModel.mask``, the tableau's masks) stay well inside Python's
 # default recursion limit.
 MAX_NESTING = 100
 

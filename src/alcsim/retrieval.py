@@ -7,11 +7,11 @@ choice behind one call and counts every extension it computes, which
 makes the cost accounting of the similarity measure observable.  An
 extension is a bit mask over ``ABox.bits`` (:meth:`ExtensionEngine.mask`)
 until :meth:`ExtensionEngine.extension` lists its members.  The
-concept-name masks that every MSC roll-up reads, and every name an
-evaluation meets on the canonical model, are computed once per engine;
-so are the entail backend's instance checks, the canonical model and
-the names' meets for ``msc.msc_mask``, each a cached property that
-keeps nothing if its build raises.
+concept-name masks that every MSC roll-up reads are computed once per
+engine; so are the entail backend's instance checks, the canonical
+model and the names' meets for ``msc.msc_mask``, each a cached property
+that keeps nothing if its build raises.  A canonical extension is
+``CanonicalModel.mask`` on that model, which evaluates each name once.
 
 An entail extension is one call of :meth:`ExtensionEngine.instances`
 on the whole concept, interned once as an id in the reasoner's
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
 
-from .canonical import CanonicalModel, build_canonical, eval_mask
+from .canonical import CanonicalModel, build_canonical
 from .errors import UnsupportedNegation
 from .model import Atom, ConceptExpr, KnowledgeBase, Top
 from .tableau import ConceptTable, TableauReasoner
@@ -55,7 +55,8 @@ class ExtensionEngine:
     """Computes concept extensions for one KB under one backend.
 
     ``computations`` counts every call of :meth:`mask`, even one the
-    canonical name memo answers, and so every call of :meth:`extension`.
+    canonical model's name memo answers, and so every call of
+    :meth:`extension`.
     :attr:`name_masks` makes one call per concept name, once per engine.
     """
 
@@ -64,8 +65,6 @@ class ExtensionEngine:
     computations: int = field(default=0, init=False)
     _reasoner: TableauReasoner | None = field(
         default=None, init=False, repr=False)
-    # name -> extension mask, the eval_mask memo of the canonical model
-    _names: dict = field(default_factory=dict, init=False, repr=False)
     # entail: concept id -> [entailed mask, refuted mask, bit -> error]
     _checks: dict[int, list] = field(
         default_factory=dict, init=False, repr=False)
@@ -77,7 +76,7 @@ class ExtensionEngine:
         """The extension of ``c``, a mask over ``ABox.bits``."""
         self.computations += 1
         if self.backend is Backend.CANONICAL:
-            return eval_mask(self.canonical_model, self.kb.tbox, self._names, c)
+            return self.canonical_model.mask(c)
         everyone = self.kb.abox.everyone
         return (everyone if isinstance(c, Top)
                 else self.instances(self.table.id(c), everyone))

@@ -68,19 +68,6 @@ class SimilarityReport:
             "msc_depth": self.msc_depth,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SimilarityReport":
-        return cls(
-            value=Fraction(data["value_exact"]),
-            ext_c=data["ext_c"],
-            ext_d=data["ext_d"],
-            ext_i=data["ext_i"],
-            backend=Backend(data["backend"]),
-            extension_computations=data["extension_computations"],
-            msc_computations=data["msc_computations"],
-            msc_depth=data["msc_depth"],
-        )
-
 
 def sim_formula(n_c: int, n_d: int, n_i: int) -> Fraction:
     """Similarity value from the three extension cardinalities.
@@ -115,7 +102,7 @@ def sim_pair(kb: KnowledgeBase, x: Item, y: Item,
     ``extension_computations``, so every report reads 3.
     """
     engine = ExtensionEngine(kb, backend)
-    mscs = [msc_approx(kb, item, depth, backend, engine)
+    mscs = [msc_approx(kb, item, depth, engine)
             for item in (x, y) if isinstance(item, str)]
     rolled = iter(mscs)
     c, d = [next(rolled).concept if isinstance(item, str) else item

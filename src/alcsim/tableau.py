@@ -27,8 +27,9 @@ its argument's kind and parts, and the roll-up of ``msc`` interns its
 names, ``exists`` and conjunctions straight into the table.  A concept
 is built only when one is read (:meth:`ConceptTable.concept`).
 
-Interning simplifies by the laws of ``Top`` and ``Bottom``, as Horrocks
-& Patel-Schneider (1999, *Optimizing description logic subsumption*) do
+Each id is made by the table's constructor of its kind, which
+simplifies by the laws of ``Top`` and ``Bottom``, as Horrocks &
+Patel-Schneider (1999, *Optimizing description logic subsumption*) do
 before the search: ``Bottom`` absorbs an ``And``, ``Top`` an ``Or``;
 ``Top`` leaves an ``And``, ``Bottom`` an ``Or``, and one part left
 stands alone; ``forall r.Top``, ``exists r.Bottom``, ``not Top`` and
@@ -106,15 +107,15 @@ class ConceptTable:
     ``Exists``/``Forall``, the arg id of ``Not``, ``(n, role)`` of
     ``AtLeast``, the name of an ``Atom``, and ``()`` for ``Top`` and
     ``Bottom``.  Concepts equal once simplified get one id, and
-    :meth:`concept` gives an id's simplified form.  The table keeps the
-    concept that :meth:`id` walked for each id it made; any other id's
-    concept is made from its parts on first read.
+    :meth:`concept` makes an id's simplified form on first read.
 
-    An interned ``And`` or ``Or`` has no ``Top`` or ``Bottom`` part, an
-    ``Exists`` no ``Bottom`` filler and a ``Forall`` no ``Top`` filler.
-    The ids that :meth:`name`, :meth:`exists` and :meth:`meet` intern
-    directly, and that :meth:`adds` pushes negation on, keep that, so no
-    law of ``Top`` or ``Bottom`` applies to them.
+    Every id is made by the constructor of its kind: :meth:`meet` for
+    ``And`` and ``Or``, :meth:`exists` for ``Exists`` and ``Forall``,
+    :meth:`negation`, :meth:`name` and :meth:`atleast`.  Each applies the
+    laws of ``Top`` and ``Bottom`` (see the module docstring), so no
+    ``And`` or ``Or`` has fewer than two parts or a ``Top`` or ``Bottom``
+    part, no ``Exists`` has a ``Bottom`` filler and no ``Forall`` a
+    ``Top`` filler, however the id was made.
     """
 
     def __init__(self, tbox: TBox):
@@ -125,75 +126,52 @@ class ConceptTable:
         self._clash: list[tuple[int, ...] | None] = []
         self._adds: list[tuple[int, ...] | None] = []
         self._ids: dict[tuple, int] = {}
-        self._intern(_TOP, (), TOP)
-        self._intern(_BOTTOM, (), BOTTOM)
+        self._intern(_TOP, ())
+        self._intern(_BOTTOM, ())
+        self._concepts[:] = TOP, BOTTOM
 
     def id(self, c: ConceptExpr) -> int:
-        """The id of ``c``, interning it and its subconcepts if new.
-
-        ``c`` is simplified on the way (see the module docstring), so its
-        id may be that of a smaller concept, or of ``Top`` or ``Bottom``.
-        """
+        """The id of ``c``, interning it and its subconcepts if new: a
+        post-order walk that makes each subconcept's id by the constructor
+        of its kind, so its id may be that of a smaller concept, or of
+        ``Top`` or ``Bottom``."""
         done: list[int] = []                 # ids of finished subconcepts
-        simplified = 0                       # simplifying steps so far
-        stack = [(c, None)]     # with the count when its parts were pushed
+        stack = [(c, False)]    # with whether its parts were pushed
         while stack:
             c, entered = stack.pop()
             kind = _KIND[type(c)]
             if kind == _AND or kind == _OR:
-                if entered is None:
-                    stack.append((c, simplified))
-                    stack.extend((a, None) for a in reversed(c.args))
+                if not entered:
+                    stack.append((c, True))
+                    stack.extend((a, False) for a in reversed(c.args))
                     continue
-                parts = tuple(done[-len(c.args):])
+                cid = self.meet(tuple(done[-len(c.args):]), kind)
                 del done[-len(c.args):]
-                if min(parts) <= _BOTTOM_ID:        # holds Top or Bottom
-                    simplified += 1
-                    unit, absorbing = ((_TOP_ID, _BOTTOM_ID) if kind == _AND
-                                       else (_BOTTOM_ID, _TOP_ID))
-                    if absorbing in parts:
-                        done.append(absorbing)
-                        continue
-                    parts = tuple(p for p in parts if p != unit)
-                    if len(parts) < 2:
-                        done.append(parts[0] if parts else unit)
-                        continue
             elif kind == _NOT or kind == _EXISTS or kind == _FORALL:
-                if entered is None:
-                    stack.append((c, simplified))
-                    stack.append((c.arg if kind == _NOT else c.filler, None))
+                if not entered:
+                    stack.append((c, True))
+                    stack.append((c.arg if kind == _NOT else c.filler, False))
                     continue
-                parts = done.pop()
-                # not Top, not Bottom, forall r.Top, exists r.Bottom
-                if parts <= _BOTTOM_ID and (kind == _NOT or parts == (
-                        _TOP_ID if kind == _FORALL else _BOTTOM_ID)):
-                    simplified += 1
-                    done.append(self.negation(parts) if kind == _NOT
-                                else parts)
-                    continue
-                if kind != _NOT:
-                    parts = (c.role, parts)
+                cid = (self.negation(done.pop()) if kind == _NOT
+                       else self.exists(c.role, done.pop(), kind))
             elif kind == _ATOM:
-                parts = c.name
+                cid = self.name(c.name)
             elif kind == _ATLEAST:
-                parts = (c.n, c.role)
+                cid = self.atleast(c.n, c.role)
             else:
-                parts = ()
-            if entered is not None and entered != simplified:
-                c = None        # made from its simplified parts on read
-            done.append(self._intern(kind, parts, c))
+                cid = _TOP_ID if kind == _TOP else _BOTTOM_ID
+            done.append(cid)
         return done[0]
 
-    def _intern(self, kind: int, parts, c: ConceptExpr | None = None) -> int:
-        """The id of the concept of ``kind`` with ``parts``; a new id keeps
-        ``c``, its concept if the caller walked one."""
+    def _intern(self, kind: int, parts) -> int:
+        """The id of the concept of ``kind`` with ``parts``, as they are."""
         key = (kind, parts)
         cid = self._ids.get(key)
         if cid is None:
             cid = self._ids[key] = len(self.kind)
             self.kind.append(kind)
             self.parts.append(parts)
-            self._concepts.append(c)
+            self._concepts.append(None)
             self._clash.append(None)
             self._adds.append(None)
         return cid
@@ -202,17 +180,37 @@ class ConceptTable:
         """The id of the concept name ``name``."""
         return self._intern(_ATOM, name)
 
-    def exists(self, role: str, filler: int) -> int:
-        """The id of ``exists role.F`` for the concept F with id ``filler``,
-        which must not be ``Bottom``."""
-        return self._intern(_EXISTS, (role, filler))
+    def atleast(self, n: int, role: str) -> int:
+        """The id of ``atleast n role``."""
+        return self._intern(_ATLEAST, (n, role))
 
-    def meet(self, parts: tuple[int, ...]) -> int:
-        """The id of the conjunction of the concepts with ids ``parts``,
-        none ``Top`` or ``Bottom``: ``Top`` for none, the part for one."""
+    def exists(self, role: str, filler: int, kind: int = _EXISTS) -> int:
+        """The id of ``exists role.F``, or of ``forall role.F`` if ``kind``
+        is ``_FORALL``, for the concept F with id ``filler``: ``Bottom``
+        for ``exists role.Bottom``, ``Top`` for ``forall role.Top``."""
+        if filler == (_BOTTOM_ID if kind == _EXISTS else _TOP_ID):
+            return filler
+        return self._intern(kind, (role, filler))
+
+    def meet(self, parts: tuple[int, ...], kind: int = _AND) -> int:
+        """The id of the conjunction of the concepts with ids ``parts``, or
+        of their disjunction if ``kind`` is ``_OR``; of no parts, the unit."""
+        unit, absorbing = ((_TOP_ID, _BOTTOM_ID) if kind == _AND
+                           else (_BOTTOM_ID, _TOP_ID))
+        if parts and min(parts) <= _BOTTOM_ID:      # holds Top or Bottom
+            if absorbing in parts:
+                return absorbing
+            parts = tuple(p for p in parts if p != unit)
         if len(parts) > 1:
-            return self._intern(_AND, parts)
-        return parts[0] if parts else _TOP_ID
+            return self._intern(kind, parts)
+        return parts[0] if parts else unit
+
+    def negation(self, cid: int) -> int:
+        """The id of ``not c`` for the concept ``c`` with id ``cid``:
+        ``Bottom`` for ``not Top``, ``Top`` for ``not Bottom``."""
+        if cid <= _BOTTOM_ID:
+            return _BOTTOM_ID if cid == _TOP_ID else _TOP_ID
+        return self._intern(_NOT, cid)
 
     def concept(self, cid: int) -> ConceptExpr:
         """The concept of id ``cid``, simplified.  One made from its parts'
@@ -238,17 +236,9 @@ class ConceptTable:
                 made[i] = Not(made[p])
             elif k == _EXISTS or k == _FORALL:
                 made[i] = (Exists if k == _EXISTS else Forall)(p[0], made[p[1]])
-            else:       # a name interned by name()
-                made[i] = Atom(p)
+            else:
+                made[i] = Atom(p) if k == _ATOM else AtLeast(*p)
         return made[cid]
-
-    def negation(self, cid: int) -> int:
-        """The id of ``not c`` for the concept ``c`` with id ``cid``."""
-        if cid == _TOP_ID:
-            return _BOTTOM_ID
-        if cid == _BOTTOM_ID:
-            return _TOP_ID
-        return self._intern(_NOT, cid)
 
     def clash_keys(self, cid: int) -> tuple[int, ...]:
         """The ids whose presence in a label clashes with ``cid``."""
@@ -297,15 +287,15 @@ class ConceptTable:
         if kind == _NOT:
             return (parts,)
         if kind == _AND:
-            return (self._intern(_OR, tuple(map(self.negation, parts))),)
+            return (self.meet(tuple(map(self.negation, parts)), _OR),)
         if kind == _OR:
             return tuple(map(self.negation, parts))
         if kind == _EXISTS or kind == _FORALL:
-            return (self._intern(_FORALL if kind == _EXISTS else _EXISTS,
-                                 (parts[0], self.negation(parts[1]))),)
+            return (self.exists(parts[0], self.negation(parts[1]),
+                                _FORALL if kind == _EXISTS else _EXISTS),)
         n, role = parts             # atleast n r
         if n == 1:
-            return (self._intern(_FORALL, (role, _BOTTOM_ID)),)
+            return (self.exists(role, _BOTTOM_ID, _FORALL),)
         raise UnsupportedNegation.of_atleast(n, role)
 
 
@@ -353,7 +343,7 @@ _Queue = deque  # of (node id, concept id) pairs awaiting rule application
 class _Masks:
     """The nodes of one state in each concept id, as bit masks (node ``i``
     is bit ``1 << i``), each id evaluated once, recursing once per level
-    as ``canonical.eval_mask`` does.  A node is in a concept if its label
+    as ``CanonicalModel.mask`` does.  A node is in a concept if its label
     holds it or the structure puts it there: ``Top``; ``And``, every part;
     ``Or``, some part; ``exists r.F``, an ``r``-edge into F; a name, its
     unfolding (for ``N <= D``, ``N* and D``, whose marker only N's
@@ -437,7 +427,9 @@ class TableauReasoner:
         return self._open(self._run(state, queue))
 
     def subsumes(self, d: ConceptExpr, c: ConceptExpr) -> bool:
-        """True iff ``d`` subsumes ``c`` (every instance of c is one of d)."""
+        """True iff ``d`` subsumes ``c`` (every instance of c is one of d):
+        ``c and not d``, interned by the table's constructors, is
+        unsatisfiable."""
         return not self.is_satisfiable(And((c, Not(d))))
 
     def equivalent(self, c: ConceptExpr, d: ConceptExpr) -> bool:

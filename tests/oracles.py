@@ -8,13 +8,15 @@ so that a test can compare the two:
   negation pushed one constructor in, and a canonical form;
 * ``concept_depth`` and ``concept_names_in``: the nesting of role
   restrictions and the concept names of a tree;
+* ``told_closure``: the told names of each individual, which
+  ``build_canonical`` computes per name, as masks;
 * ``eval_concept``, ``retrieve_canonical`` and ``msc_extension``: the
-  individuals in the masks of ``canonical.eval_mask`` and ``msc.msc_mask``.
+  individuals in the masks of ``CanonicalModel.mask`` and ``msc.msc_mask``.
 """
 
 from __future__ import annotations
 
-from alcsim.canonical import CanonicalModel, build_canonical, eval_mask
+from alcsim.canonical import CanonicalModel, build_canonical
 from alcsim.errors import UnsupportedNegation
 from alcsim.model import (
     BOTTOM,
@@ -29,7 +31,6 @@ from alcsim.model import (
     KnowledgeBase,
     Not,
     Or,
-    TBox,
     Top,
     make_and,
     make_or,
@@ -37,17 +38,52 @@ from alcsim.model import (
 from alcsim.msc import msc_mask
 
 
-def eval_concept(model: CanonicalModel, tbox: TBox, c: ConceptExpr,
-                 names: dict[str, int] | None = None) -> frozenset[str]:
-    """The individuals in ``eval_mask``'s extension of ``c``; ``names``
-    is the name memo, a fresh one when ``None``."""
-    return model.abox.members(
-        eval_mask(model, tbox, {} if names is None else names, c))
+def told_closure(kb: KnowledgeBase) -> dict[str, frozenset[str]]:
+    """Concept names each individual is told to belong to.
+
+    Least fixpoint of: start from the asserted names; whenever N is in
+    the set and N is defined (fully or partially) with body D, add every
+    name occurring as a top-level conjunct of D.  Disjunctions and role
+    restrictions contribute nothing.
+    """
+    told: dict[str, set[str]] = {a: set() for a in kb.abox.individuals}
+    for concept, individual in kb.abox.concept_assertions:
+        told[individual].add(concept)
+
+    # conjunct names contributed by each defined name
+    contributes = {
+        name: top_conjunct_names(defn.body)
+        for name, defn in kb.tbox.definitions.items()
+    }
+
+    for names in told.values():
+        pending = list(names)
+        while pending:
+            name = pending.pop()
+            for extra in contributes.get(name, frozenset()):
+                if extra not in names:
+                    names.add(extra)
+                    pending.append(extra)
+    return {a: frozenset(names) for a, names in told.items()}
+
+
+def top_conjunct_names(c: ConceptExpr) -> frozenset[str]:
+    """Concept names reachable through top-level conjunctions only."""
+    if isinstance(c, Atom):
+        return frozenset((c.name,))
+    if isinstance(c, And):
+        return frozenset().union(*map(top_conjunct_names, c.args))
+    return frozenset()
+
+
+def eval_concept(model: CanonicalModel, c: ConceptExpr) -> frozenset[str]:
+    """The individuals in ``model.mask(c)``."""
+    return model.abox.members(model.mask(c))
 
 
 def retrieve_canonical(kb: KnowledgeBase, c: ConceptExpr) -> frozenset[str]:
     """The individuals in ``c``'s extension in a fresh canonical model."""
-    return eval_concept(build_canonical(kb), kb.tbox, c)
+    return eval_concept(build_canonical(kb), c)
 
 
 def msc_extension(kb: KnowledgeBase, individual: str, depth=None,

@@ -1,6 +1,7 @@
-"""The public API has one entry per job, and no module imports dead names.
+"""The public API has one entry per job, every public method has a
+caller, and no module imports dead names.
 
-Both checks read the source with ``ast``, so a name in a comment or a
+The checks read the source with ``ast``, so a name in a comment or a
 string is no use of it, unless the string is an annotation.
 """
 
@@ -30,17 +31,19 @@ def exports() -> set[str]:
     return {n for n in names if not n.startswith("__")}
 
 
-def references(tree: ast.AST) -> set[str]:
-    """Each ``Name`` and ``Attribute`` read in ``tree``, except inside the
-    body of a ``def`` or ``class`` of that same name."""
+def references(tree: ast.AST, attributes_only: bool = False) -> set[str]:
+    """Each ``Name`` and ``Attribute`` read in ``tree``, or each
+    ``Attribute`` read if ``attributes_only``, except inside the body of a
+    ``def`` or ``class`` of that same name."""
     found = set()
 
     def walk(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        name = (node.id if isinstance(node, ast.Name) else
-                node.attr if isinstance(node, ast.Attribute) else None)
+        name = (node.attr if isinstance(node, ast.Attribute) else
+                node.id if isinstance(node, ast.Name) and not attributes_only
+                else None)
         if name is not None and name not in enclosing:
             found.add(name)
         for child in ast.iter_child_nodes(node):
@@ -55,19 +58,38 @@ def readme_python() -> str:
     return "\n".join(re.findall(r"```python\n(.*?)```", text, re.S))
 
 
-def callers() -> set[str]:
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+def callers(attributes_only: bool = False) -> set[str]:
+    """The names read in alcsim's modules, tools, benchmark and README's
+    example; only attribute reads if ``attributes_only``, in ``__init__``
+    too."""
+    paths = [p for p in PACKAGE.glob("*.py")
+             if attributes_only or p.name != "__init__.py"]
     paths += [*(ROOT / "tools").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     used = set()
     for path in paths:
-        used |= references(parse(path))
-    return used | references(ast.parse(readme_python()))
+        used |= references(parse(path), attributes_only)
+    return used | references(ast.parse(readme_python()), attributes_only)
 
 
 def test_every_export_has_a_caller():
     # a name alcsim exports is used by alcsim, its tools, its benchmark or
     # README's example; else it belongs in the tests or nowhere
     assert sorted(exports() - callers()) == []
+
+
+def public_methods() -> set[str]:
+    """The name of each public ``def`` in a class of alcsim."""
+    return {node.name for path in PACKAGE.glob("*.py")
+            for cls in ast.walk(parse(path)) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+def test_every_public_method_has_a_caller():
+    # a method is read as an attribute outside its own def by alcsim, its
+    # tools, its benchmark or README's example; else nothing calls it
+    assert sorted(public_methods() - callers(attributes_only=True)) == []
 
 
 def unused_imports(tree: ast.Module) -> set[str]:

@@ -5,7 +5,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import build_canonical, told_closure
+from alcsim.canonical import build_canonical
 from alcsim.gen import KbShape, random_concept, random_kb, with_atleast
 from alcsim.model import (
     And,
@@ -22,13 +22,14 @@ from alcsim.model import (
 )
 from alcsim.parser import parse_kb
 from alcsim.tableau import TableauReasoner
-from oracles import eval_concept, normalize, retrieve_canonical
+from oracles import eval_concept, normalize, retrieve_canonical, told_closure
 
 
 class PlainModel:
     """The canonical model over ``frozenset``s: the domain, each name's told
     extension and each role's successors by source, with the set evaluator
-    that ``eval_mask`` follows on masks, as the oracle of the masks."""
+    that ``CanonicalModel.mask`` follows on masks, as the oracle of the
+    masks."""
 
     def __init__(self, kb):
         self.tbox, self.domain, self.names = kb.tbox, kb.individuals, {}
@@ -50,7 +51,7 @@ class PlainModel:
             ext = self.names.get(c.name)
             if ext is None:
                 ext = frozenset(self.primitive_ext.get(c.name, ()))
-                defn = self.tbox.get(c.name)
+                defn = self.tbox.definitions.get(c.name)
                 if defn is not None and defn.kind is DefKind.EQUIV:
                     ext = ext | self.eval(defn.body)
                 self.names[c.name] = ext
@@ -82,22 +83,48 @@ class PlainModel:
         raise TypeError(f"unexpected concept node: {c!r}")
 
 
+def told_names(kb, individual):
+    """The names whose told mask in ``build_canonical(kb)`` holds the
+    individual."""
+    bit = kb.abox.bits[individual]
+    return {name for name, mask in build_canonical(kb).told.items()
+            if mask & bit}
+
+
 class TestToldClosure:
+    """``told_closure``, the oracle, and the told masks it transposes."""
+
     def test_giovanna_inherits_through_definitions(self, family_kb):
-        told = told_closure(family_kb)
-        assert told["Giovanna"] == {"Mother", "Woman", "Parent", "Human", "Female"}
+        expected = {"Mother", "Woman", "Parent", "Human", "Female"}
+        assert told_closure(family_kb)["Giovanna"] == expected
+        assert told_names(family_kb, "Giovanna") == expected
 
     def test_individual_without_assertions_is_empty(self, family_kb):
         assert told_closure(family_kb)["Nicola"] == frozenset()
+        assert told_names(family_kb, "Nicola") == set()
 
     def test_partial_definitions_propagate(self, fathers_kb):
         told = told_closure(fathers_kb)
-        assert told["Leonardo"] == {"Male", "Person"}
-        assert told["Vito"] == {"Male", "Person"}
+        for individual in ("Leonardo", "Vito"):
+            assert told[individual] == {"Male", "Person"}
+            assert told_names(fathers_kb, individual) == {"Male", "Person"}
 
     def test_disjunctions_propagate_nothing(self):
         kb = parse_kb("N := A or B\nN(x)\n")
         assert told_closure(kb)["x"] == {"N"}
+        assert told_names(kb, "x") == {"N"}
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), atleast=st.booleans())
+    def test_told_masks_transpose_the_oracle(self, seed, atleast):
+        # every name's told mask, the fixpoint over masks, is the set of
+        # individuals whose told names hold it
+        kb = with_atleast(seed)[0] if atleast else random_kb(seed)
+        closure = told_closure(kb)
+        assert build_canonical(kb).told == {
+            name: sum(kb.abox.bits[a] for a, names in closure.items()
+                      if name in names)
+            for name in kb.signature.concept_names}
 
 
 class TestBuildCanonical:
@@ -187,16 +214,19 @@ class CountingDict(dict):
 
 
 class TestDefinedNameMemo:
-    def test_body_evaluated_once_per_call(self):
+    def test_body_evaluated_once_per_model(self):
         # each name's told mask is read once: D's, then A's in D's body
         kb = parse_kb("D := exists r.A\nA(b)\nr(a, b)\n")
         model = build_canonical(kb)
-        counting = CountingDict(model.told)
-        counted = dataclasses.replace(model, told=counting)
         for k in (1, 2, 5):
-            counting.gets = 0
+            counting = CountingDict(model.told)
+            # a model with its own, empty name memo
+            counted = dataclasses.replace(model, told=counting)
             concept = make_and((Atom("D"),) * k)
-            assert eval_concept(counted, kb.tbox, concept) == {"a"}
+            assert eval_concept(counted, concept) == {"a"}
+            assert counting.gets == 2
+            # the model's memo answers again with no read
+            assert eval_concept(counted, concept) == {"a"}
             assert counting.gets == 2
 
 
@@ -223,11 +253,12 @@ class TestMaskEvaluator:
     @given(seed=st.integers(0, 10_000), atleast=st.booleans())
     def test_equals_the_set_evaluator(self, seed, atleast):
         kb, extra = with_atleast(seed) if atleast else (random_kb(seed), [])
-        model, plain, names = build_canonical(kb), PlainModel(kb), {}
+        model, plain = build_canonical(kb), PlainModel(kb)
         for c in oracle_concepts(kb, random.Random(seed), extra):
             expected = plain.eval(c)
-            assert eval_concept(model, kb.tbox, c, names) == expected, str(c)
-            assert eval_concept(model, kb.tbox, c) == expected, str(c)
+            # on a model whose name memo fills as it goes, and a fresh one
+            assert eval_concept(model, c) == expected, str(c)
+            assert retrieve_canonical(kb, c) == expected, str(c)
 
     def test_edge_cases_on_a_small_kb(self):
         kb = parse_kb("A(a)\nr(a, b)\nr(a, c)\nr(b, b)\n")
@@ -260,8 +291,8 @@ class TestProperties:
     def test_negation_is_complement(self):
         for kb, c in self.random_cases(range(12)):
             model = build_canonical(kb)
-            pos = eval_concept(model, kb.tbox, c)
-            neg = eval_concept(model, kb.tbox, Not(c))
+            pos = eval_concept(model, c)
+            neg = eval_concept(model, Not(c))
             assert neg == kb.individuals - pos
 
     def test_eval_respects_normalization(self):

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 import alcsim
 from alcsim import fixture_text
 from alcsim.cli import build_argparser, main
-from alcsim.similarity import SimilarityReport
 
 
 @pytest.fixture(scope="module")
@@ -526,12 +524,15 @@ class TestSim:
         assert code == 2
         assert "ind:" in err and "concept:" in err
 
-    def test_json_report_round_trips(self, capsys, family_path):
+    def test_json_report_fields(self, capsys, family_path):
         code, out, _ = run(capsys, "sim", family_path, "Grandparent", "Father",
                            "--format", "json")
-        report = SimilarityReport.from_json_dict(json.loads(out))
-        assert report.value == Fraction(2, 3)
-        assert report.extension_computations == 3
+        assert code == 0
+        data = json.loads(out)
+        assert data == {
+            "value": 2 / 3, "value_exact": "2/3", "ext_c": 2, "ext_d": 3,
+            "ext_i": 2, "backend": "canonical", "extension_computations": 3,
+            "msc_computations": 0, "msc_depth": None}
 
 
 class TestMatrix:

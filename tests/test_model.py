@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alcsim.canonical import build_canonical, eval_mask
+from alcsim.canonical import build_canonical
 from alcsim.errors import CyclicTBox, DefinitionTooDeep, UnsupportedNegation
 from alcsim.gen import random_concept, random_kb, with_atleast
 from alcsim.model import (
@@ -175,14 +175,14 @@ class TestUnfoldedDepth:
 
     def test_deepest_allowed_definition_evaluates(self):
         # D is one level, its body's Ands and their leaves the rest;
-        # eval_mask recurses once per level, through D's body
+        # CanonicalModel.mask recurses once per level, through D's body
         body = self.nested_and(MAX_UNFOLDED_DEPTH - 2)
         tbox = TBox({"D": Definition(DefKind.EQUIV, body)})
         abox = ABox.from_assertions({("B", "x"), ("C", "x")}, ())
         kb = KnowledgeBase.assemble(tbox, abox)
         model = build_canonical(kb)
-        assert eval_mask(model, tbox, {}, Atom("D")) == abox.bits["x"]
-        assert eval_mask(model, tbox, {}, body) == abox.bits["x"]
+        assert model.mask(Atom("D")) == abox.bits["x"]
+        assert build_canonical(kb).mask(body) == abox.bits["x"]
 
     def test_deepest_allowed_definition_prints(self):
         body = self.nested_and(MAX_UNFOLDED_DEPTH - 2)

@@ -144,7 +144,8 @@ class TestMscApprox:
 
     def test_self_membership_entail_backend(self, fathers_kb):
         for individual in sorted(fathers_kb.individuals):
-            result = msc_approx(fathers_kb, individual, 1, Backend.ENTAIL)
+            result = msc_approx(fathers_kb, individual, 1,
+                                ExtensionEngine(fathers_kb, Backend.ENTAIL))
             reasoner = TableauReasoner(fathers_kb)
             assert reasoner.instance_check(individual, result.concept)
 
@@ -175,16 +176,12 @@ class TestMscApprox:
         result = msc_approx(family_kb, "Claudia", 50)
         assert "Claudia" in retrieve_canonical(family_kb, result.concept)
 
-    def test_backend_recorded(self, family_kb, fathers_kb):
-        assert msc_approx(family_kb, "Vito", 1).backend is Backend.CANONICAL
-        assert (msc_approx(fathers_kb, "Leonardo", 0, Backend.ENTAIL).backend
-                is Backend.ENTAIL)
-
     def test_entail_backend_raises_on_atleast_definition(self, family_kb):
         # retrieving Sibling by refutation needs the negated at-least
         from alcsim.errors import UnsupportedNegation
         with pytest.raises(UnsupportedNegation):
-            msc_approx(family_kb, "Claudia", 0, Backend.ENTAIL)
+            msc_approx(family_kb, "Claudia", 0,
+                       ExtensionEngine(family_kb, Backend.ENTAIL))
 
 
 def plain_roll_up(kb, individual, depth, name_exts):
@@ -231,8 +228,7 @@ class TestNormalFormRollUp:
             return      # msc_approx raises on this KB and backend
         for individual in sorted(kb.individuals):
             for depth in (0, 1, 2):
-                concept = msc_approx(kb, individual, depth, backend,
-                                     engine).concept
+                concept = msc_approx(kb, individual, depth, engine).concept
                 assert concept == normalize(
                     plain_roll_up(kb, individual, depth, name_exts))
                 assert normalize(concept) == concept
@@ -248,7 +244,7 @@ class TestNormalFormRollUp:
                         for depth in (0, 1, 2, None):
                             try:
                                 concept = msc_approx(kb, individual, depth,
-                                                     backend, engine).concept
+                                                     engine).concept
                             except UnsupportedNegation:
                                 continue
                             parts |= subconcepts(concept)
@@ -291,7 +287,7 @@ def assert_matches_expr_roll_up(kb):
         for individual in sorted(kb.individuals):
             bit = kb.abox.bits[individual]
             for depth in (0, 1, 2, 3, None):
-                result = msc_approx(kb, individual, depth, backend, engine)
+                result = msc_approx(kb, individual, depth, engine)
                 concept, text, height = expr_roll_up(kb.abox, names, bit,
                                                      result.depth, bit)
                 assert result.concept == concept, (individual, depth)
@@ -371,13 +367,9 @@ class TestMscExtension:
             with pytest.raises(ValueError):
                 roll_up(family_kb, "Claudia", -1)
 
-    def test_engine_of_another_backend_rejected(self):
-        # the result is labelled with ``backend``, so the engine must match it
+    def test_no_engine_is_a_canonical_one(self):
+        # the engine's backend is the MSC's
         kb = random_kb(0)
-        with pytest.raises(ValueError):
-            msc_approx(kb, "a", 1, engine=ExtensionEngine(kb, Backend.ENTAIL))
-        with pytest.raises(ValueError):
-            msc_approx(kb, "a", 1, Backend.ENTAIL, ExtensionEngine(kb))
         assert msc_approx(kb, "a", 1, engine=ExtensionEngine(kb)) == (
             msc_approx(kb, "a", 1))
 
@@ -386,7 +378,7 @@ class TestMscExtension:
         k0, k1 = random_kb(0), random_kb(1)
         for backend in Backend:
             with pytest.raises(ValueError):
-                msc_approx(k1, "a", 1, backend, ExtensionEngine(k0, backend))
+                msc_approx(k1, "a", 1, ExtensionEngine(k0, backend))
         with pytest.raises(ValueError):
             msc_extension(k1, "a", 1, ExtensionEngine(k0))
         # an equal KB is the same KB
@@ -410,7 +402,7 @@ def assert_entail_matches_concept_path(kb, depths=(0, 1, 2, None)):
             assert entail_answer(
                 lambda: msc_extension(kb, individual, depth, masks)
             ) == entail_answer(lambda: concepts.extension(msc_approx(
-                kb, individual, depth, Backend.ENTAIL, concepts).concept)), (
+                kb, individual, depth, concepts).concept)), (
                 individual, depth)
 
 
@@ -469,8 +461,7 @@ class TestEntailMscExtension:
             if through_masks:
                 msc_extension(kb, "x", 2, engine)
             else:
-                engine.extension(msc_approx(kb, "x", 2, Backend.ENTAIL,
-                                            engine).concept)
+                engine.extension(msc_approx(kb, "x", 2, engine).concept)
             counts.append(stats.instance_checks - before)
         assert counts == [1, 0]
 

@@ -121,9 +121,9 @@ class TestParseConcept:
         c = parse_concept(nested_concept(form, MAX_NESTING))
         assert parse_concept(str(c)) == c
         model = build_canonical(family_kb)
-        ext = eval_concept(model, family_kb.tbox, c)
-        assert eval_concept(model, family_kb.tbox, nnf(c)) == ext
-        assert eval_concept(model, family_kb.tbox, normalize(c)) == ext
+        ext = eval_concept(model, c)
+        assert eval_concept(model, nnf(c)) == ext
+        assert eval_concept(model, normalize(c)) == ext
         assert TableauReasoner(family_kb).is_satisfiable(c)
 
     @pytest.mark.parametrize("form", NESTING_FORMS)

@@ -43,7 +43,8 @@ class TestEngineOracle:
         roles = sorted(kb.signature.role_names)
         rng = random.Random(seed)
         concepts = [random_concept(rng, names, roles, 2) for _ in range(8)]
-        concepts += [msc_approx(kb, a, depth, Backend.ENTAIL).concept
+        concepts += [msc_approx(kb, a, depth,
+                                ExtensionEngine(kb, Backend.ENTAIL)).concept
                      for a in sorted(kb.individuals) for depth in (1, 2)]
         assert_engine_matches_retrieve(kb, concepts)
 
@@ -93,7 +94,7 @@ class TestEngineOracle:
         # g lies between the bounds of y's depth-1 roll-up, and its check
         # raises; the engine remembers that, so it raises again unsearched
         kb = parse_kb(UNKNOWN_GAP_KB)
-        c = msc_approx(kb, "y", 1, Backend.ENTAIL).concept
+        c = msc_approx(kb, "y", 1, ExtensionEngine(kb, Backend.ENTAIL)).concept
         assert str(c) == "L and exists s.H"
         engine = ExtensionEngine(kb, Backend.ENTAIL)
         engine.name_masks
@@ -207,7 +208,7 @@ def witness_model(reasoner, state, element):
             if isinstance(reasoner.table.concept(cid), Atom):
                 name = reasoner.table.parts[cid]
                 told[name] = told.get(name, 0) | abox.bits[element[nid]]
-    return CanonicalModel(abox, told)
+    return CanonicalModel(abox, reasoner.kb.tbox, told)
 
 
 def assert_label_lemma(kb):
@@ -228,7 +229,7 @@ def assert_label_lemma(kb):
     cid = 0
     while cid < len(table.kind):    # with the ids the masks intern
         expr = table.concept(cid)
-        expected = eval_concept(model, kb.tbox, expr)
+        expected = eval_concept(model, expr)
         assert {element[nid] for nid in state.nodes
                 if masks.mask(cid) >> nid & 1} == expected, str(expr)
         cid += 1

@@ -369,7 +369,8 @@ def plain_report(kb, x, y, depth, backend):
 
     def concept(item):
         if isinstance(item, str):
-            mscs.append(msc.msc_approx(kb, item, depth, backend))
+            mscs.append(msc.msc_approx(
+                kb, item, depth, retrieval.ExtensionEngine(kb, backend)))
             return mscs[-1].concept
         return item
 
@@ -425,17 +426,23 @@ class TestPairOracle:
 
 
 class TestJsonReport:
-    def test_round_trip(self, family_kb):
+    def test_fields(self, family_kb):
         report = sim_pair(family_kb, Atom("Grandparent"), Atom("Father"))
         data = json.loads(json.dumps(report.to_json_dict()))
-        assert SimilarityReport.from_json_dict(data) == report
-        assert data["value"] == pytest.approx(2 / 3)
-        assert data["value_exact"] == "2/3"
+        assert data == {
+            "value": 2 / 3, "value_exact": "2/3", "ext_c": 2, "ext_d": 3,
+            "ext_i": 2, "backend": "canonical", "extension_computations": 3,
+            "msc_computations": 0, "msc_depth": None}
+        assert Fraction(data["value_exact"]) == report.value
 
-    def test_round_trip_with_depth(self, family_kb):
+    def test_fields_with_depth(self, family_kb):
         report = sim_pair(family_kb, "Claudia", "Vito", depth=2)
         data = json.loads(json.dumps(report.to_json_dict()))
-        assert SimilarityReport.from_json_dict(data) == report
+        assert data == {
+            "value": 0.0, "value_exact": "0/1", "ext_c": 2, "ext_d": 1,
+            "ext_i": 0, "backend": "canonical", "extension_computations": 3,
+            "msc_computations": 2, "msc_depth": 2}
+        assert Fraction(data["value_exact"]) == report.value
 
 
 def measure_cases(seeds, per_kb=3):

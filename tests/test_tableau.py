@@ -30,7 +30,7 @@ from alcsim.model import (
     TBox,
     Top,
 )
-from alcsim.msc import msc_approx
+from alcsim.msc import _rollup, msc_approx
 from alcsim.parser import parse_concept, parse_kb
 from alcsim.retrieval import Backend, ExtensionEngine
 from alcsim.tableau import ConceptTable, TableauReasoner, subsumes
@@ -496,8 +496,8 @@ class TestConceptTable:
             cid = table.id(c)
             simplified = table.concept(cid)
             assert reasoner.equivalent(simplified, c), str(c)
-            assert (eval_concept(model, kb.tbox, simplified)
-                    == eval_concept(model, kb.tbox, c)), str(c)
+            assert (eval_concept(model, simplified)
+                    == eval_concept(model, c)), str(c)
             # an equal concept built apart gets the same id
             assert table.id(parse_concept(str(c))) == cid
         for cid in range(len(table.kind)):   # every subconcept too
@@ -546,6 +546,52 @@ class TestConceptTable:
             assert (table.kind, table.parts) == (plain.kind, plain.parts)
         for cid in range(len(table.kind)):      # the pushed ids too
             assert table.id(table.concept(cid)) == cid
+
+    def test_constructors_apply_the_laws(self):
+        # exists and meet, which the roll-up calls, keep the laws too
+        table = ConceptTable(EMPTY)
+        top, bottom = table.id(Top()), table.id(Bottom())
+        a, b = table.name("A"), table.name("B")
+        assert table.exists("r", bottom) == bottom
+        assert table.meet((top, a)) == a
+        assert table.meet((a, top, b)) == table.id(And((A, B)))
+        assert table.meet((a, bottom)) == bottom
+        assert table.meet((top, top)) == top
+        assert table.negation(top) == bottom
+        assert len(table.kind) == 5     # Top, Bottom, A, B and A and B
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), atleast=st.booleans())
+    def test_every_id_is_in_normal_form(self, seed, atleast):
+        # walked concepts, both backends' roll-ups and every pushed
+        # negation in one table: no law of Top or Bottom applies to any id,
+        # however it was made, and each id's concept interns back to it
+        kb, concepts = table_inputs(seed, atleast)
+        table = ConceptTable(kb.tbox)
+        for c in concepts:
+            table.id(c)
+        for backend in Backend:
+            try:
+                names = ExtensionEngine(kb, backend).name_masks
+            except UnsupportedNegation:
+                continue
+            for bit in kb.abox.bits.values():
+                for depth in (0, 1, 2):
+                    _rollup(table, kb.abox, names, bit, depth, bit)
+        cid = 0
+        while cid < len(table.kind):    # with the ids that pushes intern
+            if isinstance(table.concept(cid), (Atom, Not)):
+                outcome_text(lambda: table.adds(cid))
+            cid += 1
+        for cid in range(len(table.kind)):
+            c = table.concept(cid)
+            if isinstance(c, (And, Or)):
+                assert len(c.args) >= 2, str(c)
+                assert not {Top(), Bottom()} & set(c.args), str(c)
+            elif isinstance(c, (Exists, Forall)):
+                trivial = Bottom() if isinstance(c, Exists) else Top()
+                assert c.filler != trivial, str(c)
+            assert table.id(c) == cid, str(c)
 
     def test_rule_additions_come_from_the_model(self):
         # the Atom and Not rules add what TBox.unfolding and negate_once say
